@@ -2,8 +2,9 @@
 /// \brief Substrate ablation: how much of msu4's performance comes from
 ///        the CDCL heuristics the paper inherits from MiniSat? Runs
 ///        msu4-v2 with conflict-clause minimization off/basic/recursive,
-///        phase saving off, geometric instead of Luby restarts, and the
-///        tiered (core/tier2/local) learnt database.
+///        phase saving off, geometric instead of Luby restarts, no
+///        warm-started oracle calls, and the adaptive EMA restart
+///        trajectory (alone and with inprocessing).
 ///
 /// Usage: ablation_sat_opts [timeout_seconds] [size_scale] [per_family]
 ///                          [--json [path]]
@@ -82,11 +83,6 @@ int main(int argc, char** argv) {
     variants.push_back(v);
   }
   {
-    Variant v{"lbd-reduce", {}};
-    v.sat.lbd_reduce = true;
-    variants.push_back(v);
-  }
-  {
     // Warm-start A/B: the baseline runs the default (reuse on), this
     // lever isolates what the assumption-prefix reuse is worth.
     Variant v{"no-reuse-trail", {}};
@@ -99,15 +95,8 @@ int main(int argc, char** argv) {
     variants.push_back(v);
   }
   {
-    // lbd_reduce re-evaluated on the adaptive trajectory (the decision
-    // record in bench/README.md couples the two).
-    Variant v{"ema+lbd-reduce", {}};
-    v.sat.ema_restarts = true;
-    v.sat.lbd_reduce = true;
-    variants.push_back(v);
-  }
-  {
-    // Vivification re-evaluated on the adaptive trajectory (ditto).
+    // Vivification re-evaluated on the adaptive trajectory (the
+    // decision record in bench/README.md couples the two).
     Variant v{"ema+inprocess", {}};
     v.sat.ema_restarts = true;
     v.sat.inprocess = true;

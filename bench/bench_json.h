@@ -11,12 +11,16 @@
 ///
 /// {
 ///   "bench": "micro_sat",
+///   "nproc": 4,
 ///   "records": [
 ///     { "name": "miter-100", "wall_ms": 12.5, "reps": 3,
 ///       "counters": { "conflicts": 123, "propagations": 4567 } },
 ///     ...
 ///   ]
 /// }
+///
+/// `nproc` is std::thread::hardware_concurrency() of the recording
+/// machine, so a multi-worker record always says how many cores it had.
 
 #pragma once
 
@@ -27,6 +31,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,7 +48,8 @@ struct BenchRecord {
 
 inline void writeJson(std::ostream& out, const std::string& benchName,
                       const std::vector<BenchRecord>& records) {
-  out << "{\n  \"bench\": \"" << benchName << "\",\n  \"records\": [\n";
+  out << "{\n  \"bench\": \"" << benchName << "\",\n  \"nproc\": "
+      << std::thread::hardware_concurrency() << ",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     out << "    { \"name\": \"" << r.name << "\", \"wall_ms\": " << r.wallMs

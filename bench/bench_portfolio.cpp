@@ -18,15 +18,12 @@
 ///            nightly-CI sample artifact; open it in Perfetto — see
 ///            bench/README.md "Reading a trace")
 ///
-/// Besides the portfolio sweep the driver emits:
-///  * a `seq-direct` record — the bmc + mix3sat cases solved by plain
-///    sequential msu4-v2 calls. Its wall time is a machine-speed probe
-///    for check_regression.py (--calibration-prefix seq-), and its
-///    deterministic propagation/conflict counters guard the probe
-///    itself against silent code drift;
-///  * `cubes-*-tN` records — the hard-rich mix3sat cases conquered by
-///    the cube-and-conquer solver at 1/2/4 workers (all-soft cases
-///    have no hard clauses to split and would just measure wlinear).
+/// Besides the portfolio sweep the driver emits a `seq-direct` record:
+/// the bmc + mix3sat cases solved by plain sequential msu4-v2 calls. Its
+/// wall time is a machine-speed probe for check_regression.py
+/// (--calibration-prefix seq-), and its deterministic
+/// propagation/conflict counters guard the probe itself against silent
+/// code drift.
 ///
 /// The suite mixes instances where the base engine is already the right
 /// choice (bmc — the portfolio's thread tax shows up honestly) with the
@@ -58,7 +55,6 @@
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "obs/trace.h"
-#include "par/cube.h"
 #include "par/portfolio.h"
 
 namespace {
@@ -317,93 +313,6 @@ int main(int argc, char** argv) {
       std::exp(logSum / static_cast<double>(speedups.size()));
   std::cout << "\ngeomean wall-time speedup (1 -> 4 workers): " << std::fixed
             << std::setprecision(2) << geomean << "x\n";
-
-  // Cube-and-conquer sweep over the hard-rich cases. The all-soft
-  // cases have no hard clauses to split (the splitter would emit one
-  // empty root cube and delegate to wlinear), so only mix3sat measures
-  // the subsystem: splitter + work stealing + incumbent pruning +
-  // conflict-cadence clause exchange.
-  std::cout << "\ncube-and-conquer (mix3sat):\n";
-  std::cout << std::left << std::setw(14) << "instance" << std::right
-            << std::setw(10) << "t1 ms" << std::setw(10) << "t2 ms"
-            << std::setw(10) << "t4 ms" << std::setw(9) << "t1/t2"
-            << std::setw(9) << "t1/t4" << std::setw(8) << "cubes"
-            << "\n";
-  std::vector<double> cubeSpeedup2;  // t1 / t2 per instance
-  std::vector<double> cubeSpeedup4;  // t1 / t4 per instance
-  for (const Case& c : cases) {
-    if (c.name.rfind("mix3sat-", 0) != 0) continue;
-    double wall[3] = {0, 0, 0};
-    int numCubes = 0;
-    Weight cost = -1;
-    for (std::size_t ti = 0; ti < threadCounts.size(); ++ti) {
-      CubeOptions co;
-      co.threads = threadCounts[ti];
-      co.base.budget = Budget::wallClock(300.0);
-      CubeSolver solver(co);
-      double best = 0.0;
-      MaxSatResult r;
-      for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        r = solver.solve(c.wcnf);
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (rep == 0 || ms < best) best = ms;
-      }
-      wall[ti] = best;
-      if (r.status != MaxSatStatus::Optimum) {
-        std::cerr << "cubes-" << c.name << " t" << threadCounts[ti]
-                  << ": no optimum within budget\n";
-        return 1;
-      }
-      if (cost < 0) cost = r.cost;
-      if (r.cost != cost) {
-        std::cerr << "cubes-" << c.name
-                  << ": worker counts disagree on the optimum (" << cost
-                  << " vs " << r.cost << " at t" << threadCounts[ti] << ")\n";
-        return 1;
-      }
-      numCubes = solver.lastNumCubes();
-      benchjson::BenchRecord rec;
-      rec.name = "cubes-" + c.name + "-t" + std::to_string(threadCounts[ti]);
-      rec.wallMs = best;
-      rec.reps = reps;
-      rec.counters.emplace_back("threads", threadCounts[ti]);
-      rec.counters.emplace_back("cost", cost);
-      rec.counters.emplace_back("cubes", solver.lastNumCubes());
-      rec.counters.emplace_back("steals", solver.lastSteals());
-      rec.counters.emplace_back("sat_calls", r.satCalls);
-      rec.counters.emplace_back("shared_exported",
-                                r.satStats.shared_exported);
-      rec.counters.emplace_back("shared_imported",
-                                r.satStats.shared_imported);
-      rec.counters.emplace_back("shared_export_drops",
-                                r.satStats.shared_export_drops);
-      rec.counters.emplace_back("shared_import_drains",
-                                r.satStats.shared_import_drains);
-      rec.counters.emplace_back("shared_import_scanned",
-                                r.satStats.shared_import_scanned);
-      records.push_back(std::move(rec));
-    }
-    const double s2 = std::max(wall[0], 0.01) / std::max(wall[1], 0.01);
-    const double s4 = std::max(wall[0], 0.01) / std::max(wall[2], 0.01);
-    cubeSpeedup2.push_back(s2);
-    cubeSpeedup4.push_back(s4);
-    std::cout << std::left << std::setw(14) << c.name << std::right
-              << std::fixed << std::setprecision(1) << std::setw(10)
-              << wall[0] << std::setw(10) << wall[1] << std::setw(10)
-              << wall[2] << std::setw(9) << std::setprecision(2) << s2
-              << std::setw(9) << s4 << std::setw(8) << numCubes << "\n";
-  }
-  const auto geo = [](const std::vector<double>& xs) {
-    double ls = 0.0;
-    for (const double x : xs) ls += std::log(x);
-    return xs.empty() ? 1.0 : std::exp(ls / static_cast<double>(xs.size()));
-  };
-  std::cout << "cube geomean speedups: 1->2 workers " << std::fixed
-            << std::setprecision(2) << geo(cubeSpeedup2) << "x, 1->4 workers "
-            << geo(cubeSpeedup4) << "x\n";
 
   if (writeJson && !benchjson::writeJsonFile(jsonPath, "portfolio", records)) {
     return 1;

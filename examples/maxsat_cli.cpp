@@ -10,11 +10,6 @@
 ///     --threads N       parallel portfolio of N workers racing the
 ///                       chosen engine plus diversified alternatives,
 ///                       with learnt-clause sharing (default 1)
-///     --cubes N         cube-and-conquer with N workers instead of a
-///                       racing portfolio: a lookahead splitter shards
-///                       the instance into cubes conquered over a
-///                       work-stealing queue (ignores --algo; also
-///                       reachable as --algo cubesN)
 ///     --timeout SECONDS wall-clock budget (default: none)
 ///     --mem-mb N        cooperative memory cap in MiB: the solver
 ///                       tracks its own clause-storage footprint
@@ -36,7 +31,7 @@
 ///                       in one aligned block)
 ///     --trace FILE      record an execution trace (oracle calls, core
 ///                       trimming, restart segments, import drains,
-///                       cube/worker activity) and write it as Chrome
+///                       portfolio workers) and write it as Chrome
 ///                       trace_event JSON — open FILE in Perfetto
 ///                       (ui.perfetto.dev) or chrome://tracing; see
 ///                       bench/README.md "Reading a trace"
@@ -54,14 +49,13 @@
 #include "harness/factory.h"
 #include "harness/tables.h"
 #include "obs/trace.h"
-#include "par/cube.h"
 #include "par/portfolio.h"
 
 namespace {
 
 void usage() {
   std::cout <<
-      "usage: maxsat_cli [--algo NAME] [--threads N] [--cubes N]\n"
+      "usage: maxsat_cli [--algo NAME] [--threads N]\n"
       "                  [--timeout SEC] [--mem-mb N]\n"
       "                  [--inprocess] [--reuse-trail|--no-reuse-trail]\n"
       "                  [--restart luby|geom|ema] [--stats]\n"
@@ -76,7 +70,6 @@ int main(int argc, char** argv) {
 
   std::string algo = "msu4-v2";
   int threads = 1;
-  int cubes = 0;
   double timeout = 0.0;
   double memMb = 0.0;
   bool inprocess = false;
@@ -96,12 +89,6 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
       if (threads < 1) {
         std::cerr << "c --threads wants a positive count\n";
-        return 2;
-      }
-    } else if (arg == "--cubes" && i + 1 < argc) {
-      cubes = std::atoi(argv[++i]);
-      if (cubes < 1) {
-        std::cerr << "c --cubes wants a positive worker count\n";
         return 2;
       }
     } else if (arg == "--timeout" && i + 1 < argc) {
@@ -199,21 +186,11 @@ int main(int argc, char** argv) {
   opts.sat.ema_restarts = restart == "ema";
   std::unique_ptr<MaxSatSolver> solver;
   PortfolioSolver* portfolio = nullptr;
-  CubeSolver* cubeSolver = nullptr;
-  if (threads > 1 &&
-      (algo.rfind("portfolio", 0) == 0 || algo.rfind("cubes", 0) == 0)) {
+  if (threads > 1 && algo.rfind("portfolio", 0) == 0) {
     std::cerr << "c note: --threads is ignored for --algo " << algo
               << " (the name fixes the worker count)\n";
   }
-  if (cubes > 0) {
-    CubeOptions co;
-    co.base = opts;
-    co.threads = cubes;
-    auto c = std::make_unique<CubeSolver>(co);
-    cubeSolver = c.get();
-    solver = std::move(c);
-  } else if (threads > 1 && algo.rfind("portfolio", 0) != 0 &&
-             algo.rfind("cubes", 0) != 0) {
+  if (threads > 1 && algo.rfind("portfolio", 0) != 0) {
     // Race the requested engine (worker 0, base configuration) against
     // diversified alternatives, sharing learnt clauses. Validate the
     // name here: PortfolioSolver silently drops unbuildable engines.
@@ -246,10 +223,6 @@ int main(int argc, char** argv) {
   if (portfolio != nullptr && portfolio->lastWinner() >= 0) {
     std::cout << "c portfolio winner: worker " << portfolio->lastWinner()
               << " (" << portfolio->lastWinnerEngine() << ")\n";
-  }
-  if (cubeSolver != nullptr) {
-    std::cout << "c cubes: " << cubeSolver->lastNumCubes() << ", steals "
-              << cubeSolver->lastSteals() << "\n";
   }
 
   // Splice hard-forced values back into the model after preprocessing.

@@ -41,7 +41,9 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,7 +158,13 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry registry;
   svcOpts.metrics = &registry;
-  SolveService service(svcOpts);
+  std::optional<SolveService> service;
+  try {
+    service.emplace(svcOpts);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "c " << e.what() << "\n";
+    return 2;
+  }
   std::cout << "c maxsatd: " << specs.size() << " job(s), "
             << svcOpts.workers << " worker(s), engine " << svcOpts.engine
             << "\n";
@@ -179,7 +187,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const SolveService::Submission sub =
-        service.submit(std::move(instance), spec.limits);
+        service->submit(std::move(instance), spec.limits);
     if (sub.status == SolveService::SubmitStatus::kAccepted) {
       row.id = sub.id;
     } else {
@@ -217,7 +225,7 @@ int main(int argc, char** argv) {
            << registry.gauge("msu_svc_mem_bytes").value() << "B\n";
         for (const Row& row : rows) {
           if (row.id == kJobIdUndef) continue;
-          const auto st = service.poll(row.id);
+          const auto st = service->poll(row.id);
           if (!st || st->state != JobState::kRunning) continue;
           os << "c live: job " << row.id << " " << row.path << " lb="
              << st->lowerBound << " ub=";
@@ -242,7 +250,7 @@ int main(int argc, char** argv) {
       exitCode = 1;
       continue;
     }
-    const JobOutcome out = service.await(row.id);
+    const JobOutcome out = service->await(row.id);
     samplePeak();
     const MaxSatResult& r = out.result;
     switch (r.status) {
@@ -271,7 +279,7 @@ int main(int argc, char** argv) {
     monitor.join();
   }
 
-  const SolveService::Counters c = service.counters();
+  const SolveService::Counters c = service->counters();
   std::cout << "c submitted=" << c.submitted << " completed=" << c.completed
             << " shed=" << c.shed << " peak-mem=" << peakMem.load() << "B\n";
   if (metricsEvery > 0.0) {

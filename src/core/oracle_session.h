@@ -232,7 +232,7 @@ class OracleSession {
  private:
   /// Streams the deltas since the last sync into the live-progress
   /// sink (no-op without one). Deltas — not totals — so the multiple
-  /// sessions of one job (portfolio/cube workers) aggregate instead of
+  /// sessions of one job (portfolio workers) aggregate instead of
   /// clobbering each other; mem deltas may be negative (retirement,
   /// garbage collection) and keep each session's contribution honest.
   void syncProgress(std::int64_t calls) {

@@ -12,7 +12,6 @@
 #include "core/oll.h"
 #include "core/wlinear.h"
 #include "core/wmsu1.h"
-#include "par/cube.h"
 #include "par/portfolio.h"
 #include "pbo/maxsat_pbo.h"
 
@@ -22,7 +21,7 @@ std::vector<std::string> solverNames() {
   return {"msu4-v1", "msu4-v2", "msu4-seq",  "msu4-tot", "msu4-cnet", "msu3",
           "msu1",    "wmsu1",   "oll",       "bmo",       "linear",   "wlinear",
           "wlinear-adder",      "binary",    "pbo",      "pbo-adder",
-          "maxsatz", "portfolio", "portfolio4", "cubes",  "cubes4"};
+          "maxsatz", "portfolio", "portfolio4"};
 }
 
 std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
@@ -99,19 +98,6 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
     po.threads = suffix.empty() ? 4 : std::atoi(suffix.c_str());
     if (po.threads < 1) return nullptr;
     return std::make_unique<PortfolioSolver>(po);
-  }
-  if (name.rfind("cubes", 0) == 0) {
-    const std::string suffix = name.substr(5);
-    if (!suffix.empty() &&
-        (suffix.find_first_not_of("0123456789") != std::string::npos ||
-         suffix.size() > 3)) {
-      return nullptr;  // strict match: "cubes" or "cubesN"
-    }
-    CubeOptions co;
-    co.base = options;
-    co.threads = suffix.empty() ? 4 : std::atoi(suffix.c_str());
-    if (co.threads < 1) return nullptr;
-    return std::make_unique<CubeSolver>(co);
   }
   return nullptr;
 }

@@ -196,11 +196,6 @@ void printSatStatsRows(std::ostream& out, const SolverStats& stats,
   row("learnt literals", stats.learnt_literals);
   row("minimized literals", stats.minimized_literals);
   row("removed clauses", stats.removed_clauses);
-  row("promoted clauses", stats.promoted_clauses);
-  row("demoted clauses", stats.demoted_clauses);
-  row("tier core", stats.tier_core);
-  row("tier tier2", stats.tier_tier2);
-  row("tier local", stats.tier_local);
   row("gc runs", stats.gc_runs);
   row("retired scopes", stats.retired_scopes);
   row("retired clauses", stats.retired_clauses);
@@ -253,10 +248,9 @@ void exportStatsToMetrics(obs::MetricsRegistry& registry,
   // The gauge-natured fields of SolverStats (see stats.h): everything
   // else is a monotone tally of work performed and maps to a counter.
   const auto isGauge = [](const std::string& name) {
-    return name == "tier_core" || name == "tier_tier2" ||
-           name == "tier_local" || name == "restart_mode" ||
-           name == "mem_bytes" || name == "mem_arena_bytes" ||
-           name == "mem_watch_bytes" || name == "mem_external_bytes";
+    return name == "restart_mode" || name == "mem_bytes" ||
+           name == "mem_arena_bytes" || name == "mem_watch_bytes" ||
+           name == "mem_external_bytes";
   };
   stats.forEachField([&](const char* name, std::int64_t value) {
     const std::string n(name);

@@ -55,9 +55,9 @@ void printScatterSummary(std::ostream& out,
 /// Prints the CDCL substrate counters (search totals including the
 /// warm-start trail reuse and restart-trajectory rows, the propagation
 /// breakdown from the flat-watch/binary-fast-path core, the learnt
-/// database's tier occupancy, the encoding-lifecycle accounting —
-/// retired scopes/clauses, reclaimed bytes, recycled variables — and
-/// the inprocessing accounting) as a labelled two-column table. Every
+/// database, the encoding-lifecycle accounting — retired
+/// scopes/clauses, reclaimed bytes, recycled variables — and the
+/// inprocessing accounting) as a labelled two-column table. Every
 /// line starts with `linePrefix` (e.g. "c " to keep DIMACS-style
 /// solver output machine-skippable).
 void printSatStats(std::ostream& out, const SolverStats& stats,
@@ -84,9 +84,8 @@ void printRunStats(std::ostream& out, const EngineRunCounters& engine,
 /// metrics — driven by the same MSU_SOLVER_STATS_FIELDS X-macro that
 /// printSatStats renders, so the two dump paths can never diverge.
 /// Search-work fields accumulate into `_total` counters; the gauge
-/// fields (`tier_*` occupancy, `restart_mode`, `mem_bytes`) overwrite
-/// gauges instead. Call once per finished run (the SolveService does,
-/// per job).
+/// fields (`restart_mode`, `mem_*`) overwrite gauges instead. Call
+/// once per finished run (the SolveService does, per job).
 void exportStatsToMetrics(obs::MetricsRegistry& registry,
                           const SolverStats& stats);
 

@@ -13,7 +13,7 @@
 /// Writers: engines report bounds through MaxSatOptions::onBounds (the
 /// service wraps the callback to feed the sink); OracleSession adds
 /// conflict/solve-call/memory deltas after every oracle call. Multiple
-/// concurrent writers per job are expected (portfolio/cube workers),
+/// concurrent writers per job are expected (portfolio workers),
 /// so bound updates are monotone CAS folds — a stale worker can never
 /// loosen a published bound, which is what makes the poll() contract
 /// ("bounds only tighten") testable.

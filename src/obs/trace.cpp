@@ -37,8 +37,6 @@ const char* traceCatName(TraceCat cat) {
       return "restart";
     case TraceCat::kShare:
       return "share";
-    case TraceCat::kCube:
-      return "cube";
     case TraceCat::kJob:
       return "job";
     case TraceCat::kWorker:

@@ -5,7 +5,7 @@
 /// The tracer answers the question the end-of-run SolverStats tallies
 /// cannot: *when* did the time go? Every instrumented seam (oracle
 /// solve() calls, core trimming, inprocess passes, restart segments,
-/// shared-clause import drains, cube splits/steals, service job
+/// shared-clause import drains, portfolio workers, service job
 /// lifecycle) emits spans or instants into a fixed-capacity ring buffer
 /// owned by the emitting thread. Exported files open directly in
 /// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
@@ -68,9 +68,8 @@ enum class TraceCat : std::uint8_t {
   kInproc,   ///< Inprocessing passes.
   kRestart,  ///< Restart segments inside one solve() call.
   kShare,    ///< Shared-clause import drains / exchange traffic.
-  kCube,     ///< Cube-and-conquer splits, steals, per-cube conquests.
   kJob,      ///< Service job lifecycle (submit/queue/run/done).
-  kWorker,   ///< Portfolio / cube worker lifetimes.
+  kWorker,   ///< Portfolio worker lifetimes.
 };
 
 /// Returns the stable string for a category ("oracle", "share", ...).

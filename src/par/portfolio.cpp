@@ -42,7 +42,7 @@ PortfolioSolver::PortfolioSolver(PortfolioOptions options)
   // solvers, which would multiply threads), rather than crashing a
   // worker later.
   std::erase_if(opts_.engines, [](const std::string& name) {
-    return name.rfind("portfolio", 0) == 0 || name.rfind("cubes", 0) == 0 ||
+    return name.rfind("portfolio", 0) == 0 ||
            makeSolver(name, MaxSatOptions{}) == nullptr;
   });
   if (opts_.engines.empty()) opts_.engines = defaultEngines();
@@ -106,7 +106,6 @@ std::vector<PortfolioSolver::WorkerConfig> PortfolioSolver::buildConfigs()
     static constexpr double kVarDecays[] = {0.95, 0.99, 0.90, 0.85};
     sat.var_decay = kVarDecays[rng.next(4)];
     sat.phase_saving = rng.next(8) != 0;  // rarely off
-    sat.lbd_reduce = rng.next(4) == 0;    // tiered learnt DB for variety
     // A third of the perturbed workers race the adaptive restart
     // trajectory (EMA + stable/focused switching + best-phase
     // rephasing) against the fixed schedules.
@@ -115,8 +114,7 @@ std::vector<PortfolioSolver::WorkerConfig> PortfolioSolver::buildConfigs()
     os << cfg.engine << " "
        << (sat.ema_restarts ? "ema" : (sat.luby_restarts ? "luby" : "geom"))
        << "/" << sat.restart_base << " vd=" << sat.var_decay
-       << (sat.phase_saving ? "" : " nophase")
-       << (sat.lbd_reduce ? " lbd" : "");
+       << (sat.phase_saving ? "" : " nophase");
     cfg.description = os.str();
     configs.push_back(std::move(cfg));
   }

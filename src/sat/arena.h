@@ -36,10 +36,6 @@ inline constexpr CRef kCRefUndef = 0xFFFFFFFFu;
 /// Layout (32-bit words):
 ///   word 0: header — size<<4 | tagged<<3 | relocated<<2 | deleted<<1 | learnt
 ///   word 1: float activity       (learnt clauses only)
-///   word 2: learnt metadata      (learnt clauses only):
-///             bits  0..23  LBD / glue level (saturating)
-///             bits 24..25  `used` aging counter for the tiered DB
-///             bits 26..27  tier (0 = core, 1 = tier2, 2 = local)
 ///   then `size` literal words,
 ///   then the activator tag word  (tagged clauses only: guard variable).
 ///
@@ -65,58 +61,14 @@ class ClauseRefView {
     return static_cast<Var>(litBase()[size()]);
   }
 
-  /// Activity of a learnt clause.
+  /// Activity of a learnt clause (word 1).
   [[nodiscard]] float activity() const {
     assert(learnt());
-    return std::bit_cast<float>(base_[metaBase()]);
+    return std::bit_cast<float>(base_[1]);
   }
   void setActivity(float a) {
     assert(learnt());
-    base_[metaBase()] = std::bit_cast<std::uint32_t>(a);
-  }
-
-  /// Literal-block distance (number of distinct decision levels at
-  /// learning time; Glucose's "glue").
-  [[nodiscard]] std::uint32_t lbd() const {
-    assert(learnt());
-    return base_[metaBase() + 1] & kLbdMask;
-  }
-  void setLbd(std::uint32_t lbd) {
-    assert(learnt());
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~kLbdMask) | (lbd < kLbdMask ? lbd : kLbdMask);
-  }
-
-  /// `used` aging counter (0..3) consumed by the tiered reduceDB.
-  [[nodiscard]] std::uint32_t used() const {
-    assert(learnt());
-    return (base_[metaBase() + 1] >> 24) & 3u;
-  }
-  void setUsed(std::uint32_t used) {
-    assert(learnt() && used <= 3u);
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~(3u << 24)) | (used << 24);
-  }
-
-  /// Learnt-DB tier (0 = core, 1 = tier2, 2 = local).
-  [[nodiscard]] std::uint32_t tier() const {
-    assert(learnt());
-    return (base_[metaBase() + 1] >> 26) & 3u;
-  }
-  void setTier(std::uint32_t tier) {
-    assert(learnt() && tier <= 3u);
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~(3u << 26)) | (tier << 26);
-  }
-
-  /// Raw learnt-metadata word (LBD + used + tier), for GC relocation.
-  [[nodiscard]] std::uint32_t learntMeta() const {
-    assert(learnt());
-    return base_[metaBase() + 1];
-  }
-  void setLearntMeta(std::uint32_t meta) {
-    assert(learnt());
-    base_[metaBase() + 1] = meta;
+    base_[1] = std::bit_cast<std::uint32_t>(a);
   }
 
   [[nodiscard]] Lit& operator[](int i) {
@@ -164,22 +116,17 @@ class ClauseRefView {
     return litBase()[0];
   }
 
-  /// Non-literal words of the stored clause (header + learnt words +
+  /// Non-literal words of the stored clause (header + activity word +
   /// trailing tag word).
   [[nodiscard]] int headerWords() const {
-    return 1 + (learnt() ? 2 : 0) + (tagged() ? 1 : 0);
+    return 1 + (learnt() ? 1 : 0) + (tagged() ? 1 : 0);
   }
 
  private:
-  static constexpr std::uint32_t kLbdMask = 0x00FF'FFFFu;
-
-  /// Word index of the learnt activity word.
-  [[nodiscard]] std::uint32_t metaBase() const { return 1u; }
-
   /// Depends on the learnt bit only (the tag word trails the literals),
   /// keeping the propagation loop's literal accesses at seed cost.
   [[nodiscard]] std::uint32_t* litBase() const {
-    return base_ + ((base_[0] & 1u) != 0 ? 3 : 1);
+    return base_ + ((base_[0] & 1u) != 0 ? 2 : 1);
   }
 
   std::uint32_t* base_;
@@ -211,10 +158,7 @@ class ClauseArena {
     const bool tagged = tagVar != kUndefVar;
     const CRef ref = static_cast<CRef>(mem_.size());
     mem_.push_back((size << 4) | (tagged ? 8u : 0u) | (learnt ? 1u : 0u));
-    if (learnt) {
-      mem_.push_back(std::bit_cast<std::uint32_t>(0.0f));
-      mem_.push_back(0u);  // LBD, set by the solver after analysis
-    }
+    if (learnt) mem_.push_back(std::bit_cast<std::uint32_t>(0.0f));
     for (Lit p : lits) {
       mem_.push_back(static_cast<std::uint32_t>(p.index()));
     }
@@ -235,7 +179,7 @@ class ClauseArena {
   /// Records that a clause of the given stored size was logically freed.
   void markWasted(int clauseSize, bool learnt, bool tagged = false) {
     wasted_ += static_cast<std::uint32_t>(clauseSize) + 1u +
-               (learnt ? 2u : 0u) + (tagged ? 1u : 0u);
+               (learnt ? 1u : 0u) + (tagged ? 1u : 0u);
   }
 
   /// Records words abandoned by an in-place clause shrink (inprocessing
@@ -268,10 +212,7 @@ class ClauseArena {
     }
     const CRef fresh =
         to.alloc(c.lits(), c.learnt(), c.tagged() ? c.tag() : kUndefVar);
-    if (c.learnt()) {
-      to[fresh].setActivity(c.activity());
-      to[fresh].setLearntMeta(c.learntMeta());
-    }
+    if (c.learnt()) to[fresh].setActivity(c.activity());
     if (c.deleted()) to[fresh].markDeleted();
     c.setRelocated(fresh);
     ref = fresh;

@@ -1,7 +1,8 @@
 /// \file inprocess.cpp
 /// \brief Scope-aware inprocessing over the solver's live clause
-///        database (Options::inprocess): the in-solver counterpart of
-///        the offline SatELite pass in src/simp/.
+///        database (Options::inprocess): SatELite-style simplification
+///        between oracle calls, with model reconstruction through
+///        sat/reconstruct.h.
 ///
 /// The MaxSAT engines drive one incremental oracle through thousands of
 /// solve calls, so the arena accumulates clauses that are satisfied at
@@ -322,9 +323,6 @@ bool Solver::applyStrengthened(CRef ref, std::span<const Lit> newLits,
   for (std::size_t k = 0; k < ps.size(); ++k) c[static_cast<int>(k)] = ps[k];
   c.shrink(static_cast<int>(ps.size()));
   arena_.markWastedWords(oldSize - static_cast<int>(ps.size()));
-  if (c.learnt() && c.lbd() > static_cast<std::uint32_t>(ps.size())) {
-    c.setLbd(static_cast<std::uint32_t>(ps.size()));
-  }
   attachClause(ref);
   return true;
 }

@@ -266,9 +266,6 @@ bool Solver::inprocSubstitute() {
         c.shrink(static_cast<int>(ps.size()));
         arena_.markWastedWords(oldSize - static_cast<int>(ps.size()));
       }
-      if (c.learnt() && c.lbd() > static_cast<std::uint32_t>(ps.size())) {
-        c.setLbd(static_cast<std::uint32_t>(ps.size()));
-      }
       attachClause(ref);
     }
   };

@@ -515,7 +515,6 @@ void Solver::removeClause(CRef ref) {
   }
   // A reason clause must not keep dangling references.
   if (locked(ref)) vardata_[c[0].var()].reason = Reason::none();
-  if (c.learnt()) --tierGauge(c.tier());
   arena_.markWasted(c.size(), c.learnt(), c.tagged());
   c.markDeleted();
 }
@@ -524,17 +523,6 @@ bool Solver::locked(CRef ref) const {
   const ClauseRefView c = arena_[ref];
   const Lit p = c[0];
   return value(p) == lbool::True && reason(p.var()) == Reason::clause(ref);
-}
-
-std::int64_t& Solver::tierGauge(std::uint32_t tier) {
-  switch (tier) {
-    case kTierCore:
-      return stats_.tier_core;
-    case kTier2:
-      return stats_.tier_tier2;
-    default:
-      return stats_.tier_local;
-  }
 }
 
 void Solver::uncheckedEnqueue(Lit p, Reason from) {
@@ -693,33 +681,6 @@ void Solver::claBumpActivity(ClauseRefView c) {
   }
 }
 
-void Solver::bumpLearnt(ClauseRefView c) {
-  claBumpActivity(c);
-  if (!opts_.lbd_reduce) return;
-  // Tiered DB: refresh the aging counter and re-evaluate the glue. A
-  // clause whose LBD improves migrates towards a more protected tier
-  // (core is terminal — never demoted).
-  if (c.used() < 3) c.setUsed(c.used() + 1);
-  const std::uint32_t newLbd = computeLbd(c.lits());
-  if (newLbd < c.lbd()) {
-    c.setLbd(newLbd);
-    const std::uint32_t t = c.tier();
-    std::uint32_t nt = t;
-    if (newLbd <= 2) {
-      nt = kTierCore;
-    } else if (t == kTierLocal &&
-               newLbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)) {
-      nt = kTier2;
-    }
-    if (nt != t) {
-      --tierGauge(t);
-      ++tierGauge(nt);
-      c.setTier(nt);
-      ++stats_.promoted_clauses;
-    }
-  }
-}
-
 void Solver::analyze(Reason confl, std::vector<Lit>& outLearnt,
                      int& outBtLevel) {
   int pathC = 0;
@@ -740,7 +701,7 @@ void Solver::analyze(Reason confl, std::vector<Lit>& outLearnt,
       lits = binLits;
     } else {
       ClauseRefView c = arena_[confl.cref()];
-      if (c.learnt()) bumpLearnt(c);
+      if (c.learnt()) claBumpActivity(c);
       lits = c.lits();
     }
 
@@ -933,19 +894,9 @@ void Solver::recordLearnt(std::span<const Lit> learntClause) {
     const Var tag = scopes_.empty() ? kUndefVar : learntTagFor(learntClause);
     noteAllocFault();
     const CRef ref = arena_.alloc(learntClause, /*learnt=*/true, tag);
-    ClauseRefView c = arena_[ref];
     const std::uint32_t lbd = computeLbd(learntClause);
     last_learnt_lbd_ = lbd;
     maybeExportLearnt(learntClause, lbd);
-    c.setLbd(lbd);
-    const std::uint32_t tier =
-        lbd <= 2 ? kTierCore
-                 : (lbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)
-                        ? kTier2
-                        : kTierLocal);
-    c.setTier(tier);
-    c.setUsed(2);
-    ++tierGauge(tier);
     learnts_.push_back(ref);
     attachClause(ref);
     claBumpActivity(arena_[ref]);
@@ -956,54 +907,6 @@ void Solver::recordLearnt(std::span<const Lit> learntClause) {
 }
 
 void Solver::reduceDB() {
-  if (opts_.lbd_reduce) {
-    // Tiered (Glucose/CaDiCaL-style): core clauses are permanent;
-    // tier2 clauses age via `used` and demote to local when cold;
-    // the worst half of local (high LBD, low activity) is deleted.
-    std::vector<CRef> keep;
-    std::vector<CRef> locals;
-    keep.reserve(learnts_.size());
-    for (CRef ref : learnts_) {
-      ClauseRefView c = arena_[ref];
-      const std::uint32_t t = c.tier();
-      if (t == kTierCore) {
-        keep.push_back(ref);
-      } else if (t == kTier2) {
-        if (c.used() > 0) {
-          c.setUsed(c.used() - 1);
-          keep.push_back(ref);
-        } else {
-          c.setTier(kTierLocal);
-          --stats_.tier_tier2;
-          ++stats_.tier_local;
-          ++stats_.demoted_clauses;
-          locals.push_back(ref);
-        }
-      } else {
-        locals.push_back(ref);
-      }
-    }
-    std::sort(locals.begin(), locals.end(), [&](CRef a, CRef b) {
-      const ClauseRefView ca = arena_[a];
-      const ClauseRefView cb = arena_[b];
-      if (ca.lbd() != cb.lbd()) return ca.lbd() > cb.lbd();
-      return ca.activity() < cb.activity();
-    });
-    const std::size_t target = locals.size() / 2;
-    std::size_t removed = 0;
-    for (CRef ref : locals) {
-      if (removed < target && !locked(ref)) {
-        removeClause(ref);
-        ++stats_.removed_clauses;
-        ++removed;
-      } else {
-        keep.push_back(ref);
-      }
-    }
-    learnts_ = std::move(keep);
-    garbageCollectIfNeeded();
-    return;
-  }
   // MiniSat-style: sort by activity, keep the active half. (Binary
   // learnt clauses live outside the arena and are always kept.)
   std::sort(learnts_.begin(), learnts_.end(), [&](CRef a, CRef b) {
@@ -1266,17 +1169,6 @@ void Solver::importSharedClauses(int maxClauses) {
     }
     noteAllocFault();
     const CRef ref = arena_.alloc(ps, /*learnt=*/true, kUndefVar);
-    ClauseRefView c = arena_[ref];
-    const auto lbd = static_cast<std::uint32_t>(ps.size());
-    c.setLbd(lbd);
-    const std::uint32_t tier =
-        lbd <= 2 ? kTierCore
-                 : (lbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)
-                        ? kTier2
-                        : kTierLocal);
-    c.setTier(tier);
-    c.setUsed(2);
-    ++tierGauge(tier);
     learnts_.push_back(ref);
     attachClause(ref);
   },

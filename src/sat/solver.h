@@ -26,16 +26,10 @@
 ///    `analyze`/`analyzeFinal`/`litRedundant` resolve binary reasons
 ///    without touching the arena.
 ///
-///  * **Tiered learnt database.** With Options::lbd_reduce, learnt
-///    clauses are partitioned Glucose/CaDiCaL-style by LBD into core
-///    (LBD <= 2, kept forever), tier2 (LBD <= tier2_lbd, aged by a
-///    `used` counter and demoted when cold) and local (aggressively
-///    halved each reduceDB). Clauses touched during conflict analysis
-///    refresh `used`, recompute their LBD and get promoted when it
-///    improves. Without lbd_reduce, the classic MiniSat
-///    activity-sorted deletion is used. Deletion detaches lazily:
-///    watchers of deleted clauses are dropped as propagation or GC
-///    encounters them.
+///  * **Learnt database.** The classic MiniSat policy: each reduceDB
+///    sorts the learnt arena clauses by activity and deletes the less
+///    active half. Deletion detaches lazily: watchers of deleted
+///    clauses are dropped as propagation or GC encounters them.
 ///
 /// ## Encoding lifecycle (oracle sessions)
 ///
@@ -277,8 +271,6 @@ class Solver {
     double learntsize_factor = 1.0 / 3.0;  ///< initial learnt DB size
     double learntsize_inc = 1.1;   ///< learnt DB growth per restart
     double garbage_frac = 0.20;    ///< GC when wasted/size exceeds this
-    bool lbd_reduce = false;       ///< tiered (core/tier2/local) reduceDB
-    int tier2_lbd = 6;             ///< max LBD admitted into tier2
 
     /// Warm-started oracle calls: keep the trail across solve()
     /// boundaries and backtrack only to the first divergence between
@@ -425,7 +417,7 @@ class Solver {
     /// memBytesEstimate() so Budget::setMaxMemory caps the *end-to-end*
     /// ingest-to-solve footprint, not just the clause database. The
     /// job layer sets it from WcnfFormula::memBytesEstimate(); engines
-    /// that fan one formula out to several solvers (portfolio, cubes)
+    /// that fan one formula out to several solvers (the portfolio)
     /// charge it to each worker — deliberately conservative.
     std::int64_t external_mem_bytes = 0;
 
@@ -710,11 +702,6 @@ class Solver {
     bool enforced = true;     ///< auto-assume activator vs. its negation
   };
 
-  // Learnt-DB tiers (stored in the clause header's tier bits).
-  static constexpr std::uint32_t kTierCore = 0;
-  static constexpr std::uint32_t kTier2 = 1;
-  static constexpr std::uint32_t kTierLocal = 2;
-
   // Construction helpers. There is no eager detach: removeClause()
   // marks the clause deleted and its watchers are dropped lazily by
   // propagate() and the GC sweep.
@@ -841,11 +828,6 @@ class Solver {
   void varDecayActivity() { var_inc_ /= opts_.var_decay; }
   void claBumpActivity(ClauseRefView c);
   void claDecayActivity() { cla_inc_ /= opts_.clause_decay; }
-
-  /// Conflict-analysis touch of a learnt arena clause: activity bump
-  /// plus tiered-DB bookkeeping (used refresh, LBD update, promotion).
-  void bumpLearnt(ClauseRefView c);
-  [[nodiscard]] std::int64_t& tierGauge(std::uint32_t tier);
 
   [[nodiscard]] bool withinBudget() const;
 

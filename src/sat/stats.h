@@ -26,11 +26,6 @@ namespace msu {
   X(long_propagations)             \
   X(blocker_hits)                  \
   X(watch_bytes_visited)           \
-  X(promoted_clauses)              \
-  X(demoted_clauses)               \
-  X(tier_core)                     \
-  X(tier_tier2)                    \
-  X(tier_local)                    \
   X(retired_scopes)                \
   X(retired_clauses)               \
   X(reclaimed_bytes)               \
@@ -65,8 +60,8 @@ namespace msu {
   X(mem_external_bytes)
 
 /// Cumulative CDCL statistics. All counters are monotone over the
-/// solver's lifetime except the `tier_*` occupancy gauges, which track
-/// the learnt database's current tier populations.
+/// solver's lifetime except the `restart_mode` and `mem_*` gauges,
+/// which track the solver's current state.
 struct SolverStats {
   std::int64_t solves = 0;        ///< calls to solve()
   std::int64_t decisions = 0;     ///< branching decisions
@@ -84,13 +79,6 @@ struct SolverStats {
   std::int64_t long_propagations = 0;    ///< implications via long clauses
   std::int64_t blocker_hits = 0;         ///< watcher skipped via blocker lit
   std::int64_t watch_bytes_visited = 0;  ///< watcher-entry bytes scanned
-
-  // Tiered learnt-DB accounting (Options::lbd_reduce).
-  std::int64_t promoted_clauses = 0;  ///< local/tier2 -> better tier moves
-  std::int64_t demoted_clauses = 0;   ///< tier2 -> local aging demotions
-  std::int64_t tier_core = 0;         ///< gauge: learnt clauses in core
-  std::int64_t tier_tier2 = 0;        ///< gauge: learnt clauses in tier2
-  std::int64_t tier_local = 0;        ///< gauge: learnt clauses in local
 
   // Encoding-lifecycle accounting (Solver::retire).
   std::int64_t retired_scopes = 0;   ///< retire() calls that found a scope
@@ -161,11 +149,11 @@ struct SolverStats {
     f("restart_mode", restart_mode);
   }
 
-  /// Field-wise sum. The `tier_*` gauges are included on purpose —
-  /// summing them across solvers yields the combined live-clause
-  /// population — but `restart_mode` is a categorical gauge (a mode
-  /// enum, not a quantity): merges keep the receiver's value, so a
-  /// portfolio merge reports the decisive worker's mode.
+  /// Field-wise sum. The `mem_*` gauges are included on purpose —
+  /// summing them across solvers yields the combined footprint — but
+  /// `restart_mode` is a categorical gauge (a mode enum, not a
+  /// quantity): merges keep the receiver's value, so a portfolio merge
+  /// reports the decisive worker's mode.
   SolverStats& operator+=(const SolverStats& o) {
 #define MSU_STATS_ADD(name) name += o.name;
     MSU_SOLVER_STATS_FIELDS(MSU_STATS_ADD)

@@ -49,8 +49,8 @@ struct JobLimits {
   /// Engine override for this job (harness/factory.h names); empty =
   /// the service-wide SolveServiceOptions::engine. Lets one service
   /// mix modes per request — e.g. "portfolio4" to race a
-  /// latency-critical job across cores, "cubes4" to shard one hard
-  /// instance, the default sequential engine for everything else.
+  /// latency-critical job across cores, the default sequential engine
+  /// for everything else.
   /// Unknown names are rejected at submit() (kBadEngine).
   std::optional<std::string> engine;
 
@@ -119,7 +119,7 @@ struct JobStatus {
 
   /// Work performed so far: CDCL conflicts, oracle solve() calls, and
   /// the current solver memory estimate, summed over every oracle
-  /// session the job runs (portfolio/cube engines have several).
+  /// session the job runs (portfolio engines have several).
   std::int64_t conflicts = 0;
   std::int64_t satCalls = 0;
   std::int64_t memBytes = 0;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "harness/factory.h"
@@ -78,6 +79,13 @@ struct SolveService::Job {
 };
 
 SolveService::SolveService(SolveServiceOptions opts) : opts_(std::move(opts)) {
+  // Fail fast on unknown engine names, before any thread starts:
+  // building one engine up front is cheap (engines do no work until
+  // solve()) and turns a service whose every job would fail into a
+  // construction-time error.
+  if (makeSolver(opts_.engine, MaxSatOptions{}) == nullptr) {
+    throw std::invalid_argument("unknown engine '" + opts_.engine + "'");
+  }
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *opts_.metrics;
@@ -97,11 +105,6 @@ SolveService::SolveService(SolveServiceOptions opts) : opts_(std::move(opts)) {
         &reg.histogram("msu_svc_job_solve_us", "Job solve latency"),
     };
   }
-  // Fail fast on unknown engine names: building one engine up front is
-  // cheap and turns a per-job nullptr surprise into a construction-time
-  // error.
-  assert(makeSolver(opts_.engine, MaxSatOptions{}) != nullptr &&
-         "SolveServiceOptions::engine is not a known engine name");
   threads_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
     threads_.emplace_back([this] { workerLoop(); });
@@ -412,15 +415,11 @@ void SolveService::runJob(const std::shared_ptr<Job>& job) {
   }
 
   // A per-job engine override (validated at submit()) wins over the
-  // service-wide default.
+  // service-wide default (validated at construction).
   const std::string& engineName =
       job->limits.engine ? *job->limits.engine : opts_.engine;
   std::unique_ptr<MaxSatSolver> engine = makeSolver(engineName, opts);
   assert(engine != nullptr);
-  if (engine == nullptr) {  // release-build guard for unknown names
-    opts.budget.noteAbort(AbortReason::kFault);
-    return;
-  }
   job->outcome.result = engine->solve(job->formula);
 }
 

@@ -88,6 +88,8 @@ struct SolveServiceOptions {
 
   /// Engine name for every job (harness/factory.h names, e.g.
   /// "msu4-v2", "oll", "linear"). One engine instance is built per job.
+  /// An unknown name makes the SolveService constructor throw
+  /// std::invalid_argument before any thread starts.
   std::string engine = "msu4-v2";
 
   /// Base options handed to every engine. The budget inside is ignored
@@ -148,6 +150,8 @@ class SolveService {
     std::int64_t cancelled_queued = 0;  ///< cancelled before running
   };
 
+  /// Starts the workers and the watchdog. Throws std::invalid_argument
+  /// when `opts.engine` is not a known engine name.
   explicit SolveService(SolveServiceOptions opts);
   ~SolveService();
 

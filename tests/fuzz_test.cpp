@@ -1,8 +1,8 @@
 /// Differential fuzzing beyond the oracle's reach: at sizes the
 /// exhaustive oracle cannot check, correctness is established by
 /// agreement — every complete engine must report the same optimum on the
-/// same instance, proofs must replay, preprocessing must reconstruct,
-/// and tampered artifacts must be rejected.
+/// same instance, proofs must replay, and tampered artifacts must be
+/// rejected.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "proof/checker.h"
 #include "proof/drup.h"
 #include "sat/solver.h"
-#include "simp/simp.h"
 
 namespace msu {
 namespace {
@@ -123,44 +122,6 @@ TEST(FuzzProof, RandomTamperingIsCaughtOrHarmless) {
   }
   // The checker must catch a healthy share of corruptions.
   EXPECT_GT(rejected, 3);
-}
-
-TEST(FuzzSimp, PreprocessSolveReconstructAtScale) {
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    const CnfFormula f =
-        randomKSat({.numVars = 80, .numClauses = 320, .clauseLen = 3,
-                    .seed = seed * 31});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
-
-    Solver a;
-    for (Var v = 0; v < f.numVars(); ++v) static_cast<void>(a.newVar());
-    bool okA = true;
-    for (const Clause& c : f.clauses()) okA = okA && a.addClause(c);
-    const lbool verdictOriginal = okA ? a.solve() : lbool::False;
-
-    lbool verdictSimplified = lbool::False;
-    Assignment model;
-    if (!pre.provedUnsat()) {
-      Solver b;
-      for (Var v = 0; v < g.numVars(); ++v) static_cast<void>(b.newVar());
-      bool okB = true;
-      for (const Clause& c : g.clauses()) okB = okB && b.addClause(c);
-      verdictSimplified = okB ? b.solve() : lbool::False;
-      if (verdictSimplified == lbool::True) {
-        model.assign(static_cast<std::size_t>(g.numVars()), lbool::Undef);
-        for (Var v = 0; v < g.numVars(); ++v) {
-          model[static_cast<std::size_t>(v)] =
-              b.model()[static_cast<std::size_t>(v)];
-        }
-      }
-    }
-    ASSERT_NE(verdictOriginal, lbool::Undef);
-    EXPECT_EQ(verdictOriginal, verdictSimplified) << "seed " << seed;
-    if (verdictSimplified == lbool::True) {
-      EXPECT_TRUE(f.satisfies(pre.reconstruct(model))) << "seed " << seed;
-    }
-  }
 }
 
 TEST(FuzzWeighted, LadderInstancesThreeEnginesAgree) {

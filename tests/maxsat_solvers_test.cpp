@@ -271,7 +271,9 @@ TEST(Factory, KnowsAllNamesAndRejectsUnknown) {
   for (const std::string& name : solverNames()) {
     EXPECT_NE(makeSolver(name), nullptr) << name;
   }
-  EXPECT_EQ(makeSolver("no-such-solver"), nullptr);
+  for (const char* name : {"no-such-solver", "cubes", "cubes4"}) {
+    EXPECT_EQ(makeSolver(name), nullptr) << name;
+  }
 }
 
 }  // namespace

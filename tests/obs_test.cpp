@@ -311,7 +311,7 @@ TEST(Tracer, DisabledAndNullEmitNothing) {
     EXPECT_FALSE(span.active());
     span.arg("x", 1);  // must be harmless
   }
-  obs::traceInstant(nullptr, obs::TraceCat::kCube, "ignored");
+  obs::traceInstant(nullptr, obs::TraceCat::kWorker, "ignored");
   EXPECT_EQ(tracer.emitted(), 0);
   EXPECT_EQ(tracer.threadsSeen(), 0);
 
@@ -370,9 +370,8 @@ TEST(Tracer, PortfolioRunExportsValidChromeTrace) {
   ASSERT_EQ(events.type, JsonValue::Type::kArray);
   ASSERT_FALSE(events.array.empty());
 
-  const std::set<std::string> knownCats{"oracle", "core",  "inproc",
-                                        "restart", "share", "cube",
-                                        "job",     "worker"};
+  const std::set<std::string> knownCats{"oracle", "core", "inproc", "restart",
+                                        "share",  "job",  "worker"};
   std::set<double> tids;
   std::set<std::string> names;
   double lastTs = -1.0;

@@ -8,10 +8,8 @@
 #include <random>
 
 #include "cnf/oracle.h"
-#include "harness/factory.h"
 #include "proof/checker.h"
 #include "proof/drup.h"
-#include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "sat/arena.h"
 #include "sat/watches.h"
@@ -94,6 +92,14 @@ TEST(Arena, WastedAccounting) {
   arena[a].markDeleted();
   arena.markWasted(2, false);
   EXPECT_EQ(arena.wasted(), 3u);  // header + 2 lits
+
+  const std::vector<Lit> learnt{posLit(0), negLit(1), posLit(2)};
+  const CRef b = arena.alloc(learnt, /*learnt=*/true);
+  EXPECT_EQ(arena[b].headerWords(), 2);
+  EXPECT_EQ(arena.size(), 3u + 5u);
+  arena[b].markDeleted();
+  arena.markWasted(3, true);
+  EXPECT_EQ(arena.wasted(), 3u + 5u);  // + header + activity + 3 lits
 }
 
 TEST(Heap, MaxActivityComesFirst) {
@@ -245,12 +251,11 @@ TEST(SolverStress, DeepIncrementalMatchesOracle) {
 }
 
 TEST(LbdTest, LbdReduceStaysCorrectOnRandomInstances) {
-  // Glucose-style deletion must not change verdicts.
+  // Frequent learnt-clause deletion must not change verdicts.
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 20, .numClauses = 88, .clauseLen = 3, .seed = seed * 5});
     Solver::Options opts;
-    opts.lbd_reduce = true;
     opts.learntsize_factor = 0.05;  // force frequent reductions
     Solver s(opts);
     while (s.numVars() < f.numVars()) static_cast<void>(s.newVar());
@@ -271,12 +276,11 @@ TEST(LbdTest, LbdReduceStaysCorrectOnRandomInstances) {
 }
 
 TEST(LbdTest, LbdReduceKeepsProofsValid) {
-  // Clause deletions under the LBD policy must still leave an
-  // RUP-checkable trace.
+  // Frequent learnt-clause deletions must still leave an RUP-checkable
+  // trace.
   const CnfFormula f = randomUnsat3Sat(24, 6.0, 9);
   InMemoryProof proof;
   Solver::Options opts;
-  opts.lbd_reduce = true;
   opts.learntsize_factor = 0.02;
   opts.tracer = &proof;
   Solver s(opts);
@@ -290,40 +294,18 @@ TEST(LbdTest, LbdReduceKeepsProofsValid) {
   EXPECT_TRUE(r.refutationVerified);
 }
 
-TEST(LbdTest, MaxSatEnginesAgreeUnderLbdReduction) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const CnfFormula f = randomUnsat3Sat(12, 6.0, seed);
-    const WcnfFormula w = WcnfFormula::allSoft(f);
-    MaxSatOptions plain;
-    MaxSatOptions glue;
-    glue.sat.lbd_reduce = true;
-    auto a = makeSolver("msu4-v2", plain);
-    auto b = makeSolver("msu4-v2", glue);
-    const MaxSatResult ra = a->solve(w);
-    const MaxSatResult rb = b->solve(w);
-    ASSERT_EQ(ra.status, MaxSatStatus::Optimum) << "seed " << seed;
-    ASSERT_EQ(rb.status, MaxSatStatus::Optimum) << "seed " << seed;
-    EXPECT_EQ(ra.cost, rb.cost) << "seed " << seed;
-  }
-}
-
 TEST(Arena, LearntMetaSurvivesRelocation) {
-  // The tiered reduceDB stores LBD, `used` and tier in one header word;
-  // GC relocation must carry all of it.
+  // A learnt clause's only metadata is its activity word; GC relocation
+  // must carry it.
   ClauseArena arena;
   const std::vector<Lit> lits{posLit(0), negLit(1), posLit(2)};
   CRef ref = arena.alloc(lits, /*learnt=*/true);
-  arena[ref].setLbd(5);
-  arena[ref].setUsed(2);
-  arena[ref].setTier(1);
   arena[ref].setActivity(3.5f);
 
   ClauseArena to;
   arena.reloc(ref, to);
-  EXPECT_EQ(to[ref].lbd(), 5u);
-  EXPECT_EQ(to[ref].used(), 2u);
-  EXPECT_EQ(to[ref].tier(), 1u);
   EXPECT_FLOAT_EQ(to[ref].activity(), 3.5f);
+  EXPECT_EQ(to[ref][2], posLit(2));
 }
 
 TEST(FlatWatches, PushGrowRemoveCompact) {
@@ -436,32 +418,6 @@ TEST(BinaryFastPath, CoreThroughBinaryReasonChain) {
 
   // The database itself stays satisfiable without the assumptions.
   EXPECT_EQ(s.solve(), lbool::True);
-}
-
-TEST(TieredDb, MigrationAndDemotionUnderLbdReduce) {
-  // A conflict-heavy unsatisfiable instance with aggressive reduction:
-  // the tiered DB must actually cycle clauses through the tiers.
-  const CnfFormula f = pigeonhole(8, 7);
-  Solver::Options opts;
-  opts.lbd_reduce = true;
-  opts.learntsize_factor = 0.02;
-  Solver s(opts);
-  while (s.numVars() < f.numVars()) static_cast<void>(s.newVar());
-  for (const Clause& c : f.clauses()) {
-    if (!s.addClause(c)) break;
-  }
-  ASSERT_EQ(s.okay() ? s.solve() : lbool::False, lbool::False);
-
-  const SolverStats& st = s.stats();
-  EXPECT_GT(st.removed_clauses, 0);
-  EXPECT_GT(st.demoted_clauses, 0);   // tier2 clauses aged out to local
-  EXPECT_GE(st.tier_core, 0);
-  EXPECT_GE(st.tier_tier2, 0);
-  EXPECT_GE(st.tier_local, 0);
-  // Gauges track live arena learnt clauses; they can never exceed the
-  // attached learnt count (which also includes binary learnts).
-  EXPECT_LE(st.tier_core + st.tier_tier2 + st.tier_local, s.numLearnts());
-  EXPECT_GT(st.binary_propagations + st.long_propagations, 0);
 }
 
 }  // namespace

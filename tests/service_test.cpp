@@ -14,6 +14,8 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -182,6 +184,58 @@ TEST(SolveService, RejectsSubmitAfterShutdown) {
   const auto sub = service.submit(WcnfFormula(1));
   EXPECT_EQ(sub.status, SolveService::SubmitStatus::kShutdown);
   EXPECT_EQ(sub.id, kJobIdUndef);
+}
+
+TEST(SolveService, PerJobEngineOverrideReachesTheDefaultEnginesOptimum) {
+  const WcnfFormula w =
+      WcnfFormula::allSoft(randomUnsat3Sat(18, 5.0, 11));
+  const OracleResult truth = oracleMaxSat(w);
+  ASSERT_TRUE(truth.optimumCost.has_value());
+
+  SolveService service(SolveServiceOptions{});  // default engine: msu4-v2
+  JobLimits viaOll;
+  viaOll.engine = "oll";
+  const auto byDefault = service.submit(w);
+  const auto byOverride = service.submit(w, viaOll);
+  ASSERT_EQ(byDefault.status, SolveService::SubmitStatus::kAccepted);
+  ASSERT_EQ(byOverride.status, SolveService::SubmitStatus::kAccepted);
+  const JobOutcome a = service.await(byDefault.id);
+  const JobOutcome b = service.await(byOverride.id);
+  ASSERT_EQ(a.result.status, MaxSatStatus::Optimum);
+  ASSERT_EQ(b.result.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(a.result.cost, *truth.optimumCost);
+  EXPECT_EQ(b.result.cost, a.result.cost);
+  const auto modelCost = w.cost(b.result.model);
+  ASSERT_TRUE(modelCost.has_value());
+  EXPECT_EQ(*modelCost, b.result.cost);
+}
+
+TEST(SolveService, RejectsUnknownPerJobEnginesAtSubmit) {
+  SolveService service(SolveServiceOptions{});
+  // A deleted engine's name and a typo.
+  for (const char* name : {"cubes4", "msu4-v22"}) {
+    JobLimits limits;
+    limits.engine = name;
+    const auto sub = service.submit(WcnfFormula::allSoft(
+                                        randomUnsat3Sat(10, 5.0, 3)),
+                                    limits);
+    EXPECT_EQ(sub.status, SolveService::SubmitStatus::kBadEngine) << name;
+    EXPECT_EQ(sub.id, kJobIdUndef) << name;
+  }
+  EXPECT_EQ(service.counters().submitted, 0);
+}
+
+TEST(SolveService, UnknownServiceEngineThrowsAtConstruction) {
+  SolveServiceOptions so;
+  so.engine = "no-such-engine";
+  try {
+    SolveService service(so);
+    FAIL() << "constructed a service with an unknown engine";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no-such-engine"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------
