@@ -1,10 +1,13 @@
 /// \file ablation_weighted.cpp
 /// \brief Weighted-MaxSAT engine ablation (beyond the paper's unweighted
 ///        evaluation; §5's "further development" of the msu family):
-///        native weighted core-guided search (oll), weighted Fu-Malik
-///        (wmsu1), weighted linear search over both PB encodings, and
-///        msu4 through weight duplication, on weighted scheduling /
-///        max-cut / coloring suites.
+///        native weighted core-guided search (oll), lexicographic
+///        optimization over weight strata (bmo), Fu-Malik with weight
+///        splitting (msu1), linear search with the true-cost bound
+///        (linear) and with the blocking-variable bound (pbo), both over
+///        the PB BDD, and msu4 through weight duplication, on weighted
+///        scheduling / max-cut / coloring suites. Exits 1 when two
+///        engines disagree on an optimum.
 ///
 /// Usage: ablation_weighted [timeout_seconds] [per_family]
 
@@ -27,8 +30,8 @@ int main(int argc, char** argv) {
   std::cout << "weighted-engine ablation, " << suite.size()
             << " instances, timeout " << config.timeoutSeconds << " s\n\n";
 
-  const std::vector<std::string> solvers{"oll", "bmo", "wmsu1", "wlinear",
-                                         "wlinear-adder", "msu4-v2"};
+  const std::vector<std::string> solvers{"oll",    "bmo", "msu1",
+                                         "linear", "pbo", "msu4-v2"};
   const std::vector<RunRecord> records = runMatrix(solvers, suite, config);
   printAbortedTable(std::cout, records, solvers,
                     "Weighted engines (msu4-v2 = duplication reduction)");

@@ -6,7 +6,9 @@
 ///
 /// Usage:
 ///   maxsat_cli [options] [file.wcnf|file.cnf|-]
-///     --algo NAME       engine (default msu4-v2); see --list
+///     --algo NAME       engine (default msu4-v2): the paper's maxsatz,
+///                       pbo, msu4-v1 and msu4-v2, or any other name
+///                       from --list (msu1, linear, oll, ...)
 ///     --threads N       parallel portfolio of N workers racing the
 ///                       chosen engine plus diversified alternatives,
 ///                       with learnt-clause sharing (default 1)
@@ -35,6 +37,8 @@
 ///                       trace_event JSON — open FILE in Perfetto
 ///                       (ui.perfetto.dev) or chrome://tracing; see
 ///                       bench/README.md "Reading a trace"
+///     --preprocess      MaxSAT-safe preprocessing before the solve
+///                       (hard unit propagation, duplicate merging)
 ///     --no-model        suppress the v line
 ///     --list            list available engines
 
@@ -60,7 +64,9 @@ void usage() {
       "                  [--inprocess] [--reuse-trail|--no-reuse-trail]\n"
       "                  [--restart luby|geom|ema] [--stats]\n"
       "                  [--trace FILE] [--preprocess] [--no-model]\n"
-      "                  [--list] [file.wcnf|-]\n";
+      "                  [--list] [file.wcnf|-]\n"
+      "  NAME: msu4-v2 (default), msu4-v1, pbo, maxsatz, msu1, linear,\n"
+      "        oll, ... (--list prints every engine)\n";
 }
 
 }  // namespace

@@ -454,7 +454,10 @@ std::string BnbSolver::name() const { return "maxsatz-like"; }
 MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) {
+    result.upperBound = input.totalSoftWeight();
+    return result;
+  }
   BnbEngine engine(*reduced, opts_);
   result = engine.run();
   return result;

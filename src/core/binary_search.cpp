@@ -15,7 +15,10 @@ std::string BinarySearchSolver::name() const {
 MaxSatResult BinarySearchSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) {
+    result.upperBound = input.totalSoftWeight();
+    return result;
+  }
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

@@ -1,7 +1,8 @@
 /// \file maxsat.h
 /// \brief Public MaxSAT solver interface shared by every engine in the
 ///        library: the core-guided family (msu1/msu3/msu4), the
-///        SAT-based linear/binary searches, the PBO baseline and the
+///        SAT-based linear and binary searches (the paper's PBO
+///        baseline is a linear-search configuration) and the
 ///        branch-and-bound baseline.
 ///
 /// ## The oracle-session model
@@ -114,18 +115,19 @@ struct MaxSatOptions {
   /// unsatisfiable cores" — this is the standard countermeasure.
   int trimCoreRounds = 0;
 
-  /// Tighten the SAT-iteration bound with the model's true cost (number
-  /// of soft clauses actually falsified) instead of the raw count of
-  /// blocking variables assigned 1. Always sound; on by default.
+  /// Tighten the SAT-iteration bound with the model's true cost (weight
+  /// of the soft clauses actually falsified) instead of the raw weight
+  /// of the blocking variables assigned 1. Always sound; on by default.
   bool tightenWithModelCost = true;
 
   /// Underlying CDCL parameters.
   Solver::Options sat;
 
   /// Progress callback, invoked whenever an engine improves a bound:
-  /// `(lower, upper)` in cost terms, with `upper == numSoft + 1` until a
-  /// first model exists. Engines guarantee both sequences are monotone
-  /// (lower non-decreasing, upper non-increasing). Leave empty for none.
+  /// `(lower, upper)` in cost terms, with `upper` one above the total
+  /// soft weight until a first model exists. Engines guarantee both
+  /// sequences are monotone (lower non-decreasing, upper non-increasing).
+  /// Leave empty for none.
   std::function<void(Weight lower, Weight upper)> onBounds;
 
   /// Optional live-progress sink (non-owning; must outlive the run).

@@ -1,51 +1,52 @@
 #include "core/msu1.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "core/oracle_session.h"
 #include "encodings/cardinality.h"
 
 namespace msu {
+namespace {
+
+/// One active soft item: a clause version in the solver with its weight.
+/// The version lives in its own encoding scope; the scope activator
+/// doubles as the enforcement assumption (handled by the session's
+/// oracle), and retiring the scope deletes the clause physically and
+/// recycles the selector variable — the modern form of Fu–Malik's
+/// unit-asserted selectors.
+struct SoftItem {
+  Clause lits;          ///< original literals plus accumulated blocking vars
+  Weight weight;        ///< remaining weight carried by this version
+  ScopeHandle version;  ///< scope of the current version
+};
+
+}  // namespace
 
 Msu1Solver::Msu1Solver(MaxSatOptions options) : opts_(options) {}
 
 std::string Msu1Solver::name() const { return "msu1"; }
 
-MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
+MaxSatResult Msu1Solver::solve(const WcnfFormula& formula) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
-  const WcnfFormula& formula = *reduced;
-  const Weight m = formula.numSoft();
   const int numOriginalVars = formula.numVars();
+  const Weight totalSoft = formula.totalSoftWeight();
 
   OracleSession session(opts_);
   session.addHards(formula);
 
-  // Per soft clause: its current literal set (original literals plus the
-  // blocking variables accumulated over relaxations) and the scope
-  // holding its current version. The scope activator doubles as the
-  // enforcement assumption (handled by the session's oracle), and
-  // retiring a version physically deletes its clause and recycles the
-  // selector variable — the modern form of Fu–Malik's unit-asserted
-  // selectors.
-  std::vector<Clause> lits(static_cast<std::size_t>(m));
-  std::vector<ScopeHandle> version(static_cast<std::size_t>(m));
-  std::unordered_map<Var, int> activatorToSoft;
+  std::vector<SoftItem> items;
+  std::unordered_map<Var, int> activatorToItem;
 
-  auto installVersion = [&](int i) {
+  auto install = [&](Clause lits, Weight weight) {
     const ScopeHandle act = session.beginScope();
-    session.sink().addClause(lits[static_cast<std::size_t>(i)]);
+    session.sink().addClause(lits);
     session.endScope(act);
-    version[static_cast<std::size_t>(i)] = act;
-    activatorToSoft[act.activator().var()] = i;
+    activatorToItem[act.activator().var()] = static_cast<int>(items.size());
+    items.push_back(SoftItem{std::move(lits), weight, act});
   };
 
-  for (int i = 0; i < m; ++i) {
-    lits[static_cast<std::size_t>(i)] =
-        formula.soft()[static_cast<std::size_t>(i)].lits;
-    installVersion(i);
-  }
+  for (const SoftClause& s : formula.soft()) install(s.lits, s.weight);
 
   if (!session.okay()) {
     result.status = MaxSatStatus::UnsatisfiableHard;
@@ -53,12 +54,12 @@ MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
     return result;
   }
 
-  Weight cost = 0;  // one per relaxed core
+  Weight cost = 0;
 
   auto finish = [&](MaxSatStatus st, Assignment model) {
     result.status = st;
     result.lowerBound = cost;
-    result.upperBound = (st == MaxSatStatus::Optimum) ? cost : m;
+    result.upperBound = (st == MaxSatStatus::Optimum) ? cost : totalSoft;
     result.cost = (st == MaxSatStatus::Optimum) ? cost : 0;
     result.model = std::move(model);
     session.exportStats(result);
@@ -83,38 +84,59 @@ MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
     }
 
     ++result.coresFound;
-    // Map the failed activator assumptions back to soft indices.
-    std::vector<int> coreSoft;
+    std::vector<int> coreItems;
     for (Lit p : session.sat().core()) {
-      if (auto it = activatorToSoft.find(p.var());
-          it != activatorToSoft.end()) {
-        coreSoft.push_back(it->second);
+      if (auto it = activatorToItem.find(p.var());
+          it != activatorToItem.end()) {
+        coreItems.push_back(it->second);
       }
     }
-    if (coreSoft.empty()) {
+    std::sort(coreItems.begin(), coreItems.end());
+    coreItems.erase(std::unique(coreItems.begin(), coreItems.end()),
+                    coreItems.end());
+    if (coreItems.empty()) {
       return finish(MaxSatStatus::UnsatisfiableHard, {});
     }
 
-    // Fu-Malik relaxation: fresh blocking variable per core clause,
-    // exactly one of them true. The old versions are retired in one
-    // batch sweep — clauses deleted, selector variables recycled.
+    // Charge the core its minimum weight and split the members.
+    Weight wmin = items[static_cast<std::size_t>(coreItems[0])].weight;
+    for (int idx : coreItems) {
+      wmin = std::min(wmin, items[static_cast<std::size_t>(idx)].weight);
+    }
+
+    // Retire every core member's version in one batch sweep, then
+    // install the residual and relaxed successors.
     std::vector<ScopeHandle> retired;
-    std::vector<Lit> freshBlocking;
-    retired.reserve(coreSoft.size());
-    freshBlocking.reserve(coreSoft.size());
-    for (int i : coreSoft) {
-      const ScopeHandle oldVersion = version[static_cast<std::size_t>(i)];
-      activatorToSoft.erase(oldVersion.activator().var());
-      retired.push_back(oldVersion);
-      const Lit b = posLit(session.sat().newVar());
-      lits[static_cast<std::size_t>(i)].push_back(b);
-      freshBlocking.push_back(b);
+    std::vector<std::pair<Clause, Weight>> split;  // (lits, old weight)
+    retired.reserve(coreItems.size());
+    split.reserve(coreItems.size());
+    for (int idx : coreItems) {
+      SoftItem& item = items[static_cast<std::size_t>(idx)];
+      retired.push_back(item.version);
+      activatorToItem.erase(item.version.activator().var());
+      split.emplace_back(item.lits, item.weight);
+      item.weight = 0;  // retired
     }
     session.retireAll(retired);
-    for (int i : coreSoft) installVersion(i);
+
+    std::vector<Lit> freshBlocking;
+    freshBlocking.reserve(split.size());
+    for (auto& [clauseLits, weight] : split) {
+      const Weight residual = weight - wmin;
+      if (residual > 0) {
+        // Residual copy without a new blocking variable.
+        install(clauseLits, residual);
+      }
+      // Relaxed copy of weight wmin with a fresh blocking variable.
+      const Lit b = posLit(session.sat().newVar());
+      Clause relaxed = std::move(clauseLits);
+      relaxed.push_back(b);
+      freshBlocking.push_back(b);
+      install(std::move(relaxed), wmin);
+    }
     encodeExactlyOne(session.sink(), freshBlocking);
-    cost += 1;
-    if (opts_.onBounds) opts_.onBounds(cost, m + 1);
+    cost += wmin;
+    if (opts_.onBounds) opts_.onBounds(cost, totalSoft + 1);
   }
 }
 

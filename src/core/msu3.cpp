@@ -14,7 +14,10 @@ std::string Msu3Solver::name() const {
 MaxSatResult Msu3Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) {
+    result.upperBound = input.totalSoftWeight();
+    return result;
+  }
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

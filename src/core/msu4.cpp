@@ -34,7 +34,11 @@ std::string Msu4Solver::name() const {
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;  // weights too large to duplicate: Unknown
+  if (!reduced) {
+    // Weights too large to duplicate: Unknown, with the trivial bounds.
+    result.upperBound = input.totalSoftWeight();
+    return result;
+  }
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

@@ -117,9 +117,9 @@ class OracleSession {
     }
   }
 
-  /// Loads `f` through a SoftTracker (hards + selector-augmented softs);
-  /// the formula must be unweighted. The tracker's assumptions are then
-  /// included in every `solve()`. Bulk-loaded like addHards.
+  /// Loads `f` through a SoftTracker (hards + selector-augmented softs).
+  /// The tracker's assumptions are then included in every `solve()`.
+  /// Bulk-loaded like addHards.
   SoftTracker& trackSofts(const WcnfFormula& f) {
     assert(!tracker_.has_value());
     const Solver::BulkLoadGuard bulk(sat_, sat_.options().bulk_load);

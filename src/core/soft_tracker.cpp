@@ -1,12 +1,10 @@
 #include "core/soft_tracker.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace msu {
 
 SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
-  assert(formula.isUnweighted());
   num_original_vars_ = formula.numVars();
   while (solver.numVars() < num_original_vars_) {
     static_cast<void>(solver.newVar());

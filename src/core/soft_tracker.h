@@ -26,7 +26,8 @@ namespace msu {
 class SoftTracker {
  public:
   /// Adds all hard clauses and selector-augmented soft clauses of
-  /// `formula` to `solver`. The formula must be unweighted.
+  /// `formula` to `solver`. Weights are ignored: the cost helpers below
+  /// count clauses, so they only mean cost on unit-weight formulas.
   SoftTracker(Solver& solver, const WcnfFormula& formula);
 
   /// Number of soft clauses tracked.

@@ -1,10 +1,10 @@
 #include "encodings/cardinality.h"
 
 #include <cassert>
-#include <map>
 #include <utility>
 
 #include "encodings/cardnet.h"
+#include "encodings/pb.h"
 #include "encodings/totalizer.h"
 
 namespace msu {
@@ -145,40 +145,12 @@ std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
 }
 
 Lit buildAtMostBdd(ClauseSink& sink, std::span<const Lit> lits, int k) {
-  const int n = static_cast<int>(lits.size());
-  const Lit tru = sink.trueLit();
-  if (k < 0) return ~tru;
-  if (k >= n) return tru;
-
-  // Memoized counter DAG: node(i, cnt) is the BDD for "at most k of
-  // lits[i..) are true given cnt already true".
-  std::map<std::pair<int, int>, Lit> memo;
-  auto node = [&](auto&& self, int i, int cnt) -> Lit {
-    if (cnt > k) return ~tru;
-    if (cnt + (n - i) <= k) return tru;  // always satisfiable from here
-    const auto key = std::make_pair(i, cnt);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-
-    const Lit t = self(self, i + 1, cnt + 1);  // lits[i] true
-    const Lit e = self(self, i + 1, cnt);      // lits[i] false
-    Lit v;
-    if (t == e) {
-      v = t;
-    } else {
-      v = posLit(sink.newVar());
-      const Lit x = lits[i];
-      // v <-> ITE(x, t, e), with redundant clauses for propagation.
-      sink.addClause({~v, ~x, t});
-      sink.addClause({~v, x, e});
-      sink.addClause({v, ~x, ~t});
-      sink.addClause({v, x, ~e});
-      sink.addClause({~t, ~e, v});
-      sink.addClause({t, e, ~v});
-    }
-    memo.emplace(key, v);
-    return v;
-  };
-  return node(node, 0, 0);
+  // The unit-coefficient case of the PB builder, whose stable sort keeps
+  // the literals in their given order.
+  std::vector<PbTerm> terms;
+  terms.reserve(lits.size());
+  for (Lit p : lits) terms.push_back({p, 1});
+  return buildPbLeqBdd(sink, terms, k);
 }
 
 void encodeAtMost(ClauseSink& sink, std::span<const Lit> lits, int k,

@@ -85,8 +85,9 @@ Lit buildPbLeqBdd(ClauseSink& sink, std::span<const PbTerm> terms,
                   Weight bound) {
   const Lit tru = sink.trueLit();
   std::vector<PbTerm> ts(terms.begin(), terms.end());
-  // Large coefficients first gives the smallest counter DAGs.
-  std::sort(ts.begin(), ts.end(), [](const PbTerm& a, const PbTerm& b) {
+  // Large coefficients first gives the smallest counter DAGs; equal
+  // coefficients keep their input order.
+  std::stable_sort(ts.begin(), ts.end(), [](const PbTerm& a, const PbTerm& b) {
     return a.coeff > b.coeff;
   });
   const int n = static_cast<int>(ts.size());

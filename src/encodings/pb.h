@@ -7,10 +7,12 @@
 ///        translation is intentionally out of scope; the cardinality
 ///        sorter in cardinality.h covers the unit-coefficient case.)
 ///
-/// Emits through the (possibly scoped) ClauseSink: wlinear wraps each
-/// successive `sum <= upper-1` constraint in an encoding scope and
-/// retires the previous one, so the adder/BDD auxiliaries of stale
-/// bounds are physically deleted and recycled (see sink.h).
+/// Emits through the (possibly scoped) ClauseSink: the weighted linear
+/// search (core/linear_search.h) wraps each successive
+/// `sum <= upper-1` constraint in an encoding scope and retires the
+/// previous one, so the adder/BDD auxiliaries of stale bounds are
+/// physically deleted and recycled (see sink.h). The cardinality BDD
+/// (buildAtMostBdd) is this file's BDD builder on unit coefficients.
 
 #pragma once
 

@@ -10,18 +10,14 @@
 #include "core/msu3.h"
 #include "core/msu4.h"
 #include "core/oll.h"
-#include "core/wlinear.h"
-#include "core/wmsu1.h"
 #include "par/portfolio.h"
-#include "pbo/maxsat_pbo.h"
 
 namespace msu {
 
 std::vector<std::string> solverNames() {
-  return {"msu4-v1", "msu4-v2", "msu4-seq",  "msu4-tot", "msu4-cnet", "msu3",
-          "msu1",    "wmsu1",   "oll",       "bmo",       "linear",   "wlinear",
-          "wlinear-adder",      "binary",    "pbo",      "pbo-adder",
-          "maxsatz", "portfolio", "portfolio4"};
+  return {"msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot",  "msu4-cnet",
+          "msu3",    "msu1",    "oll",      "bmo",       "linear",
+          "binary",  "pbo",     "maxsatz",  "portfolio", "portfolio4"};
 }
 
 std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
@@ -54,9 +50,6 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
   if (name == "msu1") {
     return std::make_unique<Msu1Solver>(o);
   }
-  if (name == "wmsu1") {
-    return std::make_unique<Wmsu1Solver>(o);
-  }
   if (name == "oll") {
     return std::make_unique<OllSolver>(o);
   }
@@ -66,20 +59,15 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
   if (name == "linear") {
     return std::make_unique<LinearSearchSolver>(o);
   }
-  if (name == "wlinear" || name == "wlinear-adder") {
-    const PbEncoding pe =
-        name == "wlinear" ? PbEncoding::Bdd : PbEncoding::Adder;
-    return std::make_unique<WeightedLinearSolver>(o, pe);
-  }
   if (name == "binary") {
     return std::make_unique<BinarySearchSolver>(o);
   }
-  if (name == "pbo" || name == "pbo-adder") {
-    PboMaxSatOptions po;
-    po.budget = options.budget;
-    po.sat = options.sat;
-    po.encoding = name == "pbo" ? PbEncoding::Bdd : PbEncoding::Adder;
-    return std::make_unique<PboMaxSatSolver>(po);
+  if (name == "pbo") {
+    // minisat+ on the PBO formulation (§2.2): BDD bound encodings, and
+    // the next bound comes from the blocking-variable objective alone.
+    o.encoding = CardEncoding::Bdd;
+    o.tightenWithModelCost = false;
+    return std::make_unique<LinearSearchSolver>(o, PbEncoding::Bdd);
   }
   if (name == "maxsatz") {
     BnbOptions bo;

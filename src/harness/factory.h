@@ -2,7 +2,8 @@
 /// \brief Name-based construction of every MaxSAT engine in the library,
 ///        used by the CLI example and the experiment harness. Names map
 ///        to the columns of the paper's tables: "maxsatz" (our B&B),
-///        "pbo" (the PBO formulation), "msu4-v1", "msu4-v2".
+///        "pbo" (linear search on the PBO formulation), "msu4-v1",
+///        "msu4-v2".
 
 #pragma once
 
@@ -19,12 +20,14 @@ namespace msu {
 
 /// Creates an engine by name; nullptr for unknown names.
 ///
-/// Names: "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu3", "msu1",
-/// "linear", "binary", "pbo", "pbo-adder", "maxsatz", plus the parallel
-/// portfolio as "portfolio" (default thread count) or "portfolioN"
-/// (e.g. "portfolio4": N racing workers with clause sharing).
+/// Names: "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu4-cnet",
+/// "msu3", "msu1", "oll", "bmo", "linear", "binary", "pbo", "maxsatz",
+/// plus the parallel portfolio as "portfolio" (default thread count) or
+/// "portfolioN" (e.g. "portfolio4": N racing workers with clause
+/// sharing). "pbo" is "linear" with BDD encodings and the paper's
+/// blocking-variable bound (`tightenWithModelCost = false`).
 /// `options.budget` applies to every engine; the cardinality-encoding
-/// option is overridden by names that pin one (msu4-v1/v2/seq/tot).
+/// option is overridden by names that pin one (msu4-*, msu3, pbo).
 [[nodiscard]] std::unique_ptr<MaxSatSolver> makeSolver(
     const std::string& name, const MaxSatOptions& options = {});
 

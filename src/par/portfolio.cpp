@@ -60,15 +60,12 @@ const std::vector<std::string>& PortfolioSolver::defaultEngines() {
 }
 
 bool PortfolioSolver::engineSharesSafely(const std::string& name) {
-  // Engines that load the instance's hard clauses verbatim and keep
-  // every restriction scope-guarded or above the original-variable
-  // prefix (see par/clause_pool.h). Excluded: "bmo" (solves derived
-  // per-stratum instances whose hard clauses embed frozen bounds),
-  // "pbo"/"pbo-adder" (assert objective bounds as raw hard clauses) and
-  // "maxsatz" (no CDCL oracle to wire up).
-  return name.rfind("msu4", 0) == 0 || name == "msu3" || name == "msu1" ||
-         name == "wmsu1" || name == "oll" || name == "linear" ||
-         name == "binary" || name.rfind("wlinear", 0) == 0;
+  // Every SAT-based engine loads the instance's hard clauses verbatim
+  // and keeps each restriction scope-guarded or above the
+  // original-variable prefix (see par/clause_pool.h). Excluded: "bmo"
+  // (solves derived per-stratum instances whose hard clauses embed
+  // frozen bounds) and "maxsatz" (no CDCL oracle to wire up).
+  return name != "bmo" && name != "maxsatz";
 }
 
 std::string PortfolioSolver::name() const {

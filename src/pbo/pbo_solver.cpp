@@ -1,5 +1,6 @@
 #include "pbo/pbo_solver.h"
 
+#include "core/linear_search.h"
 #include "encodings/sink.h"
 
 namespace msu {
@@ -7,64 +8,41 @@ namespace msu {
 PboSolver::PboSolver(PboOptions options) : opts_(options) {}
 
 PboResult PboSolver::solve(const PboProblem& problem) {
-  PboResult result;
-  Solver sat(opts_.sat);
-  sat.setBudget(opts_.budget);
-  SolverSink sink(sat);
-
-  while (sat.numVars() < problem.numVars) static_cast<void>(sat.newVar());
-  for (const Clause& c : problem.clauses) static_cast<void>(sat.addClause(c));
+  // The PBO instance as MaxSAT: a term `c * l` costs c exactly when its
+  // unit soft clause `~l` is falsified.
+  WcnfFormula wcnf(problem.numVars);
+  for (const Clause& c : problem.clauses) wcnf.addHard(c);
+  WcnfHardSink sink(wcnf);
   for (const PbConstraint& pc : problem.constraints) {
     encodePbLeq(sink, pc.terms, pc.bound, opts_.encoding);
   }
+  for (const PbTerm& t : problem.objective) wcnf.addSoft({~t.lit}, t.coeff);
 
-  Weight best = 0;
-  bool haveModel = false;
-  Assignment bestModel;
+  MaxSatOptions mo;
+  mo.budget = opts_.budget;
+  mo.sat = opts_.sat;
+  LinearSearchSolver engine(mo, opts_.encoding);
+  const MaxSatResult r = engine.solve(wcnf);
 
-  auto objectiveValue = [&](const std::vector<lbool>& model) {
-    Weight v = 0;
-    for (const PbTerm& t : problem.objective) {
-      if (applySign(model[static_cast<std::size_t>(t.lit.var())], t.lit) ==
-          lbool::True) {
-        v += t.coeff;
-      }
-    }
-    return v;
-  };
-
-  while (true) {
-    ++result.iterations;
-    const lbool st = sat.solve();
-    if (st == lbool::Undef) {
-      result.status = PboStatus::Unknown;
-      break;
-    }
-    if (st == lbool::False) {
-      result.status = haveModel ? PboStatus::Optimum : PboStatus::Infeasible;
-      break;
-    }
-    best = objectiveValue(sat.model());
-    haveModel = true;
-    bestModel.assign(sat.model().begin(),
-                     sat.model().begin() + problem.numVars);
-    for (lbool& v : bestModel) {
-      if (v == lbool::Undef) v = lbool::False;
-    }
-    if (best == 0) {
+  PboResult result;
+  switch (r.status) {
+    case MaxSatStatus::Optimum:
       result.status = PboStatus::Optimum;
       break;
-    }
-    // Strengthen: demand a strictly better objective value.
-    encodePbLeq(sink, problem.objective, best - 1, opts_.encoding);
+    case MaxSatStatus::UnsatisfiableHard:
+      result.status = PboStatus::Infeasible;
+      break;
+    case MaxSatStatus::Unknown:
+      result.status = PboStatus::Unknown;
+      break;
   }
-
-  if (haveModel) {
-    result.objective = best + problem.objectiveOffset;
-    result.upperBound = best + problem.objectiveOffset;
-    result.model = std::move(bestModel);
+  if (!r.model.empty()) {
+    result.objective = r.upperBound + problem.objectiveOffset;
+    result.upperBound = result.objective;
+    result.model.assign(r.model.begin(), r.model.begin() + problem.numVars);
   }
-  result.satStats = sat.stats();
+  result.iterations = r.iterations;
+  result.satStats = r.satStats;
   return result;
 }
 

@@ -3,6 +3,12 @@
 ///        (Eén & Sörensson): encode PB constraints to CNF, then perform
 ///        model-improving linear search on the objective by repeatedly
 ///        asserting `objective <= best - 1`.
+///
+/// PboSolver is an adapter over the library's one linear search
+/// (core/linear_search.h): the clauses and the encoded PB constraints
+/// become hard clauses of a MaxSAT instance, each objective term
+/// `c * l` becomes a unit soft clause `~l` of weight `c`, and the
+/// search runs on an OracleSession with its bounds in retired scopes.
 
 #pragma once
 
@@ -52,6 +58,8 @@ struct PboResult {
 /// Options for the PBO engine.
 struct PboOptions {
   Budget budget;
+  /// Translation of the PB constraints and of weighted objective bounds
+  /// (a unit-coefficient objective is bounded by a cardinality sorter).
   PbEncoding encoding = PbEncoding::Bdd;
   Solver::Options sat;
 };

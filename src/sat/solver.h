@@ -900,7 +900,7 @@ class Solver {
   // Encoding-lifecycle state. scope_index_ maps an activator variable
   // to its slot in scopes_ (-1 otherwise), so ownership attribution,
   // enforcement flips and retirement are O(1) per scope even when
-  // thousands of scopes are live (msu1/wmsu1 keep one per soft clause).
+  // thousands of scopes are live (msu1 keeps one per soft clause).
   std::vector<char> is_activator_;     // per var: 1 = live scope guard
   std::vector<char> frozen_;           // per var: 1 = inprocessing keep-out
   std::vector<int> scope_index_;       // per var: slot in scopes_ or -1

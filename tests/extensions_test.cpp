@@ -1,6 +1,7 @@
 /// Tests for the extension modules beyond the paper's core algorithm:
-/// core trimming/minimization, weighted Fu-Malik (wmsu1), MaxSAT-safe
-/// preprocessing, and the test-pattern-generation instance family.
+/// core trimming/minimization, Fu-Malik with weight splitting (msu1),
+/// MaxSAT-safe preprocessing, and the test-pattern-generation instance
+/// family.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +9,9 @@
 
 #include "cnf/oracle.h"
 #include "core/core_trim.h"
+#include "core/msu1.h"
 #include "core/msu4.h"
 #include "core/preprocess.h"
-#include "core/wmsu1.h"
 #include "gen/random_cnf.h"
 #include "gen/tpg.h"
 #include "sat/solver.h"
@@ -80,9 +81,9 @@ TEST(CoreTrim, Msu4WithTrimmingAgreesWithOracle) {
   }
 }
 
-// ---- wmsu1 ----------------------------------------------------------------
+// ---- msu1 on weights ------------------------------------------------------
 
-TEST(Wmsu1, WeightedAgreesWithOracle) {
+TEST(Msu1Weighted, WeightedAgreesWithOracle) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     std::mt19937_64 rng(seed * 59);
     const CnfFormula f = randomKSat(
@@ -93,7 +94,7 @@ TEST(Wmsu1, WeightedAgreesWithOracle) {
     }
     const OracleResult truth = oracleMaxSat(w);
     ASSERT_TRUE(truth.optimumCost.has_value());
-    Wmsu1Solver solver;
+    Msu1Solver solver;
     const MaxSatResult r = solver.solve(w);
     ASSERT_EQ(r.status, MaxSatStatus::Optimum) << "seed " << seed;
     EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
@@ -103,50 +104,50 @@ TEST(Wmsu1, WeightedAgreesWithOracle) {
   }
 }
 
-TEST(Wmsu1, LargeWeightsNoDuplicationNeeded) {
+TEST(Msu1Weighted, LargeWeightsNoDuplicationNeeded) {
   // Weights far beyond the duplication cap still solve natively.
   WcnfFormula w(2);
   w.addSoft({posLit(0)}, 1'000'000'000);
   w.addSoft({negLit(0)}, 2'000'000'000);
   w.addSoft({posLit(1)}, 5);
-  Wmsu1Solver solver;
+  Msu1Solver solver;
   const MaxSatResult r = solver.solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   EXPECT_EQ(r.cost, 1'000'000'000);
   EXPECT_EQ(r.model[0], lbool::False);
 }
 
-TEST(Wmsu1, PartialWeightedWithHards) {
+TEST(Msu1Weighted, PartialWeightedWithHards) {
   WcnfFormula w(2);
   w.addHard({posLit(0)});
   w.addSoft({negLit(0)}, 7);       // must fall
   w.addSoft({posLit(1)}, 3);
   const OracleResult truth = oracleMaxSat(w);
-  Wmsu1Solver solver;
+  Msu1Solver solver;
   const MaxSatResult r = solver.solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   EXPECT_EQ(r.cost, *truth.optimumCost);
   EXPECT_EQ(r.cost, 7);
 }
 
-TEST(Wmsu1, UnweightedReducesToMsu1Behaviour) {
+TEST(Msu1Weighted, UnitWeightsAgreeWithOracle) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const WcnfFormula w = WcnfFormula::allSoft(randomKSat(
         {.numVars = 8, .numClauses = 38, .clauseLen = 3, .seed = seed * 97}));
     const OracleResult truth = oracleMaxSat(w);
-    Wmsu1Solver solver;
+    Msu1Solver solver;
     const MaxSatResult r = solver.solve(w);
     ASSERT_EQ(r.status, MaxSatStatus::Optimum);
     EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
   }
 }
 
-TEST(Wmsu1, HardUnsat) {
+TEST(Msu1Weighted, HardUnsat) {
   WcnfFormula w(1);
   w.addHard({posLit(0)});
   w.addHard({negLit(0)});
   w.addSoft({posLit(0)}, 4);
-  Wmsu1Solver solver;
+  Msu1Solver solver;
   EXPECT_EQ(solver.solve(w).status, MaxSatStatus::UnsatisfiableHard);
 }
 

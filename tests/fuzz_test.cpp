@@ -40,7 +40,7 @@ WcnfFormula mediumPartial(std::uint64_t seed) {
 TEST(FuzzCrossEngine, MediumPartialInstancesAllEnginesAgree) {
   const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu4-cnet",
                                          "msu3",    "msu1",    "oll",
-                                         "linear",  "binary",  "wlinear"};
+                                         "linear",  "binary"};
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const WcnfFormula w = mediumPartial(seed * 1313);
     Weight expected = -1;
@@ -138,10 +138,10 @@ TEST(FuzzWeighted, LadderInstancesThreeEnginesAgree) {
     }
     BmoSolver bmo;
     auto oll = makeSolver("oll");
-    auto wlin = makeSolver("wlinear");
+    auto lin = makeSolver("linear");
     const MaxSatResult a = bmo.solve(w);
     const MaxSatResult b = oll->solve(w);
-    const MaxSatResult c = wlin->solve(w);
+    const MaxSatResult c = lin->solve(w);
     ASSERT_EQ(a.status, MaxSatStatus::Optimum) << "round " << round;
     ASSERT_EQ(b.status, MaxSatStatus::Optimum) << "round " << round;
     ASSERT_EQ(c.status, MaxSatStatus::Optimum) << "round " << round;

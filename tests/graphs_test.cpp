@@ -185,7 +185,7 @@ TEST(TimetableTest, NoConflictsMeansOnlyPreferenceClashesCost) {
   params.preferencesPerEvent = 1;
   params.seed = 9;
   const WcnfFormula w = timetablingInstance(params);
-  auto solver = makeSolver("wlinear");
+  auto solver = makeSolver("linear");
   const MaxSatResult r = solver->solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   EXPECT_EQ(r.cost, 0);  // single preference per event is always granted

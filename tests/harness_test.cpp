@@ -1,18 +1,16 @@
 /// Tests for the experiment harness: suite construction, the run matrix,
-/// aborted accounting, scatter pairing, and the PBO engine used by the
-/// "pbo" table column.
+/// aborted accounting, scatter pairing, and the PBO engine behind the
+/// OPB front end (PboSolver).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "cnf/oracle.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "harness/runner.h"
 #include "harness/suite.h"
 #include "harness/tables.h"
-#include "pbo/maxsat_pbo.h"
 #include "pbo/pbo_solver.h"
 
 namespace msu {
@@ -140,21 +138,6 @@ TEST(Tables, AbortedTableFormat) {
 
 // ---- PBO engine ----------------------------------------------------------
 
-TEST(Pbo, TranslationShape) {
-  WcnfFormula w(2);
-  w.addHard({posLit(0)});
-  w.addSoft({posLit(1)}, 2);
-  w.addSoft({negLit(1)}, 1);
-  const PboProblem p = PboMaxSatSolver::toPbo(w);
-  EXPECT_EQ(p.numVars, 4);  // 2 original + 2 blocking
-  ASSERT_EQ(p.clauses.size(), 3u);
-  EXPECT_EQ(p.clauses[0].size(), 1u);   // hard unchanged
-  EXPECT_EQ(p.clauses[1].size(), 2u);   // soft + blocking var
-  ASSERT_EQ(p.objective.size(), 2u);
-  EXPECT_EQ(p.objective[0].coeff, 2);
-  EXPECT_EQ(p.objective[1].coeff, 1);
-}
-
 TEST(Pbo, SolvesWeightedObjective) {
   // minimize 2*b0 + b1 subject to (b0 | b1).
   PboProblem p;
@@ -194,20 +177,6 @@ TEST(Pbo, RespectsPbConstraints) {
   const PboResult r = solver.solve(p);
   ASSERT_EQ(r.status, PboStatus::Optimum);
   EXPECT_EQ(r.objective, 2);
-}
-
-TEST(Pbo, AdderEncodingAgrees) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const WcnfFormula w = WcnfFormula::allSoft(randomKSat(
-        {.numVars = 8, .numClauses = 40, .clauseLen = 3, .seed = seed * 5}));
-    const OracleResult truth = oracleMaxSat(w);
-    PboMaxSatOptions o;
-    o.encoding = PbEncoding::Adder;
-    PboMaxSatSolver solver(o);
-    const MaxSatResult r = solver.solve(w);
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum);
-    EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
-  }
 }
 
 TEST(WeightedSuiteTest, DeterministicStructuredAndWeighted) {

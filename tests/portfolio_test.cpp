@@ -275,8 +275,10 @@ TEST(Portfolio, SingleThreadIsDeterministicAndMatchesBaseEngine) {
 TEST(Portfolio, FuzzAgreesWithSequentialOptimum) {
   // Random WCNFs (unweighted and weighted): the racing portfolio with
   // clause sharing must report the same optimum as the exhaustive
-  // oracle, regardless of which worker wins. The cross-scope checker
-  // runs inside every worker to police the scope contract under load.
+  // oracle, regardless of which worker wins, both for the default
+  // engine cycle and for the linear searches (pbo keeps its bounds in
+  // scopes, so it shares too). The cross-scope checker runs inside
+  // every worker to police the scope contract under load.
   std::mt19937_64 rng(7);
   for (int round = 0; round < 6; ++round) {
     const CnfFormula base =
@@ -297,17 +299,24 @@ TEST(Portfolio, FuzzAgreesWithSequentialOptimum) {
     const OracleResult truth = oracleMaxSat(w);
     if (!truth.optimumCost.has_value()) continue;  // hards unsat: skip
 
-    PortfolioOptions po;
-    po.threads = 4;
-    po.seed = static_cast<unsigned>(round + 1);
-    po.base.sat.check_cross_scope = true;
-    PortfolioSolver portfolio(po);
-    const MaxSatResult r = portfolio.solve(w);
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum) << "round " << round;
-    EXPECT_EQ(r.cost, *truth.optimumCost) << "round " << round;
-    const auto modelCost = w.cost(r.model);
-    ASSERT_TRUE(modelCost.has_value()) << "round " << round;
-    EXPECT_EQ(*modelCost, r.cost) << "round " << round;
+    for (const std::vector<std::string>& engines :
+         {std::vector<std::string>{},
+          std::vector<std::string>{"pbo", "linear", "msu1", "msu4-v1"}}) {
+      PortfolioOptions po;
+      po.threads = 4;
+      po.engines = engines;
+      po.seed = static_cast<unsigned>(round + 1);
+      po.base.sat.check_cross_scope = true;
+      PortfolioSolver portfolio(po);
+      const MaxSatResult r = portfolio.solve(w);
+      const std::string label = "round " + std::to_string(round) + " " +
+                                portfolio.workerDescriptions().front();
+      ASSERT_EQ(r.status, MaxSatStatus::Optimum) << label;
+      EXPECT_EQ(r.cost, *truth.optimumCost) << label;
+      const auto modelCost = w.cost(r.model);
+      ASSERT_TRUE(modelCost.has_value()) << label;
+      EXPECT_EQ(*modelCost, r.cost) << label;
+    }
   }
 }
 

@@ -13,9 +13,9 @@
 
 #include "cnf/dimacs.h"
 #include "cnf/oracle.h"
+#include "core/msu1.h"
 #include "core/msu4.h"
 #include "core/preprocess.h"
-#include "core/wmsu1.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 
@@ -118,7 +118,7 @@ TEST(Property, PreprocessThenSolveEqualsDirectSolve) {
       // Hard part unsat: preprocessing may or may not already detect it;
       // if it produced a simplified instance, the engine must refuse it.
       if (pre.simplified) {
-        Wmsu1Solver solver;
+        Msu1Solver solver;
         EXPECT_EQ(solver.solve(*pre.simplified).status,
                   MaxSatStatus::UnsatisfiableHard)
             << seed;
@@ -126,7 +126,7 @@ TEST(Property, PreprocessThenSolveEqualsDirectSolve) {
       continue;
     }
     ASSERT_TRUE(pre.simplified.has_value()) << seed;
-    Wmsu1Solver solver;
+    Msu1Solver solver;
     const MaxSatResult r = solver.solve(*pre.simplified);
     ASSERT_EQ(r.status, MaxSatStatus::Optimum) << seed;
     EXPECT_EQ(pre.forcedCost + r.cost, *truth.optimumCost) << seed;
@@ -139,7 +139,7 @@ TEST(Property, DuplicationEqualsNativeWeighted) {
     const std::optional<WcnfFormula> dup = w.unweighted();
     ASSERT_TRUE(dup.has_value());
     Msu4Solver duplicated;  // solves the duplicated instance internally
-    Wmsu1Solver native;
+    Msu1Solver native;
     const MaxSatResult a = duplicated.solve(w);
     const MaxSatResult b = native.solve(w);
     ASSERT_EQ(a.status, MaxSatStatus::Optimum) << seed;

@@ -228,8 +228,8 @@ TEST(ScopeRetirement, EngineFuzzInterleavedRetirementAgreesWithOracle) {
   // OLL totalizer scopes, binary-search bound pruning): every optimum
   // must match the exhaustive oracle.
   const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",  "msu1",
-      "wmsu1",   "oll",     "linear",   "binary",    "wlinear"};
+      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",
+      "msu1",    "oll",     "linear",   "binary"};
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const CnfFormula f = randomKSat({.numVars = 8,
                                      .numClauses = 44,

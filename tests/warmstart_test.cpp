@@ -326,8 +326,8 @@ TEST(SoftTrackerContract, AssumptionsAreCanonicallyVarOrdered) {
 
 TEST(WarmStart, EngineFuzzAgreesWithOracleUnderBothKnobs) {
   const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",  "msu1",
-      "wmsu1",   "oll",     "linear",   "binary",    "wlinear"};
+      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",
+      "msu1",    "oll",     "linear",   "binary"};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const CnfFormula f = randomKSat({.numVars = 8,
                                      .numClauses = 44,
@@ -359,7 +359,7 @@ TEST(WarmStart, EngineFuzzAgreesWithOracleUnderBothKnobs) {
 
 TEST(WarmStart, WeightedEngineFuzzAgreesWithOracle) {
   std::mt19937_64 rng(515);
-  const std::vector<std::string> engines{"wmsu1", "oll", "wlinear", "bmo"};
+  const std::vector<std::string> engines{"msu1", "oll", "linear", "bmo"};
   for (int round = 0; round < 4; ++round) {
     WcnfFormula w(8);
     for (int i = 0; i < 12; ++i) {

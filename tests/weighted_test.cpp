@@ -1,4 +1,4 @@
-/// Tests for the weighted-native MaxSAT engines (oll, wlinear, wmsu1):
+/// Tests for the weighted-native MaxSAT engines (oll, linear, pbo, msu1):
 ///  * oracle cross-checks on randomized weighted partial instances —
 ///    the safety net for OLL's core-charging and lazy bound extension;
 ///  * agreement between all weighted engines and with duplication-based
@@ -14,8 +14,8 @@
 
 #include "cnf/oracle.h"
 #include "core/bmo.h"
+#include "core/linear_search.h"
 #include "core/oll.h"
-#include "core/wlinear.h"
 #include "gen/graphs.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
@@ -154,8 +154,7 @@ TEST_P(WeightedEngine, AgreesWithDuplicationReduction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWeightedEngines, WeightedEngine,
-                         ::testing::Values("oll", "wlinear", "wlinear-adder",
-                                           "wmsu1"),
+                         ::testing::Values("oll", "linear", "pbo", "msu1"),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            std::string n = i.param;
                            for (char& c : n) {
@@ -264,11 +263,11 @@ TEST(OllTest, StressTwoValuedWeights) {
 // Weighted linear search specifics
 // ---------------------------------------------------------------------
 
-TEST(WlinearTest, UpperBoundDecreasesStrictly) {
+TEST(LinearSearchTest, UpperBoundDecreasesStrictly) {
   std::vector<Weight> uppers;
   MaxSatOptions opts;
   opts.onBounds = [&](Weight, Weight upper) { uppers.push_back(upper); };
-  WeightedLinearSolver solver(opts);
+  LinearSearchSolver solver(opts);
   const WcnfFormula w = randomWeighted(1234, 8);
   const MaxSatResult r = solver.solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
@@ -280,16 +279,28 @@ TEST(WlinearTest, UpperBoundDecreasesStrictly) {
   }
 }
 
-TEST(WlinearTest, BothPbEncodingsAgree) {
+TEST(LinearSearchTest, BothPbEncodingsAgree) {
+  // Both bounds (the model's true cost, and pbo's blocking-variable
+  // weight) over both PB encodings reach the oracle's optimum.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const WcnfFormula w = randomWeighted(seed * 613, 7);
-    WeightedLinearSolver bdd({}, PbEncoding::Bdd);
-    WeightedLinearSolver adder({}, PbEncoding::Adder);
-    const MaxSatResult a = bdd.solve(w);
-    const MaxSatResult b = adder.solve(w);
-    ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == MaxSatStatus::Optimum) {
-      EXPECT_EQ(a.cost, b.cost) << "seed " << seed;
+    const OracleResult truth = oracleMaxSat(w);
+    for (const bool modelCost : {true, false}) {
+      MaxSatOptions o;
+      o.tightenWithModelCost = modelCost;
+      for (const PbEncoding pb : {PbEncoding::Bdd, PbEncoding::Adder}) {
+        LinearSearchSolver solver(o, pb);
+        const MaxSatResult r = solver.solve(w);
+        const std::string label = "seed " + std::to_string(seed) + " " +
+                                  toString(pb) +
+                                  (modelCost ? " model-cost" : " blocking");
+        if (!truth.optimumCost) {
+          EXPECT_EQ(r.status, MaxSatStatus::UnsatisfiableHard) << label;
+          continue;
+        }
+        ASSERT_EQ(r.status, MaxSatStatus::Optimum) << label;
+        EXPECT_EQ(r.cost, *truth.optimumCost) << label;
+      }
     }
   }
 }
