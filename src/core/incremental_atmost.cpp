@@ -12,26 +12,37 @@ void IncrementalAtMost::retireCurrent(ClauseSink& sink) {
   scope_bound_ = -1;
   scope_enforced_ = true;
   covered_.clear();
-  outputs_.clear();
 }
 
-void IncrementalAtMost::coverWithTotalizer(ClauseSink& sink,
-                                           const std::vector<Lit>& lits) {
+const std::vector<Lit>& IncrementalAtMost::cover(ClauseSink& sink,
+                                                 const std::vector<Lit>& lits) {
   // Suffix extension requires `lits` to extend `covered_` as a prefix
   // (callers provide relaxation-ordered literals); fall back to a fresh
-  // tree if the prefix property ever fails.
+  // structure if the prefix property ever fails.
   const bool prefixOk =
       lits.size() >= covered_.size() &&
       std::equal(covered_.begin(), covered_.end(), lits.begin());
-  if (!totalizer_ || !prefixOk) {
-    totalizer_.emplace(sink, lits);
-    covered_ = lits;
-  } else if (lits.size() > covered_.size()) {
-    const std::span<const Lit> suffix(lits.data() + covered_.size(),
-                                      lits.size() - covered_.size());
-    totalizer_->addInputs(suffix);
-    covered_ = lits;
+  if (!prefixOk) {
+    totalizer_.reset();
+    outputs_.clear();
+    covered_.clear();
   }
+  const std::span<const Lit> suffix(lits.data() + covered_.size(),
+                                    lits.size() - covered_.size());
+  covered_ = lits;
+  if (enc_ == CardEncoding::Totalizer) {
+    if (!totalizer_) {
+      totalizer_.emplace(sink, suffix);
+    } else {
+      totalizer_->addInputs(suffix);
+    }
+    return totalizer_->outputs();
+  }
+  // Sorter: sort only the new literals and merge them into the outputs.
+  if (!suffix.empty()) {
+    outputs_ = mergeSorted(sink, outputs_, buildSortingNetwork(sink, suffix));
+  }
+  return outputs_;
 }
 
 void IncrementalAtMost::assertAtMost(ClauseSink& sink,
@@ -41,14 +52,16 @@ void IncrementalAtMost::assertAtMost(ClauseSink& sink,
   if (k >= n) return;
   assert(lits.size() >= covered_.size());
 
-  if (reuse_ && enc_ == CardEncoding::Totalizer) {
+  if (reuse_ && growsInPlace()) {
     // Permanent incremental structure; the monotone bound units live in
     // a permanent scope of their own rather than as raw units. The
     // scope is never retired and stays enforced, so the bounds behave
     // as before — but being guarded, the units are restrictions the
     // solver can tell apart from hard-clause consequences, which keeps
-    // learnt-clause sharing sound (see sat/share.h).
-    coverWithTotalizer(sink, lits);
+    // learnt-clause sharing sound (see sat/share.h). The literal set
+    // only grows and the bound never loosens, so every earlier unit
+    // stays implied.
+    const std::vector<Lit>& out = cover(sink, lits);
     if (!unit_scope_.defined()) {
       unit_scope_ = sink.beginScope();
     } else {
@@ -57,29 +70,9 @@ void IncrementalAtMost::assertAtMost(ClauseSink& sink,
     if (k < 0) {
       sink.addClause(std::initializer_list<Lit>{});
     } else {
-      sink.addClause({~totalizer_->outputs()[static_cast<std::size_t>(k)]});
+      sink.addClause({~out[static_cast<std::size_t>(k)]});
     }
     sink.endScope(unit_scope_);
-    return;
-  }
-
-  if (reuse_ && enc_ == CardEncoding::Sorter) {
-    // One network per literal set, wrapped in a scope together with its
-    // bound units; growth retires the stale network wholesale.
-    if (!scope_.defined() || lits != covered_) {
-      retireCurrent(sink);
-      scope_ = sink.beginScope();
-      outputs_ = buildSortingNetwork(sink, lits);
-      covered_ = lits;
-    } else {
-      sink.reopenScope(scope_);
-    }
-    if (k < 0) {
-      sink.addClause(std::initializer_list<Lit>{});
-    } else {
-      sink.addClause({~outputs_[static_cast<std::size_t>(k)]});
-    }
-    sink.endScope(scope_);
     return;
   }
 
@@ -108,24 +101,8 @@ std::optional<Lit> IncrementalAtMost::assumeAtMost(
   }
   assert(k >= 0);
 
-  if (enc_ == CardEncoding::Totalizer) {
-    coverWithTotalizer(sink, lits);
-    return ~totalizer_->outputs()[static_cast<std::size_t>(k)];
-  }
-
-  if (enc_ == CardEncoding::Sorter) {
-    if (!scope_.defined() || lits != covered_) {
-      retireCurrent(sink);
-      scope_ = sink.beginScope();
-      outputs_ = buildSortingNetwork(sink, lits);
-      covered_ = lits;
-      sink.endScope(scope_);
-    }
-    if (!scope_enforced_) {
-      sink.setScopeEnforced(scope_, true);
-      scope_enforced_ = true;
-    }
-    return ~outputs_[static_cast<std::size_t>(k)];
+  if (growsInPlace()) {
+    return ~cover(sink, lits)[static_cast<std::size_t>(k)];
   }
 
   // Bound-specific encodings (Bdd/Sequential/...): one scope per

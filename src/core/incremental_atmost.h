@@ -1,7 +1,7 @@
 /// \file incremental_atmost.h
 /// \brief Helpers that manage cardinality constraints across the
-///        iterations of a core-guided search: extending totalizers and
-///        reusing sorting networks when possible, and re-encoding into
+///        iterations of a core-guided search: growing totalizers and
+///        sorting networks in place when possible, and re-encoding into
 ///        a fresh sink scope (retiring the predecessor physically)
 ///        when not.
 
@@ -20,15 +20,20 @@ namespace msu {
 /// set only grows across calls. Two enforcement styles:
 ///
 ///  * assertAtMost — hard, monotonically tightening bounds (msu4's
-///    Algorithm 1 line 30, linear search). Totalizers extend in place
-///    with permanent bound units; everything else lives in an encoding
-///    scope whose activator the solver auto-assumes, and a re-encode
-///    retires the predecessor scope (physical deletion + variable
-///    recycling) instead of leaking it.
+///    Algorithm 1 line 30, linear search). Totalizers and sorting
+///    networks grow in place with permanent bound units; everything
+///    else lives in an encoding scope whose activator the solver
+///    auto-assumes, and a re-encode retires the predecessor scope
+///    (physical deletion + variable recycling) instead of leaking it.
 ///  * assumeAtMost — assumption-enforced bounds that may also loosen
 ///    (msu3's lambda search). Returns the extra literal to assume this
-///    solve, if any; scoped structures are enforced through their
-///    activator.
+///    solve, if any: `~out[k]` of the grown totalizer or sorter; scoped
+///    structures are enforced through their activator.
+///
+/// The totalizer and the sorter are built unscoped: their clauses only
+/// define fresh variables. New literals are counted (or sorted) on
+/// their own and merged into the existing outputs instead of
+/// re-encoding the whole set.
 class IncrementalAtMost {
  public:
   IncrementalAtMost(CardEncoding enc, bool reuse)
@@ -36,19 +41,21 @@ class IncrementalAtMost {
 
   /// Adds clauses enforcing `sum(lits) <= k` from now on. `lits` must
   /// contain every literal passed in earlier calls (append-only
-  /// growth), and for scoped encodings the bound must not loosen.
+  /// growth), and the bound must not loosen.
   ///
   /// Bound restrictions are never emitted as raw (unguarded) clauses:
-  /// even the incremental totalizer's monotone bound units live in a
-  /// scope of their own (permanent, always enforced). This keeps every
-  /// non-consequence clause guarded, which is what makes the parallel
-  /// portfolio's learnt-clause export filter sound — see sat/share.h.
+  /// even the incremental totalizer's and sorter's monotone bound units
+  /// live in a scope of their own (permanent, always enforced). This
+  /// keeps every non-consequence clause guarded, which is what makes
+  /// the parallel portfolio's learnt-clause export filter sound — see
+  /// sat/share.h.
   void assertAtMost(ClauseSink& sink, const std::vector<Lit>& lits, int k);
 
-  /// Makes `sum(lits) <= k` hold for the next solve(s): re-encodes (and
-  /// retires the stale structure) as needed and returns the literal to
-  /// assume, when the encoding needs one beyond its auto-assumed
-  /// activator. A trivial bound (k >= |lits|) disables the structure.
+  /// Makes `sum(lits) <= k` hold for the next solve(s): grows the
+  /// totalizer or sorter, or re-encodes (and retires the stale
+  /// structure), and returns the literal to assume, when the encoding
+  /// needs one beyond its auto-assumed activator. A trivial bound
+  /// (k >= |lits|) disables the structure.
   [[nodiscard]] std::optional<Lit> assumeAtMost(ClauseSink& sink,
                                                 const std::vector<Lit>& lits,
                                                 int k);
@@ -57,20 +64,27 @@ class IncrementalAtMost {
   [[nodiscard]] int numAsserted() const { return num_asserted_; }
 
  private:
+  /// Encodings whose one structure serves every bound and grows in
+  /// place as literals are added.
+  [[nodiscard]] bool growsInPlace() const {
+    return enc_ == CardEncoding::Totalizer || enc_ == CardEncoding::Sorter;
+  }
+
   /// Retires the live scope (if any) and forgets its structure.
   void retireCurrent(ClauseSink& sink);
 
-  /// Extends (or rebuilds) the unscoped totalizer to cover `lits`.
-  void coverWithTotalizer(ClauseSink& sink, const std::vector<Lit>& lits);
+  /// Grows (or rebuilds) the unscoped totalizer or sorter to cover
+  /// `lits` and returns its outputs.
+  const std::vector<Lit>& cover(ClauseSink& sink, const std::vector<Lit>& lits);
 
   CardEncoding enc_;
   bool reuse_;
   int num_asserted_ = 0;
   std::vector<Lit> covered_;            // literal set of the cached structure
-  std::vector<Lit> outputs_;            // sorter outputs (scoped)
+  std::vector<Lit> outputs_;            // unscoped sorter outputs
   std::optional<Totalizer> totalizer_;  // unscoped incremental totalizer
   ScopeHandle scope_;                   // live structure scope
-  ScopeHandle unit_scope_;    // permanent scope for totalizer bound units
+  ScopeHandle unit_scope_;    // permanent scope for grown-structure bounds
   int scope_bound_ = -1;      // bound baked into a per-(set,k) scope
   bool scope_enforced_ = true;
 };

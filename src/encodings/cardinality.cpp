@@ -1,5 +1,6 @@
 #include "encodings/cardinality.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -17,9 +18,10 @@ void addGuarded(ClauseSink& sink, std::vector<Lit> clause,
   sink.addClause(clause);
 }
 
-/// Comparator of a sorting network: returns (hi, lo) = (a|b, a&b) with
-/// biconditional semantics. Constant inputs (the sink's true/false
-/// literals) are simplified away without emitting clauses.
+/// Comparator of a sorting network: returns (hi, lo) >= (a|b, a&b),
+/// with just the input->output clauses that `sum <= k` needs. Constant
+/// inputs (the sink's true/false literals) are simplified away without
+/// emitting clauses.
 std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   const Lit fls = ~tru;
   if (a == fls) return {b, fls};
@@ -28,13 +30,8 @@ std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   if (b == tru) return {tru, a};
   const Lit hi = posLit(sink.newVar());
   const Lit lo = posLit(sink.newVar());
-  // hi <-> a | b
   sink.addClause({~a, hi});
   sink.addClause({~b, hi});
-  sink.addClause({a, b, ~hi});
-  // lo <-> a & b
-  sink.addClause({~lo, a});
-  sink.addClause({~lo, b});
   sink.addClause({~a, ~b, lo});
   return {hi, lo};
 }
@@ -141,6 +138,22 @@ std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
   while (in.size() < padded) in.push_back(~tru);
   std::vector<Lit> out = oddEvenSort(sink, std::move(in), tru);
   out.resize(lits.size());  // tail positions are constant false padding
+  return out;
+}
+
+std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,
+                             std::span<const Lit> b) {
+  if (a.empty()) return {b.begin(), b.end()};
+  if (b.empty()) return {a.begin(), a.end()};
+  std::size_t padded = 1;
+  while (padded < std::max(a.size(), b.size())) padded *= 2;
+  const Lit tru = sink.trueLit();
+  std::vector<Lit> left(a.begin(), a.end());
+  std::vector<Lit> right(b.begin(), b.end());
+  left.resize(padded, ~tru);
+  right.resize(padded, ~tru);
+  std::vector<Lit> out = oddEvenMerge(sink, left, right, tru);
+  out.resize(a.size() + b.size());  // drop the padding positions
   return out;
 }
 

@@ -69,15 +69,29 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 // Reusable building blocks (exposed for incremental use and for tests).
 // ---------------------------------------------------------------------
 
-/// Builds a Batcher odd-even sorting network over `lits`.
+/// Builds a Batcher odd-even sorting network over `lits` (padded with
+/// the constant false to a power of two; the padding outputs are
+/// dropped).
 ///
-/// Returns output literals sorted "ones first": `out[i]` is true iff at
-/// least `i+1` inputs are true. The outputs are full biconditionals, so
-/// both `sum <= k` (assert `~out[k]`) and `sum >= k` (assert `out[k-1]`)
-/// can be enforced by unit clauses or assumptions — this is what lets
-/// msu4 v2 reuse one network across successively tighter bounds.
+/// Returns |lits| output literals sorted "ones first": at least `i+1`
+/// true inputs force `out[i]` true, so the unit clause or assumption
+/// `~out[k]` enforces `sum <= k`. Each comparator emits only its three
+/// input->output clauses (Asín et al., Constraints 2011), which keeps
+/// unit propagation complete for `sum <= k`; the outputs do not give
+/// `sum >= k`. One network serves every bound, which is what lets msu4
+/// v2 reuse it across successively tighter bounds.
 [[nodiscard]] std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
                                                    std::span<const Lit> lits);
+
+/// Odd-even merges two ones-first output vectors `a` and `b` (of
+/// buildSortingNetwork or of earlier merges) into |a| + |b| outputs with
+/// the same contract. Both are padded with the constant false to a
+/// common power of two, merged by one full Batcher merge, and the
+/// padding positions dropped. This is how a sorter grows in place: sort
+/// only the new inputs, then merge them into the existing outputs.
+[[nodiscard]] std::vector<Lit> mergeSorted(ClauseSink& sink,
+                                           std::span<const Lit> a,
+                                           std::span<const Lit> b);
 
 /// Builds the BDD (counter-DAG) for `sum(lits) <= k` and returns a
 /// literal equivalent to the constraint (biconditional encoding).

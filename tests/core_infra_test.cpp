@@ -69,10 +69,15 @@ TEST(SoftTracker, SoftOfVarMapsOnlySelectors) {
   EXPECT_FALSE(t.softOfVar(999).has_value());
 }
 
+/// True for the encodings whose one structure grows in place.
+bool growsInPlace(CardEncoding enc) {
+  return enc == CardEncoding::Sorter || enc == CardEncoding::Totalizer;
+}
+
 TEST(IncrementalAtMost, GrowingSetWithTighteningBounds) {
   for (CardEncoding enc :
        {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Sequential,
-        CardEncoding::Totalizer}) {
+        CardEncoding::Totalizer, CardEncoding::CardNet}) {
     for (bool reuse : {true, false}) {
       Solver s;
       SolverSink sink(s);
@@ -99,6 +104,48 @@ TEST(IncrementalAtMost, GrowingSetWithTighteningBounds) {
         EXPECT_EQ(s.solve(assumps) == lbool::True, popOk(mask))
             << toString(enc) << " reuse=" << reuse << " mask=" << mask;
       }
+      if (reuse && growsInPlace(enc)) {
+        EXPECT_EQ(s.stats().retired_scopes, 0) << toString(enc);
+      }
+    }
+  }
+}
+
+TEST(IncrementalAtMost, AssumedBoundsFollowGrowthAndLoosening) {
+  // msu3's pattern: the literal set grows, the bound loosens, and only
+  // the latest bound holds. A trivial bound parks the structure.
+  struct Step {
+    int size;
+    int k;
+  };
+  const Step steps[] = {{2, 0}, {4, 1}, {4, 2}, {6, 3},
+                        {6, 6}, {6, 3}, {6, 4}};
+  for (CardEncoding enc :
+       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Sequential,
+        CardEncoding::Totalizer, CardEncoding::CardNet}) {
+    Solver s;
+    SolverSink sink(s);
+    std::vector<Lit> lits;
+    for (int i = 0; i < 6; ++i) lits.push_back(posLit(s.newVar()));
+    IncrementalAtMost inc(enc, /*reuse=*/true);
+    for (const Step& step : steps) {
+      const std::vector<Lit> set(lits.begin(), lits.begin() + step.size);
+      const std::optional<Lit> bound = inc.assumeAtMost(sink, set, step.k);
+      const std::uint32_t setMask = (1u << step.size) - 1;
+      for (std::uint32_t mask = 0; mask < 64; ++mask) {
+        std::vector<Lit> assumps;
+        for (int i = 0; i < 6; ++i) {
+          assumps.push_back(((mask >> i) & 1u) != 0 ? lits[i] : ~lits[i]);
+        }
+        if (bound) assumps.push_back(*bound);
+        EXPECT_EQ(s.solve(assumps) == lbool::True,
+                  std::popcount(mask & setMask) <= step.k)
+            << toString(enc) << " size=" << step.size << " k=" << step.k
+            << " mask=" << mask;
+      }
+    }
+    if (growsInPlace(enc)) {
+      EXPECT_EQ(s.stats().retired_scopes, 0) << toString(enc);
     }
   }
 }

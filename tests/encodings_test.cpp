@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "encodings/cardinality.h"
@@ -28,16 +31,44 @@ struct Fixture {
     for (int i = 0; i < n; ++i) inputs.push_back(posLit(solver.newVar()));
   }
 
-  /// Solves with the inputs forced to the bits of `mask`.
-  [[nodiscard]] lbool solveMask(std::uint32_t mask) {
+  /// Solves with the inputs forced to the bits of `mask` (plus `extra`).
+  [[nodiscard]] lbool solveMask(std::uint32_t mask,
+                                std::optional<Lit> extra = std::nullopt) {
     std::vector<Lit> assumps;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       const bool bit = ((mask >> i) & 1u) != 0;
       assumps.push_back(bit ? inputs[i] : ~inputs[i]);
     }
+    if (extra) assumps.push_back(*extra);
     return solver.solve(assumps);
   }
 };
+
+/// Checks what callers use of sorted outputs `out` over all of
+/// `f.inputs`, exhaustively: with the inputs fixed, popcount >= i+1
+/// forces `out[i]` true, and assuming `~out[i]` is satisfiable iff
+/// popcount <= i.
+void expectOutputsBoundPopcount(Fixture& f, const std::vector<Lit>& out,
+                                const std::string& label) {
+  const int n = static_cast<int>(f.inputs.size());
+  ASSERT_EQ(out.size(), f.inputs.size()) << label;
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    const int pop = std::popcount(mask);
+    ASSERT_EQ(f.solveMask(mask), lbool::True) << label;
+    for (int i = 0; i < n; ++i) {
+      const Lit o = out[static_cast<std::size_t>(i)];
+      if (pop >= i + 1) {
+        EXPECT_EQ(f.solver.modelValue(o), lbool::True)
+            << label << " mask=" << mask << " out[" << i << "]";
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      const Lit o = out[static_cast<std::size_t>(i)];
+      EXPECT_EQ(f.solveMask(mask, ~o) == lbool::True, pop <= i)
+          << label << " mask=" << mask << " ~out[" << i << "]";
+    }
+  }
+}
 
 struct AtMostCase {
   CardEncoding enc;
@@ -204,21 +235,30 @@ TEST(Encodings, ExactlyOne) {
   }
 }
 
-TEST(SortingNetwork, OutputsAreSortedCounts) {
-  // out[i] must be true iff at least i+1 inputs are true, for every
-  // input pattern (full biconditional semantics).
-  for (int n : {1, 2, 3, 4, 5, 7, 8}) {
+TEST(SortingNetwork, NegatedOutputsBoundPopcount) {
+  // The comparators emit only their input->output clauses, so the
+  // outputs give `sum <= k` through `~out[k]` but not `sum >= k`.
+  for (int n = 1; n <= 8; ++n) {
     Fixture f(n);
     const std::vector<Lit> out = buildSortingNetwork(f.sink, f.inputs);
-    ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
-    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-      ASSERT_EQ(f.solveMask(mask), lbool::True);
-      const int pop = std::popcount(mask);
-      for (int i = 0; i < n; ++i) {
-        const lbool v = f.solver.modelValue(out[static_cast<std::size_t>(i)]);
-        EXPECT_EQ(v == lbool::True, pop >= i + 1)
-            << "n=" << n << " mask=" << mask << " out[" << i << "]";
-      }
+    expectOutputsBoundPopcount(f, out, "n=" + std::to_string(n));
+  }
+}
+
+TEST(SortingNetwork, MergeExtensionMatchesMonolithic) {
+  // Sorting two batches and merging them must honour the same contract
+  // as one network over all inputs, at every split point.
+  for (int n = 2; n <= 8; ++n) {
+    for (int split = 1; split < n; ++split) {
+      Fixture f(n);
+      const std::span<const Lit> all(f.inputs);
+      const std::vector<Lit> first =
+          buildSortingNetwork(f.sink, all.subspan(0, split));
+      const std::vector<Lit> second =
+          buildSortingNetwork(f.sink, all.subspan(split));
+      const std::vector<Lit> out = mergeSorted(f.sink, first, second);
+      expectOutputsBoundPopcount(
+          f, out, "n=" + std::to_string(n) + " split=" + std::to_string(split));
     }
   }
 }
