@@ -1,8 +1,6 @@
 #include "encodings/cardinality.h"
 
-#include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "encodings/cardnet.h"
 #include "encodings/pb.h"
@@ -16,64 +14,6 @@ void addGuarded(ClauseSink& sink, std::vector<Lit> clause,
                 std::optional<Lit> act) {
   if (act) clause.push_back(~*act);
   sink.addClause(clause);
-}
-
-/// Comparator of a sorting network: returns (hi, lo) >= (a|b, a&b),
-/// with just the input->output clauses that `sum <= k` needs. Constant
-/// inputs (the sink's true/false literals) are simplified away without
-/// emitting clauses.
-std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
-  const Lit fls = ~tru;
-  if (a == fls) return {b, fls};
-  if (b == fls) return {a, fls};
-  if (a == tru) return {tru, b};
-  if (b == tru) return {tru, a};
-  const Lit hi = posLit(sink.newVar());
-  const Lit lo = posLit(sink.newVar());
-  sink.addClause({~a, hi});
-  sink.addClause({~b, hi});
-  sink.addClause({~a, ~b, lo});
-  return {hi, lo};
-}
-
-/// Batcher odd-even merge of two descending-sorted sequences of equal
-/// power-of-two length.
-std::vector<Lit> oddEvenMerge(ClauseSink& sink, const std::vector<Lit>& a,
-                              const std::vector<Lit>& b, Lit tru) {
-  assert(a.size() == b.size());
-  const std::size_t n = a.size();
-  if (n == 1) {
-    auto [hi, lo] = comparator(sink, a[0], b[0], tru);
-    return {hi, lo};
-  }
-  auto pick = [](const std::vector<Lit>& v, std::size_t start) {
-    std::vector<Lit> out;
-    for (std::size_t i = start; i < v.size(); i += 2) out.push_back(v[i]);
-    return out;
-  };
-  const std::vector<Lit> d =
-      oddEvenMerge(sink, pick(a, 0), pick(b, 0), tru);  // evens
-  const std::vector<Lit> e =
-      oddEvenMerge(sink, pick(a, 1), pick(b, 1), tru);  // odds
-  std::vector<Lit> out(2 * n);
-  out[0] = d[0];
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    auto [hi, lo] = comparator(sink, d[i + 1], e[i], tru);
-    out[2 * i + 1] = hi;
-    out[2 * i + 2] = lo;
-  }
-  out[2 * n - 1] = e[n - 1];
-  return out;
-}
-
-/// Recursive odd-even mergesort over a power-of-two sized input.
-std::vector<Lit> oddEvenSort(ClauseSink& sink, std::vector<Lit> v, Lit tru) {
-  if (v.size() <= 1) return v;
-  const std::size_t half = v.size() / 2;
-  std::vector<Lit> lo(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(half));
-  std::vector<Lit> hi(v.begin() + static_cast<std::ptrdiff_t>(half), v.end());
-  return oddEvenMerge(sink, oddEvenSort(sink, std::move(lo), tru),
-                      oddEvenSort(sink, std::move(hi), tru), tru);
 }
 
 /// Sinz sequential-counter encoding of `sum(lits) <= k` (k >= 1).
@@ -126,35 +66,6 @@ const char* toString(CardEncoding enc) {
       return "cardnet";
   }
   return "?";
-}
-
-std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
-                                     std::span<const Lit> lits) {
-  std::vector<Lit> in(lits.begin(), lits.end());
-  if (in.empty()) return {};
-  std::size_t padded = 1;
-  while (padded < in.size()) padded *= 2;
-  const Lit tru = sink.trueLit();
-  while (in.size() < padded) in.push_back(~tru);
-  std::vector<Lit> out = oddEvenSort(sink, std::move(in), tru);
-  out.resize(lits.size());  // tail positions are constant false padding
-  return out;
-}
-
-std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,
-                             std::span<const Lit> b) {
-  if (a.empty()) return {b.begin(), b.end()};
-  if (b.empty()) return {a.begin(), a.end()};
-  std::size_t padded = 1;
-  while (padded < std::max(a.size(), b.size())) padded *= 2;
-  const Lit tru = sink.trueLit();
-  std::vector<Lit> left(a.begin(), a.end());
-  std::vector<Lit> right(b.begin(), b.end());
-  left.resize(padded, ~tru);
-  right.resize(padded, ~tru);
-  std::vector<Lit> out = oddEvenMerge(sink, left, right, tru);
-  out.resize(a.size() + b.size());  // drop the padding positions
-  return out;
 }
 
 Lit buildAtMostBdd(ClauseSink& sink, std::span<const Lit> lits, int k) {

@@ -71,7 +71,7 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 
 /// Builds a Batcher odd-even sorting network over `lits` (padded with
 /// the constant false to a power of two; the padding outputs are
-/// dropped).
+/// dropped). Defined in cardnet.cpp, with the other odd-even networks.
 ///
 /// Returns |lits| output literals sorted "ones first": at least `i+1`
 /// true inputs force `out[i]` true, so the unit clause or assumption

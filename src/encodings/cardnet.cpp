@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "encodings/cardinality.h"
 
 namespace msu {
 
@@ -10,7 +13,7 @@ namespace {
 /// Forward-only comparator: hi = a|b, lo = a&b, with just the
 /// input->output clauses upper-bound constraints need. Constants
 /// short-circuit without emitting anything.
-std::pair<Lit, Lit> halfComparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
+std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   const Lit fls = ~tru;
   if (a == fls) return {b, fls};
   if (b == fls) return {a, fls};
@@ -36,17 +39,29 @@ std::pair<Lit, Lit> halfComparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   return out;
 }
 
+/// Pads two ones-first sequences at the tail with the constant false to
+/// a common power-of-two length. False padding at the tail of a
+/// ones-first sequence is exact, not an approximation.
+void padToCommonPowerOfTwo(std::vector<Lit>& a, std::vector<Lit>& b,
+                           Lit tru) {
+  std::size_t padded = 1;
+  while (padded < std::max(a.size(), b.size())) padded *= 2;
+  a.resize(padded, ~tru);
+  b.resize(padded, ~tru);
+}
+
 /// Truncated odd-even merge: `a` and `b` are sorted ones-first, equal
 /// power-of-two length n; returns the first `min(2n, m)` merged outputs.
 /// Kept output positions only ever read sub-merge positions below
-/// `m/2 + 1`, which is what makes the truncation sound.
+/// `m/2 + 1`, which is what makes the truncation sound. With m >= 2n
+/// this is Batcher's full odd-even merge.
 std::vector<Lit> truncatedMerge(ClauseSink& sink, const std::vector<Lit>& a,
                                 const std::vector<Lit>& b, int m, Lit tru) {
   assert(a.size() == b.size());
   const int n = static_cast<int>(a.size());
   if (m <= 0) return {};
   if (n == 1) {
-    auto [hi, lo] = halfComparator(sink, a[0], b[0], tru);
+    auto [hi, lo] = comparator(sink, a[0], b[0], tru);
     std::vector<Lit> out{hi, lo};
     out.resize(static_cast<std::size_t>(std::min(2, m)));
     return out;
@@ -66,8 +81,8 @@ std::vector<Lit> truncatedMerge(ClauseSink& sink, const std::vector<Lit>& a,
       break;
     }
     const int i = (pos - 1) / 2;
-    auto [hi, lo] = halfComparator(sink, d[static_cast<std::size_t>(i + 1)],
-                                   e[static_cast<std::size_t>(i)], tru);
+    auto [hi, lo] = comparator(sink, d[static_cast<std::size_t>(i + 1)],
+                               e[static_cast<std::size_t>(i)], tru);
     out[static_cast<std::size_t>(pos)] = hi;
     if (pos + 1 < length) out[static_cast<std::size_t>(pos + 1)] = lo;
   }
@@ -83,18 +98,21 @@ std::vector<Lit> cardRec(ClauseSink& sink, std::span<const Lit> v, int m,
   const std::size_t half = v.size() / 2;
   std::vector<Lit> left = cardRec(sink, v.subspan(0, half), m, tru);
   std::vector<Lit> right = cardRec(sink, v.subspan(half), m, tru);
+  padToCommonPowerOfTwo(left, right, tru);
+  return truncatedMerge(sink, left, right,
+                        std::min<int>(m, static_cast<int>(v.size())), tru);
+}
 
-  // Align to a common power-of-two length; false padding at the tail of
-  // a ones-first sequence is exact, not an approximation.
-  std::size_t padded = 1;
-  while (padded < std::max(left.size(), right.size())) padded *= 2;
-  left.resize(padded, ~tru);
-  right.resize(padded, ~tru);
-
-  std::vector<Lit> out = truncatedMerge(
-      sink, left, right, std::min<int>(m, static_cast<int>(v.size())), tru);
-  if (out.size() > v.size()) out.resize(v.size());  // drop pad positions
-  return out;
+/// Batcher's odd-even mergesort over a power-of-two sized input. The
+/// upper half is sorted first, so the emitted clauses do not depend on
+/// the compiler's order of evaluating function arguments.
+std::vector<Lit> oddEvenSort(ClauseSink& sink, std::span<const Lit> v,
+                             Lit tru) {
+  if (v.size() <= 1) return {v.begin(), v.end()};
+  const std::size_t half = v.size() / 2;
+  const std::vector<Lit> hi = oddEvenSort(sink, v.subspan(half), tru);
+  const std::vector<Lit> lo = oddEvenSort(sink, v.subspan(0, half), tru);
+  return truncatedMerge(sink, lo, hi, static_cast<int>(v.size()), tru);
 }
 
 }  // namespace
@@ -104,6 +122,33 @@ std::vector<Lit> buildCardinalityNetwork(ClauseSink& sink,
   if (lits.empty() || k < 0) return {};
   const Lit tru = sink.trueLit();
   return cardRec(sink, lits, k + 1, tru);
+}
+
+std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
+                                     std::span<const Lit> lits) {
+  if (lits.empty()) return {};
+  std::size_t padded = 1;
+  while (padded < lits.size()) padded *= 2;
+  const Lit tru = sink.trueLit();
+  std::vector<Lit> in(lits.begin(), lits.end());
+  in.resize(padded, ~tru);
+  std::vector<Lit> out = oddEvenSort(sink, in, tru);
+  out.resize(lits.size());  // tail positions are constant false padding
+  return out;
+}
+
+std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,
+                             std::span<const Lit> b) {
+  if (a.empty()) return {b.begin(), b.end()};
+  if (b.empty()) return {a.begin(), a.end()};
+  const Lit tru = sink.trueLit();
+  std::vector<Lit> left(a.begin(), a.end());
+  std::vector<Lit> right(b.begin(), b.end());
+  padToCommonPowerOfTwo(left, right, tru);
+  std::vector<Lit> out = truncatedMerge(
+      sink, left, right, static_cast<int>(2 * left.size()), tru);
+  out.resize(a.size() + b.size());  // drop the padding positions
+  return out;
 }
 
 }  // namespace msu

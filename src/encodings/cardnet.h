@@ -1,16 +1,21 @@
 /// \file cardnet.h
 /// \brief k-Cardinality networks (Asín, Nieuwenhuis, Oliveras &
 ///        Rodríguez-Carbonell): odd-even merge networks truncated to the
-///        first k+1 outputs. Same arc-consistent propagation as the full
-///        Batcher sorter used by msu4 v2, at O(n log^2 k) instead of
-///        O(n log^2 n) size — the natural "alternative encoding" the
-///        paper's §5 asks to be explored.
+///        first k+1 outputs. msu4 v2's full Batcher sorter
+///        (buildSortingNetwork and mergeSorted in cardinality.h) is made
+///        of the same three-clause comparators and the same merge,
+///        untruncated over inputs padded to a power of two; truncation
+///        keeps its propagation for `sum <= k` at O(n log^2 k) instead
+///        of O(n log^2 n) size — the natural "alternative encoding" the
+///        paper's §5 asks to be explored. All the odd-even code, the
+///        sorter's included, lives in cardnet.cpp.
 ///
 /// Emits through the (possibly scoped) ClauseSink: msu4-cnet builds
-/// each network inside an encoding scope, so superseded networks are
-/// physically retired and their wires recycled (see sink.h). The
-/// constant true/false wires come from the sink's scope-independent
-/// trueLit().
+/// each network for one bound inside an encoding scope, so superseded
+/// networks are physically retired and their wires recycled (see
+/// sink.h), while the sorter serves every bound and grows in place,
+/// unscoped. The constant true/false wires come from the sink's
+/// scope-independent trueLit().
 
 #pragma once
 
