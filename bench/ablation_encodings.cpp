@@ -1,8 +1,9 @@
 /// \file ablation_encodings.cpp
-/// \brief Ablation beyond the paper's figures: msu4 with all four
+/// \brief Ablation beyond the paper's figures: msu4 with all five
 ///        cardinality encodings (the paper only compares BDD vs sorting
 ///        networks; §5 calls "alternative encodings of cardinality
-///        constraints" an area for improvement).
+///        constraints" an area for improvement). Exits 1 when two
+///        encodings disagree on an optimum.
 ///
 /// Usage: ablation_encodings [timeout_seconds] [size_scale] [per_family]
 
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
             << " instances, timeout " << config.timeoutSeconds << " s\n\n";
 
   const std::vector<std::string> solvers{"msu4-v1", "msu4-v2", "msu4-seq",
-                                         "msu4-tot"};
+                                         "msu4-tot", "msu4-cnet"};
   const std::vector<RunRecord> records = runMatrix(solvers, suite, config);
   printAbortedTable(std::cout, records, solvers,
                     "msu4 by cardinality encoding (v1=bdd, v2=sorter)");

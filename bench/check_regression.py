@@ -16,10 +16,12 @@ probe, and the gated score is
 
 A uniformly slower runner cancels out; a code change that slows search
 does not. The calibration probes themselves are guarded separately: the
-`propagations` / `watch_bytes_visited` counters recorded for `up-*`
-cases are deterministic for identical code, so any drift there means
-the propagation core changed and `bench/BENCH_micro_sat.json` must be
-re-recorded in the same PR (which re-anchors the gate).
+`propagations` / `watch_bytes_visited` counters recorded for them are
+deterministic for identical code, so any drift there means the code a
+probe runs changed its work (the propagation core for `up-*`, or the
+engine's search for an engine probe such as `seq-direct`), and the
+committed baseline must be re-recorded in the same change (which
+re-anchors the gate).
 
 Benchmarks present in the baseline but missing from the current run are
 a hard error: dropping the slow cases must not let a regression pass.
@@ -154,7 +156,8 @@ def check_ab(base, cur, tolerance, min_speedup):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True,
-                    help="committed reference JSON (bench/BENCH_micro_sat.json)")
+                    help="committed reference JSON, e.g. "
+                         "bench/BENCH_micro_sat.json")
     ap.add_argument("--current", required=True,
                     help="freshly measured JSON to check")
     ap.add_argument("--tolerance", type=float, default=0.15,
@@ -179,12 +182,12 @@ def main():
     if missing:
         print(f"error: benchmarks missing from current run: {missing}\n"
               "(removing or renaming cases requires re-recording "
-              "bench/BENCH_micro_sat.json in the same PR)", file=sys.stderr)
+              f"{args.baseline} in the same change)", file=sys.stderr)
         sys.exit(2)
     extra = sorted(set(cur) - set(base))
     if extra:
         print(f"warning: benchmarks not in the committed baseline are NOT "
-              f"gated: {extra}\n(re-record bench/BENCH_micro_sat.json to "
+              f"gated: {extra}\n(re-record {args.baseline} to "
               "bring them under the gate)")
     common = sorted(set(base) & set(cur))
 
@@ -206,7 +209,7 @@ def main():
         sys.exit(2)
 
     # Guard the calibration probes: their counters are deterministic, so
-    # drift means the propagation core changed without a re-recorded
+    # drift means the code a probe runs changed without a re-recorded
     # baseline — calibration would silently absorb exactly that change.
     failed = False
     for name in calib_names:
@@ -214,10 +217,11 @@ def main():
             b = base[name]["counters"].get(key)
             c = cur[name]["counters"].get(key)
             if b != c:
-                print(f"FAIL: {name}: deterministic counter '{key}' drifted "
-                      f"({b} -> {c}); the propagation core changed — "
-                      "re-record bench/BENCH_micro_sat.json in this PR",
-                      file=sys.stderr)
+                print(f"FAIL: calibration probe '{name}': deterministic "
+                      f"counter '{key}' drifted ({b} -> {c}); the code this "
+                      "probe runs changed its work (the propagation core, "
+                      "or the search of the engine it runs) — re-record "
+                      f"{args.baseline} in this change", file=sys.stderr)
                 failed = True
 
     machine = geomean([ratios[n] for n in calib_names]) if calib_names else 1.0

@@ -15,9 +15,11 @@
 /// search outgrows are not abandoned inside that database: they live
 /// in *encoding scopes* (see sink.h) and are physically retired — the
 /// clauses deleted, their auxiliary variables recycled — the moment a
-/// re-encode supersedes them. `MaxSatResult::satStats` surfaces the
-/// lifecycle counters (retired scopes/clauses, reclaimed bytes,
-/// recycled variables) alongside the propagation-core counters.
+/// re-encode supersedes them. Sorting networks and totalizers are never
+/// outgrown: they grow in place, unscoped (core/incremental_atmost.h).
+/// `MaxSatResult::satStats` surfaces the lifecycle counters (retired
+/// scopes/clauses, reclaimed bytes, recycled variables) alongside the
+/// propagation-core counters.
 ///
 /// ## Reconstruction contract (inprocessing round two)
 ///
@@ -26,11 +28,13 @@
 /// witness stack over every satisfying assignment before publishing
 /// it, so `MaxSatResult::model` is always a total assignment over the
 /// original variables and engines never observe removal. Soft-clause
-/// selectors are frozen and encoding variables are scope-owned, so
-/// neither is ever removed: cores keep naming the selectors engines
-/// track, and scope retirement never invalidates a witness. The full
-/// contract — who may be removed, what restores a variable, what
-/// disables removal — lives in src/sat/solver.h.
+/// selectors are frozen, so cores keep naming the selectors engines
+/// track. Scoped encoding variables are never removed, so scope
+/// retirement never invalidates a witness; the unscoped wires of a
+/// growing sorter or totalizer may be eliminated, and are restored when
+/// a later merge or bound names them. The full contract — who may be
+/// removed, what restores a variable, what disables removal — lives in
+/// src/sat/solver.h.
 
 #pragma once
 
@@ -102,11 +106,12 @@ struct MaxSatOptions {
   /// experiments suggest it is most often useful").
   bool msu4AtLeastOne = true;
 
-  /// Reuse sorting networks / extend totalizers across iterations when
-  /// the blocking-variable set allows it, instead of re-encoding. When
-  /// a re-encode is unavoidable (or reuse is off), the superseded
-  /// structure's scope is retired: its clauses are physically deleted
-  /// and its auxiliary variables recycled.
+  /// Grow sorting networks and totalizers in place across iterations
+  /// (new blocking variables are merged into the existing outputs)
+  /// instead of re-encoding. The other encodings re-encode every bound,
+  /// as does everything when reuse is off: the superseded structure's
+  /// scope is retired, its clauses physically deleted and its auxiliary
+  /// variables recycled.
   bool reuseEncodings = true;
 
   /// Rounds of core trimming (re-solve under the core and adopt the

@@ -33,8 +33,9 @@ MaxSatResult Msu3Solver::solve(const WcnfFormula& input) {
   Weight lambda = 0;  // proven: cost >= lambda
 
   // Incremental bound structure over the blocking variables: totalizers
-  // extend in place, everything else re-encodes into a fresh scope and
-  // retires its predecessor through the session's oracle.
+  // and sorting networks grow in place, everything else re-encodes into
+  // a fresh scope and retires its predecessor through the session's
+  // oracle.
   IncrementalAtMost card(opts_.encoding, opts_.reuseEncodings);
 
   auto finish = [&](MaxSatStatus st, Weight cost, Assignment model) {

@@ -28,11 +28,11 @@
 ///    so each clause carries a `~act` guard whose positive literal
 ///    appears in no clause whatsoever — resolution can never eliminate
 ///    the guard, and every learnt descendant keeps a literal above the
-///    shared prefix. (IncrementalAtMost routes even the incremental
-///    totalizer's monotone bound units through a permanent scope for
-///    exactly this reason; clauses touching activator-tagged scope
-///    variables are thus never exported, which also keeps sharing
-///    sound under physical scope retirement.)
+///    shared prefix. (IncrementalAtMost routes even the growing
+///    totalizer's and sorter's monotone bound units through a permanent
+///    scope for exactly this reason; clauses touching activator-tagged
+///    scope variables are thus never exported, which also keeps
+///    sharing sound under physical scope retirement.)
 ///
 /// Hence any learnt clause over original variables only is derivable
 /// from the hard clauses plus conservative extensions alone, and by
