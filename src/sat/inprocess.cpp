@@ -83,6 +83,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sat/solver.h"
@@ -453,11 +454,28 @@ bool Solver::inprocSubsume() {
     }
   };
 
+  // Makes the learnt binary {self, other} original, flipping the flag
+  // in both of its watch entries. Original binaries leave the database
+  // only through retirement or with a BVE witness, but BVE drops learnt
+  // ones outright: a learnt binary that subsumes an original clause
+  // must be promoted, like a long learnt subsumer.
+  const auto promoteBinary = [&](Lit self, Lit other) {
+    for (const auto& [list, implied] :
+         {std::pair{~self, other}, std::pair{~other, self}}) {
+      for (BinWatch& w : watches_.binList(list)) {
+        if (w == BinWatch(implied, /*learnt=*/true)) {
+          w = BinWatch(implied, /*learnt=*/false);
+          break;
+        }
+      }
+    }
+    --num_bin_learnt_;
+    ++num_bin_orig_;
+  };
+
   // ---- Binary subsumers --------------------------------------------------
   // Each binary clause {a, b} scans occ[a] and occ[~a]: any almost-
   // subsumed clause contains a or ~a, so the two lists cover all cases.
-  // Binaries never leave the database outside retirement, so they are
-  // safe witnesses without promotion.
   for (int idx = 0; idx < watches_.numLits() && ok_; ++idx) {
     const Lit trigger = Lit::fromIndex(idx);
     const Lit self = ~trigger;
@@ -486,6 +504,9 @@ bool Solver::inprocSubsume() {
         Lit flip = kUndefLit;
         const int rel = subsumeCheck(bin, sigC, arena_[rd.ref], rd.sig, &flip);
         if (rel == 1) {
+          if (!rd.learnt && watches_.binList(trigger)[b].learnt()) {
+            promoteBinary(self, other);
+          }
           subsume(nullptr, rd);
         } else if (rel == 2) {
           strengthen(binBirth, rd, flip);

@@ -1,6 +1,7 @@
 /// Tests of the in-solver inprocessing subsystem (Options::inprocess):
 /// deterministic units for satisfied-clause removal, backward
-/// subsumption, self-subsuming strengthening and learnt-clause
+/// subsumption, self-subsuming strengthening (including the promotion
+/// of a learnt binary subsumer before elimination) and learnt-clause
 /// vivification; the scope rules (tag preservation under retirement,
 /// frozen selector variables); gating (off by default, no pass = no
 /// behavioural change); and fuzzed oracle agreement at the raw solver
@@ -160,6 +161,42 @@ TEST(Inprocess, VivificationShortensALearntClause) {
   EXPECT_GE(s.stats().inproc_lits_removed, 1);
   EXPECT_GT(s.stats().inproc_props, 0);
   EXPECT_EQ(s.solve(), lbool::True);
+}
+
+TEST(Inprocess, LearntBinarySubsumerIsPromotedBeforeElimination) {
+  // A learnt binary that subsumes an original clause becomes that
+  // clause's only representative, and BVE deletes learnt binaries
+  // without a witness. Subsumption must therefore promote the binary;
+  // otherwise eliminating p drops (p | q | r), and the model below
+  // comes back with all three false.
+  Solver s(inprocOpts());
+  addVars(s, 5);
+  const Lit p = posLit(0);
+  const Lit q = posLit(1);
+  const Lit r = posLit(2);
+  const Lit x = posLit(3);
+  const Lit y = posLit(4);
+  for (const Lit keep : {q, r, y}) s.setFrozen(keep.var(), true);
+  const std::vector<Clause> original{{p, q, x}, {p, q, ~x}, {p, q, r}, {~p, y}};
+  for (const Clause& c : original) ASSERT_TRUE(s.addClause(c));
+  // Under ~q and ~p the first two clauses conflict on x: the solver
+  // learns the binary (p | q), which subsumes the first three clauses.
+  const std::vector<Lit> refuted{~q, ~p};
+  ASSERT_EQ(s.solve(refuted), lbool::False);
+  ASSERT_EQ(s.numLearnts(), 1);
+
+  ASSERT_TRUE(s.inprocessNow());
+  EXPECT_EQ(s.stats().inproc_subsumed, 3);
+  EXPECT_EQ(s.stats().inproc_bve_eliminated, 1);  // p; (p | q) is a witness
+
+  const std::vector<Lit> assumps{~q, ~r};
+  ASSERT_EQ(s.solve(assumps), lbool::True);
+  for (const Clause& c : original) {
+    bool sat = false;
+    for (const Lit l : c) sat = sat || s.modelValue(l) == lbool::True;
+    EXPECT_TRUE(sat);
+  }
+  EXPECT_EQ(s.modelValue(p), lbool::True);
 }
 
 TEST(Inprocess, StrengthenedScopeClauseKeepsItsTagThroughRetirement) {
