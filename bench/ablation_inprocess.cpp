@@ -1,19 +1,22 @@
 /// \file ablation_inprocess.cpp
 /// \brief Inprocessing ablation: does keeping the incremental oracle's
-///        clause database irredundant — and, since round two, shrinking
-///        its variable set — between solve calls pay for itself on the
-///        MaxSAT engines' workloads?
+///        clause database irredundant and its variable set small
+///        between solve calls pay for itself on the MaxSAT engines'
+///        workloads?
 ///
 /// Runs msu4-v2 over the mixed suite as paired A/B cases in the format
 /// check_regression.py --mode ab gates: `all/off` vs `all/on` measures
-/// the whole subsystem, and each per-pass case (`subsume`, `vivify`,
-/// `bve`, `scc`, `probe`) measures one pass's marginal value — its
-/// `/off` leg is the full configuration with exactly that pass
-/// disabled, its `/on` leg the full configuration. Records deliberately
-/// carry no `sat_calls` counter, so the gate compares raw wall time
-/// (the two legs solve identical instances end to end). The decision
-/// record for Options::inprocess and the per-pass defaults lives in
-/// bench/README.md and points here.
+/// the whole subsystem, and each per-pass case (`subsume`, `bve`)
+/// measures one pass's marginal value — its `/off` leg is the full
+/// configuration with exactly that pass disabled, its `/on` leg the
+/// full configuration. Records deliberately carry no `sat_calls`
+/// counter, so the gate compares raw wall time (the two legs solve
+/// identical instances end to end). The decision record for
+/// Options::inprocess lives in bench/README.md and points here.
+///
+/// Every answer is checked: an optimum's model must satisfy the hard
+/// clauses and cost what the engine claims, and all legs must agree on
+/// each instance's optimum. Any failure makes the run exit 1.
 ///
 /// Usage: ablation_inprocess [--timeout S] [--size-scale X]
 ///                           [--per-family N] [--reps N] [--json [path]]
@@ -27,6 +30,7 @@
 
 #include "bench_json.h"
 #include "core/msu4.h"
+#include "harness/runner.h"
 #include "harness/suite.h"
 
 namespace {
@@ -81,7 +85,7 @@ int main(int argc, char** argv) {
 
   const std::vector<Instance> suite = buildMixedSuite(sp);
 
-  // The full round-two configuration every `/on` leg runs.
+  // The full configuration every `/on` leg runs.
   Solver::Options on;
   on.inprocess = true;
 
@@ -99,23 +103,8 @@ int main(int argc, char** argv) {
   }
   {
     Solver::Options o = on;
-    o.inprocess_viv_props = 0;
-    addCase("vivify", o);
-  }
-  {
-    Solver::Options o = on;
     o.inprocess_bve_occ_limit = 0;
     addCase("bve", o);
-  }
-  {
-    Solver::Options o = on;
-    o.inprocess_scc = false;
-    addCase("scc", o);
-  }
-  {
-    Solver::Options o = on;
-    o.inprocess_probe_props = 0;
-    addCase("probe", o);
   }
 
   std::cout << "Inprocessing ablation under msu4-v2, " << suite.size()
@@ -124,10 +113,11 @@ int main(int argc, char** argv) {
   std::cout << std::left << std::setw(14) << "case" << std::right
             << std::setw(9) << "aborted" << std::setw(9) << "solved"
             << std::setw(9) << "passes" << std::setw(10) << "subsumed"
-            << std::setw(9) << "elim" << std::setw(9) << "subst"
-            << std::setw(9) << "hbr" << std::setw(12) << "best t[s]" << '\n';
+            << std::setw(9) << "elim" << std::setw(12) << "best t[s]" << '\n';
 
   std::vector<benchjson::BenchRecord> records;
+  std::vector<RunRecord> runs;  // one per leg and instance, for cross-checks
+  int badModels = 0;
   for (const Variant& v : variants) {
     double best = 0.0;
     SolverStats agg;
@@ -145,10 +135,22 @@ int main(int argc, char** argv) {
         Msu4Solver solver(o);
         const auto t0 = std::chrono::steady_clock::now();
         const MaxSatResult r = solver.solve(inst.wcnf);
-        total += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        total += secs;
         repAgg += r.satStats;
+        if (r.status == MaxSatStatus::Optimum &&
+            inst.wcnf.cost(r.model) != r.cost) {
+          ++badModels;
+          std::cerr << "BAD MODEL on " << inst.name << " (" << v.name
+                    << "): claimed cost " << r.cost
+                    << " does not match the model\n";
+        }
+        if (rep == 0) {
+          runs.push_back({v.name, inst.name, inst.family, r.status, r.cost,
+                          secs, r.status == MaxSatStatus::Unknown});
+        }
         if (r.status == MaxSatStatus::Unknown) {
           ++repAborted;
         } else {
@@ -166,10 +168,8 @@ int main(int argc, char** argv) {
               << std::setw(9) << aborted << std::setw(9) << solved
               << std::setw(9) << agg.inproc_passes << std::setw(10)
               << agg.inproc_subsumed << std::setw(9)
-              << agg.inproc_bve_eliminated << std::setw(9)
-              << agg.inproc_scc_vars << std::setw(9) << agg.inproc_probe_hbr
-              << std::setw(12) << std::fixed << std::setprecision(2) << best
-              << '\n';
+              << agg.inproc_bve_eliminated << std::setw(12) << std::fixed
+              << std::setprecision(2) << best << '\n';
 
     benchjson::BenchRecord rec;
     rec.name = v.name;
@@ -187,5 +187,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "\nwrote " << jsonPath << '\n';
   }
-  return 0;
+  const int disagreements = crossCheckOptima(runs, std::cerr);
+  return badModels > 0 || disagreements > 0 ? 1 : 0;
 }

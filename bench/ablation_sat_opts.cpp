@@ -4,7 +4,7 @@
 ///        msu4-v2 with conflict-clause minimization off/basic/recursive,
 ///        phase saving off, geometric instead of Luby restarts, no
 ///        warm-started oracle calls, and the adaptive EMA restart
-///        trajectory (alone and with inprocessing).
+///        trajectory.
 ///
 /// Usage: ablation_sat_opts [timeout_seconds] [size_scale] [per_family]
 ///                          [--json [path]]
@@ -92,14 +92,6 @@ int main(int argc, char** argv) {
   {
     Variant v{"ema-restart", {}};
     v.sat.ema_restarts = true;
-    variants.push_back(v);
-  }
-  {
-    // Vivification re-evaluated on the adaptive trajectory (the
-    // decision record in bench/README.md couples the two).
-    Variant v{"ema+inprocess", {}};
-    v.sat.ema_restarts = true;
-    v.sat.inprocess = true;
     variants.push_back(v);
   }
 

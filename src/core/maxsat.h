@@ -21,12 +21,12 @@
 /// scopes/clauses, reclaimed bytes, recycled variables) alongside the
 /// propagation-core counters.
 ///
-/// ## Reconstruction contract (inprocessing round two)
+/// ## Reconstruction contract (variable elimination)
 ///
-/// With Solver::Options::inprocess, the oracle may eliminate or
-/// substitute auxiliary variables mid-search; the solver replays its
-/// witness stack over every satisfying assignment before publishing
-/// it, so `MaxSatResult::model` is always a total assignment over the
+/// With Solver::Options::inprocess, the oracle may eliminate auxiliary
+/// variables mid-search; the solver replays its witness stack over
+/// every satisfying assignment before publishing it, so
+/// `MaxSatResult::model` is always a total assignment over the
 /// original variables and engines never observe removal. Soft-clause
 /// selectors are frozen, so cores keep naming the selectors engines
 /// track. Scoped encoding variables are never removed, so scope

@@ -42,9 +42,9 @@
 ///
 /// ## Reconstruction across retirement
 ///
-/// Round-two inprocessing may eliminate or substitute auxiliary
-/// variables, recording witnesses for model reconstruction (the
-/// "reconstruction contract" in solver.h). The session needs no
+/// Inprocessing may eliminate auxiliary variables, recording witnesses
+/// for model reconstruction (the "reconstruction contract" in
+/// solver.h). The session needs no
 /// special handling: removal is forbidden on frozen selectors, scope
 /// activators and scope-owned variables, so no witness ever references
 /// a variable that retire() recycles — retirement and reconstruction

@@ -205,17 +205,10 @@ void printSatStatsRows(std::ostream& out, const SolverStats& stats,
   row("  satisfied removed", stats.inproc_removed_sat);
   row("  subsumed", stats.inproc_subsumed);
   row("  strengthened", stats.inproc_strengthened);
-  row("  vivified", stats.inproc_vivified);
   row("  literals removed", stats.inproc_lits_removed);
-  row("  probe propagations", stats.inproc_props);
   row("  bve eliminated", stats.inproc_bve_eliminated);
   row("  bve resolvents", stats.inproc_bve_resolvents);
   row("  bve restored", stats.inproc_bve_restored);
-  row("  scc substituted", stats.inproc_scc_vars);
-  row("  scc rewritten", stats.inproc_scc_rewritten);
-  row("  probes", stats.inproc_probe_probes);
-  row("  failed literals", stats.inproc_probe_failed);
-  row("  hyper-binaries", stats.inproc_probe_hbr);
   row("shared exported", stats.shared_exported);
   row("  export drops (exchange)", stats.shared_export_drops);
   row("shared imported", stats.shared_imported);

@@ -1,8 +1,7 @@
 /// \file elimination.cpp
-/// \brief Bounded variable elimination (inprocessing round two) and the
-///        removed-variable machinery shared with SCC substitution:
-///        literal representatives, witness restoration, model
-///        reconstruction and core back-mapping.
+/// \brief Bounded variable elimination and the eliminated-variable
+///        machinery around it: witness restoration and model
+///        reconstruction.
 ///
 /// Elimination is SatELite-style DP resolution: pick a variable v, form
 /// every resolvent of a clause containing v with a clause containing
@@ -12,15 +11,15 @@
 /// (sat/reconstruct.h) and replayed over models before they are
 /// published. The pass is *bounded*: a variable is eliminated only when
 /// both occurrence lists are short (inprocess_bve_occ_limit), no
-/// occurrence is longer than inprocess_bve_clause_limit, and the
-/// resolvent count does not exceed the occurrence count by more than
-/// inprocess_bve_growth. Pure literals fall out as the empty-side case.
+/// occurrence is longer than kBveClauseLimit, and the resolvent count
+/// does not exceed the occurrence count by more than kBveGrowth. Pure
+/// literals fall out as the empty-side case.
 ///
 /// ## Scope-/incremental-safety (the reconstruction contract, solver.h)
 ///
 /// A candidate variable must be a plain auxiliary: unassigned, not
 /// frozen, not an activator, not scope-owned, not currently assumed,
-/// not below the sharing prefix, not already removed, and not occurring
+/// not below the sharing prefix, not already eliminated, and not occurring
 /// in any tagged clause, any clause touching a scope or activator
 /// variable, or any oversize clause (those occurrences ban the
 /// variable). Binary clauses carry no arena tag, so a binary partner in
@@ -53,19 +52,21 @@
 
 namespace msu {
 
-Lit Solver::reprLit(Lit p) const {
-  // Chases substitution chains. The map is acyclic by construction:
-  // each substitution maps a newly removed variable to a then-live
-  // literal, so every chain strictly descends in removal time.
-  for (;;) {
-    const Lit r = repr_[p.var()];
-    if (r == posLit(p.var())) return p;
-    p = p.positive() ? r : ~r;
-  }
-}
+namespace {
 
-bool Solver::mapAndRestore(std::vector<Lit>& ps) {
-  for (Lit& p : ps) p = reprLit(p);
+/// Resolvent-count slack of one elimination: a variable is eliminated
+/// only when the number of non-tautological resolvents is at most
+/// (occurrences removed) + this growth allowance.
+constexpr int kBveGrowth = 0;
+
+/// Skip elimination of a variable occurring in any clause longer than
+/// this (resolvents of long clauses are long; keeps BVE to the cheap,
+/// local eliminations).
+constexpr int kBveClauseLimit = 24;
+
+}  // namespace
+
+bool Solver::restoreEliminated(std::span<const Lit> ps) {
   for (const Lit p : ps) {
     if (eliminated_[p.var()] != 0 && !restoreVar(p.var())) return false;
   }
@@ -76,7 +77,7 @@ bool Solver::restoreVar(Var v) {
   assert(eliminated_[v] != 0);
   const bool wasDecision = eliminated_[v] == 1;
   // Clear the mark first: the witness clauses about to be re-added may
-  // themselves name v, and the recursive mapAndRestore must see it
+  // themselves name v, and the recursive restoreEliminated must see it
   // live.
   eliminated_[v] = 0;
   ++stats_.inproc_bve_restored;
@@ -100,7 +101,7 @@ bool Solver::addClauseInternal(std::vector<Lit> ps, Var tag) {
   // BVE resolvents only exist when no tracer is attached.
   assert(opts_.tracer == nullptr);
   if (!ok_) return false;
-  if (has_removed_vars_ && !mapAndRestore(ps)) return false;
+  if (has_removed_vars_ && !restoreEliminated(ps)) return false;
 
   std::sort(ps.begin(), ps.end());
   Lit prev = kUndefLit;
@@ -142,36 +143,16 @@ bool Solver::addClauseInternal(std::vector<Lit> ps, Var tag) {
 }
 
 void Solver::reconstructModel() {
-  // Removed variables are unassigned by search; give them a definite
+  // Eliminated variables are unassigned by search; give them a definite
   // default so witness replay evaluates every clause, then let the
   // stack flip whatever the removed clauses require.
   for (Var v = 0; v < numVars(); ++v) {
-    if (varRemoved(v) && model_[static_cast<std::size_t>(v)] == lbool::Undef) {
+    if (eliminated_[v] != 0 &&
+        model_[static_cast<std::size_t>(v)] == lbool::Undef) {
       model_[static_cast<std::size_t>(v)] = lbool::False;
     }
   }
   witness_.extend(model_);
-}
-
-void Solver::remapCore() {
-  // The final conflict names the *mapped* assumptions; callers expect
-  // the literals they passed. Several user assumptions may map to one
-  // representative — all of them are then in the core.
-  std::vector<Lit> out;
-  out.reserve(core_.size());
-  for (const Lit c : core_) {
-    bool replaced = false;
-    for (const Lit orig : user_assumps_orig_) {
-      if (reprLit(orig) == c) {
-        out.push_back(orig);
-        replaced = true;
-      }
-    }
-    // Auto-assumed activators (and any unmapped assumption) pass
-    // through unchanged.
-    if (!replaced) out.push_back(c);
-  }
-  core_ = std::move(out);
 }
 
 bool Solver::inprocEliminate() {
@@ -205,8 +186,7 @@ bool Solver::inprocEliminate() {
   for (const CRef ref : clauses_) {
     const ClauseRefView c = arena_[ref];
     if (c.deleted()) continue;
-    bool eligible =
-        !c.tagged() && c.size() <= opts_.inprocess_bve_clause_limit;
+    bool eligible = !c.tagged() && c.size() <= kBveClauseLimit;
     if (eligible) {
       for (const Lit p : c.lits()) {
         if (is_activator_[p.var()] != 0 || var_owner_[p.var()] != kUndefVar) {
@@ -241,7 +221,7 @@ bool Solver::inprocEliminate() {
     if (assigns_[v] != lbool::Undef) continue;
     if (banned[v] != 0 || frozen_[v] != 0 || is_activator_[v] != 0) continue;
     if (assumed[v] != 0 || var_owner_[v] != kUndefVar) continue;
-    if (varRemoved(v)) continue;
+    if (eliminated_[v] != 0) continue;
     // Exported clauses must keep their meaning across workers: the
     // sharing prefix is off limits.
     if (sharing() && v < opts_.share_num_vars) continue;
@@ -288,7 +268,7 @@ bool Solver::inprocEliminate() {
     // growth allowance is exceeded.
     resolvents.clear();
     bool tooMany = false;
-    const int allow = posCount + negCount + opts_.inprocess_bve_growth;
+    const int allow = posCount + negCount + kBveGrowth;
     for (const auto& cp : posCls) {
       for (const auto& cn : negCls) {
         scratch.clear();
@@ -330,10 +310,10 @@ bool Solver::inprocEliminate() {
     // most one polarity's clauses can be unsatisfied by a model of the
     // resolvents, so the replay flips never conflict.
     for (const auto& cl : posCls) {
-      witness_.pushClause(pv, cl, /*restorable=*/true);
+      witness_.pushClause(pv, cl);
     }
     for (const auto& cl : negCls) {
-      witness_.pushClause(nvl, cl, /*restorable=*/true);
+      witness_.pushClause(nvl, cl);
     }
 
     // Delete every long clause over v: originals (now witnessed) and

@@ -10,40 +10,27 @@
 /// than they need to be — and every later propagation pays for them.
 /// A pass runs at solve/restart boundaries, budgeted by propagations
 /// since the last pass (a retirement notification forces one), and has
-/// six stages, each at decision level 0:
+/// three stages, each at decision level 0 — the SatELite pair (Eén &
+/// Biere, SAT 2005) behind a root-level cleanup:
 ///
 ///  1. *Propagate + strip.* Remove top-level-satisfied clauses and
 ///     strip level-0-false literals from the survivors.
-///  2. *Failed-literal probing + hyper-binary resolution*
-///     (probing.cpp). Assume a root of the binary implication graph,
-///     propagate: a conflict proves a root unit, and long-clause
-///     implications become learnt binaries. Propagation-budgeted,
-///     round-robin across passes.
-///  3. *Equivalent-literal substitution* (scc.cpp). Literals in one
-///     SCC of the binary implication graph are equivalent; every
-///     member is rewritten to a representative, shrinking the variable
-///     set for all later stages.
-///  4. *Backward subsumption + self-subsuming strengthening.* One
+///  2. *Backward subsumption + self-subsuming strengthening.* One
 ///     occurrence-list sweep in SatELite/MiniSat style: a clause C
 ///     deletes every clause it subsumes and removes `~l` from every
 ///     clause D with C \ {l} ⊆ D (one flipped literal allowed in the
 ///     subset check). Binary clauses participate as subsumers; a learnt
 ///     subsumer of an original clause is first promoted to original so
 ///     reduceDB cannot delete the only witness of the constraint.
-///  5. *Bounded variable elimination* (elimination.cpp). SatELite-
+///  3. *Bounded variable elimination* (elimination.cpp). SatELite-
 ///     style DP resolution of cheap variables, after subsumption so
 ///     the occurrence/resolvent bounds see a deduplicated database.
-///  6. *Learnt-clause vivification.* For each learnt clause (round-
-///     robin across passes under a propagation budget), assume the
-///     negation of its literals one at a time and propagate: a conflict
-///     or an implied literal proves a subset of the clause, which
-///     replaces it.
 ///
-/// Stages 3 and 5 remove variables from the search; the witness stack
-/// they push (sat/reconstruct.h) and the rules that keep removal sound
+/// Stage 3 removes variables from the search; the witness stack it
+/// pushes (sat/reconstruct.h) and the rules that keep removal sound
 /// across the incremental API are the "reconstruction contract" in
-/// solver.h. Both are disabled while a ProofTracer is attached;
-/// probing's derivations are ordinary RUP lemmas and stay on.
+/// solver.h. It is disabled while a ProofTracer is attached; stages 1
+/// and 2 derive ordinary RUP lemmas and stay on.
 ///
 /// ## Scope-awareness (why this is sound under retirement)
 ///
@@ -53,13 +40,8 @@
 /// retirement's literal scan deletes it with the scope. The pass
 /// preserves that invariant explicitly:
 ///
-///  * Activator literals are never strengthening pivots, never removed
-///    from a clause, and never enqueued by a vivification probe. With
-///    no positive activator ever assigned, no scope's clauses can
-///    propagate anything but their own guard (a dead end: no clause
-///    contains a positive activator) or participate in a probe
-///    conflict — vivification derivations are scope-free by
-///    construction.
+///  * Activator literals are never strengthening pivots and never
+///    removed from a clause.
 ///  * A subsumption subset check means the subsumee contains every
 ///    guard the subsumer carries, so deleting the subsumee never
 ///    outlives its witness across any retirement order.
@@ -75,9 +57,9 @@
 ///    on their textual presence, not just on logical equivalence.
 ///
 /// Everything else is equivalence-preserving: subsumption removes
-/// implied clauses, and both strengthening flavours replace a clause by
-/// an implied subset of itself, so solve results under any assumption
-/// set are unchanged — only cheaper to compute.
+/// implied clauses, and strengthening replaces a clause by an implied
+/// subset of itself, so solve results under any assumption set are
+/// unchanged — only cheaper to compute.
 
 #include <algorithm>
 #include <array>
@@ -164,14 +146,10 @@ bool Solver::inprocessPass() {
   inproc_pending_ = false;
   ++stats_.inproc_passes;
 
-  // Stage order: probing first (its units feed everything after), then
-  // substitution (a smaller variable set makes every later stage
-  // cheaper), subsumption over the rewritten database, elimination
-  // (which wants the database already deduplicated so the resolvent
-  // bound is meaningful), and vivification last over what remains.
-  const bool passOk = inprocPropagateAndStrip() && inprocProbe() &&
-                      inprocSubstitute() && inprocSubsume() &&
-                      inprocEliminate() && inprocVivify();
+  // Stage order: elimination comes last because it wants the database
+  // already deduplicated, so that the resolvent bound is meaningful.
+  const bool passOk =
+      inprocPropagateAndStrip() && inprocSubsume() && inprocEliminate();
 
   // Drop refs of clauses the pass deleted; the stages only mark them.
   const auto dropDeleted = [&](std::vector<CRef>& refs) {
@@ -250,15 +228,14 @@ void Solver::inprocStripList(std::vector<CRef>& refs) {
     for (const Lit p : c.lits()) {
       if (value(p) != lbool::False) keep.push_back(p);
     }
-    if (applyStrengthened(ref, keep, stats_.inproc_strengthened)) {
+    if (applyStrengthened(ref, keep)) {
       refs[j++] = ref;
     }
   }
   refs.resize(j);
 }
 
-bool Solver::applyStrengthened(CRef ref, std::span<const Lit> newLits,
-                               std::int64_t& shortenedCounter) {
+bool Solver::applyStrengthened(CRef ref, std::span<const Lit> newLits) {
   ClauseRefView c = arena_[ref];
   assert(!c.deleted());
 
@@ -283,10 +260,9 @@ bool Solver::applyStrengthened(CRef ref, std::span<const Lit> newLits,
   }
   if (static_cast<int>(ps.size()) == c.size()) return true;  // no-op
 
-  // The clause genuinely shrinks past this point: account it to the
-  // caller's counter (strip/subsume -> strengthened, vivify -> vivified)
-  // so the stats reflect outcomes, not attempts.
-  ++shortenedCounter;
+  // The clause genuinely shrinks past this point: count it here so the
+  // stats reflect outcomes, not attempts.
+  ++stats_.inproc_strengthened;
   stats_.inproc_lits_removed +=
       static_cast<std::int64_t>(c.size()) -
       static_cast<std::int64_t>(ps.size());
@@ -445,7 +421,7 @@ bool Solver::inprocSubsume() {
     for (int k = 0; k < d.size(); ++k) {
       if (d[k] != ~flip) scratch.push_back(d[k]);
     }
-    if (applyStrengthened(rd.ref, scratch, stats_.inproc_strengthened)) {
+    if (applyStrengthened(rd.ref, scratch)) {
       const ClauseRefView nd = arena_[rd.ref];
       rd.size = static_cast<std::uint32_t>(nd.size());
       rd.sig = varSignature(nd.lits());
@@ -570,99 +546,6 @@ bool Solver::inprocSubsume() {
       }
     }
   }
-  return ok_;
-}
-
-bool Solver::inprocVivify() {
-  if (opts_.inprocess_viv_props <= 0) return ok_;  // stage disabled
-  if (learnts_.empty() || !ok_) return ok_;
-  const std::int64_t startProps = stats_.propagations;
-  const std::size_t n = learnts_.size();
-  if (inproc_viv_cursor_ >= n) inproc_viv_cursor_ = 0;
-
-  std::vector<Lit> oldLits;
-  std::vector<Lit> kept;
-  std::size_t step = 0;
-  inprocessing_ = true;  // probe unwinds must not disturb saved phases
-  for (; step < n; ++step) {
-    if (stats_.propagations - startProps >= opts_.inprocess_viv_props) break;
-    if (!ok_ || budget_.timeExpired()) break;
-    const CRef ref = learnts_[(inproc_viv_cursor_ + step) % n];
-    ClauseRefView c = arena_[ref];
-    if (c.deleted() || c.size() < 3) continue;
-    oldLits.assign(c.lits().begin(), c.lits().end());
-
-    // The clause must not serve as its own reason while its negated
-    // literals are probed: detach it for the duration.
-    detachLong(ref);
-    kept.clear();
-    bool satisfiedAtRoot = false;
-    std::size_t next = 0;
-    for (; next < oldLits.size(); ++next) {
-      const Lit p = oldLits[next];
-      // Guard literals are never probed: with no positive activator
-      // ever assigned, scope clauses stay out of every derivation (see
-      // the file comment). Frozen literals may be probed — a probe is a
-      // throwaway assumption — but are never dropped from the result.
-      if (is_activator_[p.var()] != 0) {
-        kept.push_back(p);
-        continue;
-      }
-      const lbool v = value(p);
-      if (v == lbool::True) {
-        if (level(p.var()) == 0) {
-          satisfiedAtRoot = true;
-        } else {
-          kept.push_back(p);  // ¬kept implies p: close the clause here
-          ++next;
-        }
-        break;
-      }
-      if (v == lbool::False) {
-        // Root-false literals are dead whatever their freeze status (the
-        // variable is fixed forever); probe-implied ones stay if frozen.
-        if (level(p.var()) > 0 && frozen_[p.var()] != 0) kept.push_back(p);
-        continue;  // implied false: p is redundant
-      }
-      newDecisionLevel();
-      uncheckedEnqueue(~p);
-      if (!propagate().isNone()) {
-        kept.push_back(p);  // ¬(kept ∪ {p}) is contradictory
-        ++next;
-        break;
-      }
-      kept.push_back(p);
-    }
-    // An early close proves `kept` alone, but the frozen/guard contract
-    // says those literals never leave the clause: carry the tail's over
-    // (a weaker — still implied — clause).
-    if (!satisfiedAtRoot) {
-      for (; next < oldLits.size(); ++next) {
-        const Lit p = oldLits[next];
-        if (is_activator_[p.var()] != 0 || frozen_[p.var()] != 0) {
-          kept.push_back(p);
-        }
-      }
-    }
-    cancelUntil(0);
-
-    if (satisfiedAtRoot) {
-      removeClause(ref);
-      ++stats_.inproc_removed_sat;
-      continue;
-    }
-    // Reattach (literal order is unchanged, so the old watch positions
-    // are structurally valid), then route through the common
-    // strengthening path even when the probe kept everything: its
-    // root-assignment refilter drops literals a mid-pass unit falsified
-    // — which may include a frozen watch literal the probe skipped —
-    // and re-picks unassigned watches. Shrinks count as vivified.
-    attachClause(ref);
-    static_cast<void>(applyStrengthened(ref, kept, stats_.inproc_vivified));
-  }
-  inprocessing_ = false;
-  inproc_viv_cursor_ = (inproc_viv_cursor_ + step) % n;
-  stats_.inproc_props += stats_.propagations - startProps;
   return ok_;
 }
 

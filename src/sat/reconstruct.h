@@ -1,43 +1,37 @@
 /// \file reconstruct.h
-/// \brief Model-reconstruction witness stack for variable-eliminating
-///        inprocessing (bounded variable elimination and equivalent-
-///        literal substitution in inprocess/elimination/scc.cpp).
+/// \brief Model-reconstruction witness stack for bounded variable
+///        elimination (elimination.cpp).
 ///
 /// Eliminating a variable removes every clause over it from the search,
 /// which is satisfiability-preserving but not model-preserving: a model
 /// of the reduced formula says nothing about the eliminated variable,
 /// and may even falsify some of the removed clauses unless the variable
 /// is given the right value. The classic fix (SatELite; CaDiCaL's
-/// "extender") is a *witness stack*: every removing transformation
-/// pushes, in order, entries of the form
+/// "extender") is a *witness stack*: every elimination pushes, in
+/// order, entries of the form
 ///
 ///     (witness literal w, clause C)   with   w ∈ C
 ///
 /// meaning "if C is not already satisfied by the model built so far,
 /// flip the model so that w holds". Replaying the stack from the most
 /// recent entry to the oldest extends any model of the current database
-/// to a model of every formula the solver ever held:
+/// to a model of every formula the solver ever held.
 ///
-///  * Bounded variable elimination of v pushes all removed clauses
-///    containing v with witness v, then all containing ¬v with witness
-///    ¬v. At most one polarity's clauses can be unsatisfied by a model
-///    of the resolvents (two unsatisfied clauses of opposite polarity
-///    would have a false resolvent), so the flips never conflict.
-///  * Equivalent-literal substitution x := r pushes the two halves of
-///    the equivalence, (x, {x, ¬r}) and (¬x, {¬x, r}), which replay to
-///    exactly x = r under any value of r.
+/// Bounded variable elimination of v pushes all removed clauses
+/// containing v with witness v, then all containing ¬v with witness ¬v.
+/// At most one polarity's clauses can be unsatisfied by a model of the
+/// resolvents (two unsatisfied clauses of opposite polarity would have
+/// a false resolvent), so the flips never conflict.
 ///
-/// Replay order matters and is what makes interleaved passes compose:
-/// an entry's clause may mention variables removed *later*; their
-/// entries sit above it on the stack and have already fixed those
+/// Replay order matters and is what makes successive eliminations
+/// compose: an entry's clause may mention variables eliminated *later*;
+/// their entries sit above it on the stack and have already fixed those
 /// variables by the time the older entry is evaluated.
 ///
-/// Entries pushed by elimination are *restorable*: when the solver must
-/// bring an eliminated variable back (a new clause or an assumption
-/// names it), its entries are extracted — in push order, preserving the
-/// rest of the stack — and their clauses re-added to the database.
-/// Substitution entries are not restorable; the literal mapping is
-/// permanent and future references are rewritten instead.
+/// Every entry is *restorable*: when the solver must bring an
+/// eliminated variable back (a new clause or an assumption names it),
+/// its entries are extracted — in push order, preserving the rest of
+/// the stack — and their clauses re-added to the database.
 ///
 /// The solver guarantees (see the reconstruction contract in solver.h)
 /// that no witness entry ever references a scope-owned or activator
@@ -46,7 +40,6 @@
 
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -60,23 +53,13 @@ namespace msu {
 class WitnessStack {
  public:
   /// Pushes one witness entry. `clause` must contain `witness`.
-  void pushClause(Lit witness, std::span<const Lit> clause,
-                  bool restorable) {
+  void pushClause(Lit witness, std::span<const Lit> clause) {
     Entry e;
     e.witness = witness;
     e.begin = static_cast<std::uint32_t>(lits_.size());
     e.len = static_cast<std::uint32_t>(clause.size());
-    e.restorable = restorable;
     lits_.insert(lits_.end(), clause.begin(), clause.end());
     entries_.push_back(e);
-  }
-
-  /// Pushes the two halves of the equivalence x := r (not restorable).
-  void pushSubstitution(Lit x, Lit r) {
-    const std::array<Lit, 2> pos{x, ~r};
-    const std::array<Lit, 2> neg{~x, r};
-    pushClause(x, pos, /*restorable=*/false);
-    pushClause(~x, neg, /*restorable=*/false);
   }
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }
@@ -105,7 +88,7 @@ class WitnessStack {
     }
   }
 
-  /// Moves every restorable entry whose witness is over `v` into `out`
+  /// Moves every entry whose witness is over `v` into `out`
   /// (clauses in push order) and compacts the remaining entries without
   /// reordering them. Used when an eliminated variable re-enters the
   /// database.
@@ -117,7 +100,7 @@ class WitnessStack {
     for (const Entry& e : entries_) {
       const auto clause =
           std::span<const Lit>(lits_.data() + e.begin, e.len);
-      if (e.restorable && e.witness.var() == v) {
+      if (e.witness.var() == v) {
         out.emplace_back(clause.begin(), clause.end());
         continue;
       }
@@ -160,7 +143,6 @@ class WitnessStack {
     Lit witness;
     std::uint32_t begin = 0;
     std::uint32_t len = 0;
-    bool restorable = false;
   };
 
   std::vector<Lit> lits_;

@@ -54,7 +54,6 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
     frozen_[v] = 0;
     var_owner_[v] = kUndefVar;
     eliminated_[v] = 0;
-    repr_[v] = posLit(v);
     decision_[v] = decisionVar ? 1 : 0;
     if (order_heap_.contains(v)) {
       order_heap_.update(v);  // activity changed: restore heap order
@@ -74,7 +73,6 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
     seen_.push_back(0);
     frozen_.push_back(0);
     eliminated_.push_back(0);
-    repr_.push_back(posLit(v));
     is_activator_.push_back(0);
     scope_index_.push_back(-1);
     var_owner_.push_back(kUndefVar);
@@ -161,9 +159,9 @@ void Solver::retireAll(std::span<const Lit> activators) {
   }
   if (!any) return;
 
-  // Reconstruction contract: BVE/substitution never touch scope or
-  // activator variables, so the witness stack cannot dangle across
-  // retirement and variable recycling (see solver.h).
+  // Reconstruction contract: BVE never touches scope or activator
+  // variables, so the witness stack cannot dangle across retirement
+  // and variable recycling (see solver.h).
   assert(!witness_.referencesAny(marked));
 
   // A level-0 assigned scope variable (an activator refuted by the rest
@@ -323,10 +321,9 @@ bool Solver::addClause(std::span<const Lit> lits) {
 
   add_tmp_.assign(lits.begin(), lits.end());
   std::vector<Lit>& ps = add_tmp_;
-  // A clause naming removed variables is legal: substituted literals
-  // are rewritten to their representatives and eliminated variables
+  // A clause naming eliminated variables is legal: they are
   // transparently restored (reconstruction contract, solver.h).
-  if (has_removed_vars_ && !mapAndRestore(ps)) return false;
+  if (has_removed_vars_ && !restoreEliminated(ps)) return false;
 
   // Sort and simplify against the level-0 assignment. Over a warm
   // reused trail only *root-fixed* literals qualify (rootValue ==
@@ -452,7 +449,6 @@ void Solver::attachBinary(Lit a, Lit b, bool learnt) {
 }
 
 void Solver::beginBulkLoad() {
-  assert(!inprocessing_);
   if (bulk_depth_++ > 0) return;
   // Bulk loading is a root-level operation: a kept warm trail cannot
   // survive the batch of root facts about to arrive (the per-clause
@@ -641,9 +637,7 @@ void Solver::cancelUntil(int level) {
   for (int i = trailSize() - 1; i >= trail_lim_[level]; --i) {
     const Var v = trail_[i].var();
     assigns_[v] = lbool::Undef;
-    if (opts_.phase_saving && !inprocessing_) {
-      polarity_[v] = trail_[i].positive() ? 0 : 1;
-    }
+    if (opts_.phase_saving) polarity_[v] = trail_[i].positive() ? 0 : 1;
     if (decision_[v] && !order_heap_.contains(v)) order_heap_.insert(v);
   }
   qhead_ = trail_lim_[level];
@@ -1108,15 +1102,11 @@ void Solver::importSharedClauses(int maxClauses) {
     if (!ok_) return;
     ps.clear();
     bool satisfied = false;
-    for (const Lit raw : lits) {
-      assert(raw.var() < opts_.share_num_vars &&
+    for (const Lit p : lits) {
+      assert(p.var() < opts_.share_num_vars &&
              opts_.share_num_vars <= numVars());
-      // Under sharing, BVE never touches prefix variables and SCC
-      // substitutes them only among themselves (prefix equivalences
-      // are consequences of the shared hard clauses), so mapping an
-      // import through the representatives is sound and never needs a
-      // restoration.
-      const Lit p = has_removed_vars_ ? reprLit(raw) : raw;
+      // Under sharing, BVE never touches prefix variables, so an import
+      // never needs a restoration.
       assert(eliminated_[p.var()] == 0);
       const lbool v = value(p);
       if (v == lbool::True) {
@@ -1124,24 +1114,6 @@ void Solver::importSharedClauses(int maxClauses) {
         break;
       }
       if (v == lbool::Undef) ps.push_back(p);
-    }
-    // Mapping can fold two import literals onto one variable: dedupe
-    // and drop the clause entirely when it became tautological.
-    if (!satisfied && has_removed_vars_ && ps.size() > 1) {
-      std::sort(ps.begin(), ps.end());
-      Lit prev = kUndefLit;
-      std::size_t j = 0;
-      for (const Lit p : ps) {
-        if (prev != kUndefLit && p == ~prev) {
-          satisfied = true;
-          break;
-        }
-        if (p != prev) {
-          ps[j++] = p;
-          prev = p;
-        }
-      }
-      ps.resize(j);
     }
     if (satisfied) {
       ++stats_.shared_import_drops;
@@ -1222,7 +1194,7 @@ std::int64_t Solver::memBytesEstimate() const {
       // vardata, polarity/decision/seen/best_phase
       sizeof(double) +                                 // activity
       3 * sizeof(char) +                               // activator/frozen/…
-      sizeof(char) + sizeof(Lit) +                     // eliminated/repr
+      sizeof(char) +                                   // eliminated
       sizeof(int) + sizeof(Var) + sizeof(std::uint32_t) +  // scope maps
       2 * sizeof(double);  // order-heap entry + index (amortized)
   b += static_cast<std::int64_t>(numVars()) * kPerVarBytes;
@@ -1432,29 +1404,13 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   }
   if (pollAborted() || !withinBudget()) return lbool::Undef;
 
-  // Assumptions over removed variables: substituted literals are
-  // rewritten to their representatives and eliminated variables are
-  // restored (they must be assignable again for the assumption to
-  // constrain anything). The original literals are kept so core() can
-  // be translated back (remapCore). Activators are never removed, so
-  // the automatic scope assumptions below need no mapping.
-  assumps_mapped_ = false;
-  if (has_removed_vars_) {
-    bool touched = false;
-    for (const Lit p : assumptions_) {
-      if (varRemoved(p.var())) {
-        touched = true;
-        break;
-      }
-    }
-    if (touched) {
-      user_assumps_orig_ = assumptions_;
-      if (!mapAndRestore(assumptions_)) {
-        assumptions_.clear();
-        return lbool::False;
-      }
-      assumps_mapped_ = true;
-    }
+  // Assumptions over eliminated variables restore them: they must be
+  // assignable again for the assumption to constrain anything.
+  // Activators are never eliminated, so the automatic scope assumptions
+  // below need no restoring.
+  if (has_removed_vars_ && !restoreEliminated(assumptions_)) {
+    assumptions_.clear();
+    return lbool::False;
   }
 
   // Every live encoding scope is decided up front: its activator when
@@ -1560,18 +1516,12 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   if (status == lbool::True) {
     model_.resize(static_cast<std::size_t>(numVars()));
     for (Var v = 0; v < numVars(); ++v) model_[v] = assigns_[v];
-    // Extend the assignment over eliminated/substituted variables so
-    // callers never observe removal (reconstruction contract).
+    // Extend the assignment over eliminated variables so callers never
+    // observe removal (reconstruction contract).
     if (has_removed_vars_) reconstructModel();
-  } else if (status == lbool::False) {
-    if (core_.empty()) {
-      // Unsatisfiable independently of the assumptions.
-      ok_ = false;
-    } else if (assumps_mapped_) {
-      // Translate representatives back to the assumptions the caller
-      // actually passed.
-      remapCore();
-    }
+  } else if (status == lbool::False && core_.empty()) {
+    // Unsatisfiable independently of the assumptions.
+    ok_ = false;
   }
 
   // Warm-started solvers keep the trail for the next call; everyone

@@ -88,58 +88,49 @@
 /// subsumed and over-long clauses otherwise accumulate and tax every
 /// later propagation): top-level-satisfied clause removal and false-
 /// literal stripping, SatELite-style backward subsumption and self-
-/// subsuming strengthening over occurrence lists, and learnt-clause
-/// vivification, all budgeted by propagations since the last pass.
-/// Every step is scope-aware — activator literals are never removed or
-/// probed, strengthened clauses keep their activator tag, a tagged
-/// clause is never strengthened against a strictly younger scope's
-/// clauses, and frozen variables (soft-clause selectors, assumption
-/// handles; see setFrozen) keep their literals — so physical retirement
-/// and the portfolio's export filter stay sound. See inprocess.cpp for
-/// the pass structure and the soundness argument.
-///
-/// Round two adds three variable-removing passes (elimination.cpp,
-/// scc.cpp, probing.cpp): bounded variable elimination with
-/// occurrence/resolvent limits, SCC-based equivalent-literal
-/// substitution over the binary implication graph, and failed-literal
-/// probing with hyper-binary resolution. The first two remove
-/// variables from the search, which forces a *model-reconstruction
-/// stack* (sat/reconstruct.h).
+/// subsuming strengthening over occurrence lists, and bounded variable
+/// elimination (elimination.cpp), all budgeted by propagations since
+/// the last pass. Every step is scope-aware — activator literals are
+/// never removed, strengthened clauses keep their activator tag, a
+/// tagged clause is never strengthened against a strictly younger
+/// scope's clauses, and frozen variables (soft-clause selectors,
+/// assumption handles; see setFrozen) keep their literals — so physical
+/// retirement and the portfolio's export filter stay sound. See
+/// inprocess.cpp for the pass structure and the soundness argument.
+/// Elimination removes variables from the search, which forces a
+/// *model-reconstruction stack* (sat/reconstruct.h).
 ///
 /// ## Reconstruction contract
 ///
-/// Eliminating or substituting a variable pushes witness entries onto
-/// an internal stack; solve() replays the stack over every satisfying
-/// assignment before publishing it, so `model()` is always total and
-/// correct over all variables the caller ever created — callers never
-/// see elimination happen. The rules that keep this sound across the
+/// Eliminating a variable pushes witness entries onto an internal
+/// stack; solve() replays the stack over every satisfying assignment
+/// before publishing it, so `model()` is always total and correct over
+/// all variables the caller ever created — callers never see
+/// elimination happen. The rules that keep this sound across the
 /// incremental API:
 ///
 ///  * **Who may be removed.** Only plain auxiliary variables: never
 ///    frozen variables, scope activators, scope-owned variables,
-///    variables currently assumed, variables below the sharing prefix
-///    (BVE), or variables occurring in any scope-tagged clause. A BVE
-///    witness clause therefore never references a scope or activator
-///    variable, so `retire()`/`retireAll()` NEVER invalidate the
-///    stack — retirement and reconstruction commute, and
+///    variables currently assumed, variables below the sharing prefix,
+///    or variables occurring in any scope-tagged clause. A witness
+///    clause therefore never references a scope or activator variable,
+///    so `retire()`/`retireAll()` NEVER invalidate the stack —
+///    retirement and reconstruction commute, and
 ///    `OracleSession::retire()` needs no special handling.
 ///  * **What restores a variable.** Naming an eliminated variable in
 ///    `addClause()` or in a solve() assumption transparently restores
 ///    it: its witness clauses re-enter the database and the stack
-///    entries are consumed. Substituted variables are never restored —
-///    their literals are rewritten to the representative instead, both
-///    in added clauses and in assumptions; `core()` is mapped back so
-///    callers still see the assumptions they passed.
+///    entries are consumed. Restoration rewrites no literal, so
+///    `core()` names the literals the caller passed.
 ///  * **What invalidates nothing.** `retire()`/`retireAll()`,
 ///    `openScope`/`closeScope`, warm-started solves and GC all
 ///    preserve the stack (asserted in debug builds at retirement).
-///  * **What disables removal.** An attached ProofTracer gates BVE and
-///    substitution off entirely (clause restoration and post-hoc
-///    rewriting are not expressible in the incremental RUP trace);
-///    probing stays on — failed-literal units and hyper-binary
-///    resolvents are ordinary RUP lemmas. Sharing solvers restrict
-///    removal to variables outside the export prefix, so exported
-///    clauses keep their meaning across workers.
+///  * **What disables removal.** An attached ProofTracer gates BVE off
+///    entirely (clause restoration is not expressible in the
+///    incremental RUP trace); subsumption and strengthening stay on —
+///    a strengthened clause is an ordinary RUP lemma. Sharing solvers
+///    restrict removal to variables outside the export prefix, so
+///    exported clauses keep their meaning across workers.
 ///
 /// ## Warm-started oracle calls (assumption-prefix trail reuse)
 ///
@@ -364,14 +355,15 @@ class Solver {
     /// by propagations since the last pass), remove top-level-satisfied
     /// clauses, strip level-0-false literals, run backward subsumption
     /// and self-subsuming strengthening over the arena via occurrence
-    /// lists, and vivify learnt clauses. All steps respect encoding
-    /// scopes (activator literals are never removed, strengthened
-    /// clauses keep their tag, a tagged clause is never resolved against
-    /// a younger scope's clauses) and frozen variables (see setFrozen).
-    /// Off = bit-for-bit the non-inprocessing solver. Off by default:
-    /// on the recorded suites the database reduction has not yet bought
-    /// back its pass cost (decision record in bench/README.md, numbers
-    /// in bench/ablation_inprocess.cpp).
+    /// lists, and eliminate cheap variables (BVE, with model
+    /// reconstruction; see the contract in the file comment). All steps
+    /// respect encoding scopes (activator literals are never removed,
+    /// strengthened clauses keep their tag, a tagged clause is never
+    /// resolved against a younger scope's clauses) and frozen variables
+    /// (see setFrozen). Off = bit-for-bit the non-inprocessing solver.
+    /// Off by default: on the recorded suites the database reduction
+    /// has not yet bought back its pass cost (decision record in
+    /// bench/README.md, numbers in bench/ablation_inprocess.cpp).
     bool inprocess = false;
     /// Propagations between two inprocessing passes. A retirement
     /// notification (requestInprocess) forces a pass at the next
@@ -381,36 +373,11 @@ class Solver {
     /// would scan exceeds this many candidates (cost ceiling per
     /// clause); <= 0 disables the subsumption stage entirely.
     int inprocess_occ_limit = 128;
-    /// Propagation budget of one vivification sweep; probes stop (and
-    /// resume round-robin next pass) once it is spent. <= 0 disables
-    /// the vivification stage.
-    std::int64_t inprocess_viv_props = 10'000;
-
-    // Round-two inprocessing: bounded variable elimination, SCC
-    // equivalent-literal substitution and failed-literal probing (see
-    // elimination.cpp / scc.cpp / probing.cpp and the reconstruction
-    // contract in the file comment). All three run under the same
-    // inprocess / inprocess_interval machinery as the passes above.
     /// Max occurrences per polarity for a BVE candidate: a variable is
     /// only considered when both its positive and negative occurrence
     /// lists (long + binary) are at most this long. <= 0 disables the
     /// elimination stage.
     int inprocess_bve_occ_limit = 16;
-    /// Resolvent-count slack of one elimination: a variable is
-    /// eliminated only when the number of non-tautological resolvents
-    /// is at most (occurrences removed) + this growth allowance.
-    int inprocess_bve_growth = 0;
-    /// Skip elimination of a variable occurring in any clause longer
-    /// than this (resolvents of long clauses are long; keeps BVE to
-    /// the cheap, local eliminations).
-    int inprocess_bve_clause_limit = 24;
-    /// Enable SCC-based equivalent-literal detection + substitution
-    /// over the binary implication graph.
-    bool inprocess_scc = true;
-    /// Propagation budget of one failed-literal probing sweep (probes
-    /// resume round-robin next pass, like vivification). <= 0 disables
-    /// the probing stage.
-    std::int64_t inprocess_probe_props = 20'000;
 
     /// Bytes of caller-owned storage charged to this solver's memory
     /// footprint (the parsed formula, parse buffers): counted into
@@ -600,9 +567,6 @@ class Solver {
     frozen_[v] = frozen ? 1 : 0;
   }
 
-  /// True iff `v` is currently frozen for inprocessing.
-  [[nodiscard]] bool isFrozen(Var v) const { return frozen_[v] != 0; }
-
   /// Asks for an inprocessing pass at the next solve/restart boundary,
   /// regardless of the propagation budget (the oracle-session layer
   /// calls this after scope retirement, when the database just shed a
@@ -776,40 +740,25 @@ class Solver {
   [[nodiscard]] bool inprocPropagateAndStrip();
   void inprocStripList(std::vector<CRef>& refs);
   [[nodiscard]] bool inprocSubsume();
-  [[nodiscard]] bool inprocVivify();
-  // Round-two passes (elimination.cpp / scc.cpp / probing.cpp).
-  [[nodiscard]] bool inprocEliminate();
-  [[nodiscard]] bool inprocSubstitute();
-  [[nodiscard]] bool inprocProbe();
+  [[nodiscard]] bool inprocEliminate();  // elimination.cpp
   void detachLong(CRef ref);
-  [[nodiscard]] bool applyStrengthened(CRef ref, std::span<const Lit> newLits,
-                                       std::int64_t& shortenedCounter);
+  [[nodiscard]] bool applyStrengthened(CRef ref, std::span<const Lit> newLits);
   [[nodiscard]] std::uint64_t scopeBirthOf(Var tag) const;
 
-  // Removed-variable machinery (elimination.cpp): literal
-  // representatives, witness restoration, model reconstruction and
-  // core back-mapping. See the reconstruction contract above.
-  /// Representative literal of `p` under the equivalence map (chases
-  /// repr_ chains; identity for unsubstituted variables).
-  [[nodiscard]] Lit reprLit(Lit p) const;
-  /// True iff `v` was eliminated by BVE or substituted by SCC.
-  [[nodiscard]] bool varRemoved(Var v) const {
-    return eliminated_[v] != 0 || repr_[v] != posLit(v);
-  }
-  /// Rewrites `ps` through reprLit and restores every eliminated
-  /// variable it references. Returns okay().
-  bool mapAndRestore(std::vector<Lit>& ps);
+  // Eliminated-variable machinery (elimination.cpp): witness
+  // restoration and model reconstruction. See the reconstruction
+  // contract above.
+  /// Restores every eliminated variable `ps` references. Returns
+  /// okay().
+  bool restoreEliminated(std::span<const Lit> ps);
   /// Un-eliminates `v`: re-adds its witness clauses to the database
   /// and makes it assignable again. Returns okay().
   bool restoreVar(Var v);
   /// addClause body shared with restoration and BVE resolvents: no
   /// cross-scope check, no axiom trace, explicit scope tag.
   bool addClauseInternal(std::vector<Lit> ps, Var tag);
-  /// Extends model_ over removed variables by witness-stack replay.
+  /// Extends model_ over eliminated variables by witness-stack replay.
   void reconstructModel();
-  /// Replaces substituted literals in core_ by the original user
-  /// assumptions they stand for.
-  void remapCore();
 
   // Clause-sharing helpers (no-ops without Options::share).
   [[nodiscard]] bool sharing() const {
@@ -991,29 +940,20 @@ class Solver {
   int load_mem_countdown_ = 0;  // adds until the next cap check
   static constexpr int kLoadMemCheckPeriod = 1024;
 
-  // Inprocessing state. `inprocessing_` disables phase saving while a
-  // vivification probe unwinds, so probe trails don't perturb the
-  // search trajectory's saved polarities.
+  // Inprocessing state.
   std::int64_t inproc_last_props_ = 0;  // stats_.propagations at last pass
-  std::size_t inproc_viv_cursor_ = 0;   // round-robin resume point
   int inproc_db_assigns_ = -1;          // trail size at last strip sweep
   bool inproc_pending_ = false;         // pass forced by requestInprocess()
-  bool inprocessing_ = false;           // inside a vivify/probe unwind
 
-  // Removed-variable state (BVE + SCC substitution; elimination.cpp).
-  // eliminated_[v]: 0 = live, 1 = eliminated and was a decision var,
-  // 2 = eliminated non-decision. repr_[v] is the literal equivalent to
-  // posLit(v) (identity when unsubstituted). has_removed_vars_ guards
-  // every hot-path hook (addClause mapping, solve() assumption
-  // mapping, model reconstruction) so a solver that never eliminated
-  // anything is bit-for-bit the PR 8 engine.
+  // Eliminated-variable state (BVE; elimination.cpp). eliminated_[v]:
+  // 0 = live, 1 = eliminated and was a decision var, 2 = eliminated
+  // non-decision. has_removed_vars_ guards every hot-path hook
+  // (addClause and assumption restoration, model reconstruction) so a
+  // solver that never eliminated anything is bit-for-bit the
+  // non-inprocessing engine.
   std::vector<char> eliminated_;
-  std::vector<Lit> repr_;
   WitnessStack witness_;
   bool has_removed_vars_ = false;
-  std::size_t inproc_probe_cursor_ = 0;  // probing round-robin resume
-  std::vector<Lit> user_assumps_orig_;   // pre-mapping user assumptions
-  bool assumps_mapped_ = false;          // last solve mapped assumptions
 
   Budget budget_;
   SolverStats stats_;

@@ -40,17 +40,10 @@ namespace msu {
   X(inproc_removed_sat)            \
   X(inproc_subsumed)               \
   X(inproc_strengthened)           \
-  X(inproc_vivified)               \
   X(inproc_lits_removed)           \
-  X(inproc_props)                  \
   X(inproc_bve_eliminated)         \
   X(inproc_bve_resolvents)         \
   X(inproc_bve_restored)           \
-  X(inproc_scc_vars)               \
-  X(inproc_scc_rewritten)          \
-  X(inproc_probe_probes)           \
-  X(inproc_probe_failed)           \
-  X(inproc_probe_hbr)              \
   X(reused_trail_lits)             \
   X(restarts_blocked)              \
   X(mode_switches)                 \
@@ -99,22 +92,13 @@ struct SolverStats {
   std::int64_t inproc_removed_sat = 0;  ///< top-level-satisfied clauses removed
   std::int64_t inproc_subsumed = 0;     ///< clauses deleted by subsumption
   std::int64_t inproc_strengthened = 0;  ///< clauses shortened by strengthening
-  std::int64_t inproc_vivified = 0;      ///< learnt clauses shortened by vivify
   std::int64_t inproc_lits_removed = 0;  ///< literals removed by inprocessing
-  std::int64_t inproc_props = 0;  ///< propagations spent in vivify probes
 
-  // Round-two inprocessing passes: bounded variable elimination,
-  // SCC equivalent-literal substitution, failed-literal probing with
-  // hyper-binary resolution (see inprocess/elimination/scc/probing
-  // .cpp and the reconstruction contract in solver.h).
+  // Bounded variable elimination (see elimination.cpp and the
+  // reconstruction contract in solver.h).
   std::int64_t inproc_bve_eliminated = 0;  ///< variables eliminated by BVE
   std::int64_t inproc_bve_resolvents = 0;  ///< resolvent clauses added by BVE
   std::int64_t inproc_bve_restored = 0;   ///< eliminated vars restored on reuse
-  std::int64_t inproc_scc_vars = 0;       ///< variables substituted by a root
-  std::int64_t inproc_scc_rewritten = 0;  ///< clauses rewritten by substitution
-  std::int64_t inproc_probe_probes = 0;   ///< failed-literal probes attempted
-  std::int64_t inproc_probe_failed = 0;   ///< failed literals (root units won)
-  std::int64_t inproc_probe_hbr = 0;      ///< hyper-binary resolvents attached
 
   // Warm-started oracle calls + adaptive restarts (Options::reuse_trail
   // / Options::ema_restarts). restart_mode is a gauge: 0 = Luby,

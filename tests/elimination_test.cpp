@@ -1,4 +1,4 @@
-/// Tests of bounded variable elimination (inprocessing round two):
+/// Tests of bounded variable elimination (Options::inprocess):
 /// elimination and resolvent counters, the model-reconstruction
 /// witness (every model returned after a pass satisfies every clause
 /// the solver ever held), the candidate restrictions (frozen variables
@@ -19,13 +19,12 @@
 namespace msu {
 namespace {
 
-/// BVE isolated: equivalence substitution and probing off, so the
-/// counters below are attributable to elimination alone.
+/// Inprocessing with every stage on. The targeted formulas below hold
+/// one or two clauses that subsume nothing, so the counters they check
+/// are BVE's alone.
 Solver::Options bveOpts() {
   Solver::Options o;
   o.inprocess = true;
-  o.inprocess_scc = false;
-  o.inprocess_probe_props = 0;
   return o;
 }
 

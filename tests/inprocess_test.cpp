@@ -1,11 +1,11 @@
 /// Tests of the in-solver inprocessing subsystem (Options::inprocess):
 /// deterministic units for satisfied-clause removal, backward
-/// subsumption, self-subsuming strengthening (including the promotion
-/// of a learnt binary subsumer before elimination) and learnt-clause
-/// vivification; the scope rules (tag preservation under retirement,
-/// frozen selector variables); gating (off by default, no pass = no
-/// behavioural change); and fuzzed oracle agreement at the raw solver
-/// level, across every MaxSAT engine and under a 4-thread portfolio.
+/// subsumption and self-subsuming strengthening (including the
+/// promotion of a learnt binary subsumer before elimination); the scope
+/// rules (tag preservation under retirement, frozen selector
+/// variables); gating (off by default, no pass = no behavioural
+/// change); and fuzzed oracle agreement at the raw solver level, across
+/// every MaxSAT engine and under a 4-thread portfolio.
 
 #include <gtest/gtest.h>
 
@@ -31,18 +31,15 @@ Solver::Options inprocOpts() {
   return o;
 }
 
-/// Round-one passes only (strip/subsume/vivify). The targeted units
-/// below assert exact clause counts and per-stage counters; the
-/// round-two variable-removing passes (BVE, equivalent-literal
-/// substitution, probing) would eliminate these tiny formulas outright
-/// and void the assertions. Round two has its own targeted tests in
-/// elimination_test.cpp / probing_test.cpp / reconstruction_test.cpp,
-/// and the fuzz tests in this file keep every pass enabled.
-Solver::Options roundOneOpts() {
+/// Strip and subsume only. The targeted units below assert exact
+/// clause counts and per-stage counters; variable elimination would
+/// eliminate these tiny formulas outright and void the assertions. BVE
+/// has its own targeted tests in elimination_test.cpp /
+/// reconstruction_test.cpp, and the fuzz tests in this file keep every
+/// stage enabled.
+Solver::Options noBveOpts() {
   Solver::Options o = inprocOpts();
   o.inprocess_bve_occ_limit = 0;
-  o.inprocess_scc = false;
-  o.inprocess_probe_props = 0;
   return o;
 }
 
@@ -52,7 +49,7 @@ void addVars(Solver& s, int n) {
 }
 
 TEST(Inprocess, SubsumptionRemovesDuplicatesAndSupersets) {
-  Solver s(roundOneOpts());
+  Solver s(noBveOpts());
   addVars(s, 5);
   const Lit a = posLit(0);
   const Lit b = posLit(1);
@@ -71,7 +68,7 @@ TEST(Inprocess, SubsumptionRemovesDuplicatesAndSupersets) {
 }
 
 TEST(Inprocess, BinarySubsumerDeletesAndStrengthens) {
-  Solver s(roundOneOpts());
+  Solver s(noBveOpts());
   addVars(s, 4);
   const Lit a = posLit(0);
   const Lit b = posLit(1);
@@ -91,7 +88,7 @@ TEST(Inprocess, BinarySubsumerDeletesAndStrengthens) {
 }
 
 TEST(Inprocess, SelfSubsumingResolutionOnLongClauses) {
-  Solver s(roundOneOpts());
+  Solver s(noBveOpts());
   addVars(s, 5);
   const Lit a = posLit(0);
   const Lit b = posLit(1);
@@ -109,7 +106,7 @@ TEST(Inprocess, SelfSubsumingResolutionOnLongClauses) {
 }
 
 TEST(Inprocess, TopLevelSatisfiedRemovalAndFalseLiteralStripping) {
-  Solver s(roundOneOpts());
+  Solver s(noBveOpts());
   addVars(s, 5);
   const Lit a = posLit(0);
   const Lit b = posLit(1);
@@ -125,41 +122,6 @@ TEST(Inprocess, TopLevelSatisfiedRemovalAndFalseLiteralStripping) {
   EXPECT_GE(s.stats().inproc_strengthened, 1);
   EXPECT_GE(s.stats().inproc_lits_removed, 1);
   EXPECT_EQ(s.numClauses(), 1);
-  EXPECT_EQ(s.solve(), lbool::True);
-}
-
-TEST(Inprocess, VivificationShortensALearntClause) {
-  // Manufacture a deterministic size-3 learnt clause (~c | ~b | ~a):
-  // under the assumptions a, b, c the chain propagates p then q into a
-  // conflict, and first-UIP analysis resolves both away. Each parent
-  // keeps a private literal (p, q, ~p), so the learnt subsumes none of
-  // them and survives the subsumption stage as a learnt clause.
-  Solver s(roundOneOpts());
-  addVars(s, 6);
-  const Lit a = posLit(0);
-  const Lit b = posLit(1);
-  const Lit c = posLit(2);
-  const Lit p = posLit(3);
-  const Lit q = posLit(4);
-  const Lit d = posLit(5);
-  ASSERT_TRUE(s.addClause({~a, ~c, p}));
-  ASSERT_TRUE(s.addClause({~b, ~p, q}));
-  ASSERT_TRUE(s.addClause({~c, ~p, ~q}));
-  const std::vector<Lit> assumps{a, b, c};
-  ASSERT_EQ(s.solve(assumps), lbool::False);
-  ASSERT_EQ(s.numLearnts(), 1);
-
-  // Now make the learnt vivifiable: c -> d -> ~a and c -> d -> ~b, so
-  // probing the learnt's negation closes after two literals. The chain
-  // neither subsumes nor strengthens the learnt directly (no shared
-  // pair, d does not occur in it), so only vivification can shorten it.
-  ASSERT_TRUE(s.addClause({~c, d}));
-  ASSERT_TRUE(s.addClause({~d, ~a}));
-  ASSERT_TRUE(s.addClause({~d, ~b}));
-  ASSERT_TRUE(s.inprocessNow());
-  EXPECT_EQ(s.stats().inproc_vivified, 1);
-  EXPECT_GE(s.stats().inproc_lits_removed, 1);
-  EXPECT_GT(s.stats().inproc_props, 0);
   EXPECT_EQ(s.solve(), lbool::True);
 }
 
@@ -200,7 +162,7 @@ TEST(Inprocess, LearntBinarySubsumerIsPromotedBeforeElimination) {
 }
 
 TEST(Inprocess, StrengthenedScopeClauseKeepsItsTagThroughRetirement) {
-  Solver s(roundOneOpts());
+  Solver s(noBveOpts());
   SolverSink sink(s);
   addVars(s, 4);
   const Lit x0 = posLit(0);

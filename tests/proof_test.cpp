@@ -5,7 +5,7 @@
 ///  * DRUP text round-trips through writer and parser;
 ///  * proofs survive clause-database reduction (deletions interleaved);
 ///  * a core-guided MaxSAT run (msu4) leaves a fully RUP-valid trace
-///    through its incremental clause additions.
+///    through its incremental clause additions, with inprocessing too.
 
 #include <gtest/gtest.h>
 
@@ -197,20 +197,45 @@ TEST(ProofTest, Msu4RunLeavesRupValidTrace) {
   // its mid-run cardinality-constraint additions. The trace cannot end
   // in a refutation (the working formula is satisfiable once enough
   // blocking variables are free) but every lemma must check.
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const CnfFormula base = randomUnsat3Sat(12, 6.0, seed);
+  const auto runTraced = [](const CnfFormula& base, Solver::Options sat,
+                            std::uint64_t seed) {
     InMemoryProof proof;
     MaxSatOptions opts;
+    opts.sat = sat;
     opts.sat.tracer = &proof;
     Msu4Solver solver(opts);
     const MaxSatResult res = solver.solve(WcnfFormula::allSoft(base));
-    ASSERT_EQ(res.status, MaxSatStatus::Optimum) << "seed " << seed;
+    EXPECT_EQ(res.status, MaxSatStatus::Optimum) << "seed " << seed;
+    const ProofCheckResult r = checkProof(proof.lines());
+    EXPECT_TRUE(r.ok) << "seed " << seed << " line " << r.firstBadLine;
+    return res;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const CnfFormula base = randomUnsat3Sat(12, 6.0, seed);
+    const MaxSatResult res = runTraced(base, {}, seed);
     const OracleResult oracle = oracleMaxSat(WcnfFormula::allSoft(base));
     ASSERT_TRUE(oracle.optimumCost.has_value());
     EXPECT_EQ(res.cost, *oracle.optimumCost) << "seed " << seed;
-    const ProofCheckResult r = checkProof(proof.lines());
-    EXPECT_TRUE(r.ok) << "seed " << seed << " line " << r.firstBadLine;
   }
+
+  // Inprocessing under the tracer, with a pass at every oracle call.
+  // BVE switches itself off (restoration is not expressible in the
+  // trace); stripping, subsumption and strengthening run, and their
+  // lemmas must check. Each cost must equal the same seed's run
+  // without inprocessing.
+  Solver::Options inproc;
+  inproc.inprocess = true;
+  inproc.inprocess_interval = 1;
+  std::int64_t shrunk = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const CnfFormula base = randomUnsat3Sat(20, 5.0, seed);
+    const MaxSatResult plain = runTraced(base, {}, seed);
+    const MaxSatResult res = runTraced(base, inproc, seed);
+    EXPECT_EQ(res.cost, plain.cost) << "seed " << seed;
+    EXPECT_EQ(res.satStats.inproc_bve_eliminated, 0) << "seed " << seed;
+    shrunk += res.satStats.inproc_subsumed + res.satStats.inproc_strengthened;
+  }
+  EXPECT_GT(shrunk, 0);  // the passes did work, so the case is not vacuous
 }
 
 TEST(RupCheckerTest, IncrementalApiBasics) {

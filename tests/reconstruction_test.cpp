@@ -1,8 +1,8 @@
 /// Tests of the model-reconstruction witness stack (sat/reconstruct.h)
 /// and of the end-to-end reconstruction contract: deterministic units
-/// for replay, substitution and restorable extraction; reconstruction
-/// surviving scope retirement and variable recycling; a randomized
-/// fuzz interleaving variable-removing inprocessing with scope
+/// for replay and restorable extraction; reconstruction surviving scope
+/// retirement and variable recycling; a randomized fuzz interleaving
+/// variable-eliminating inprocessing with scope
 /// creation / retirement / warm solves / incremental clauses against a
 /// brute-force oracle with full model verification; and engine-level
 /// totality of returned models under aggressive inprocessing.
@@ -39,7 +39,7 @@ bool modelSat(const Solver& s, const Clause& c) {
 TEST(Reconstruction, ExtendFlipsTheWitnessOnlyWhenNeeded) {
   WitnessStack w;
   const std::vector<Lit> clause{posLit(0), posLit(2)};
-  w.pushClause(posLit(2), clause, /*restorable=*/true);
+  w.pushClause(posLit(2), clause);
 
   // Clause already satisfied: the witness variable is left alone.
   std::vector<lbool> sat{lbool::True, lbool::False, lbool::Undef};
@@ -52,53 +52,49 @@ TEST(Reconstruction, ExtendFlipsTheWitnessOnlyWhenNeeded) {
   EXPECT_EQ(unsat[2], lbool::True);
 }
 
-TEST(Reconstruction, SubstitutionReplaysToAnExactEquality) {
-  WitnessStack w;
-  w.pushSubstitution(posLit(0), posLit(1));  // x := r
-  for (const lbool rv : {lbool::True, lbool::False}) {
-    std::vector<lbool> m{lbool::Undef, rv};
-    w.extend(m);
-    EXPECT_EQ(m[0], rv);
-  }
-}
-
 TEST(Reconstruction, ExtractRestorableKeepsOrderAndTheRest) {
   WitnessStack w;
   const std::vector<Lit> c1{posLit(0), posLit(1)};
-  const std::vector<Lit> c2{posLit(2), negLit(0)};
+  const std::vector<Lit> c2{posLit(2), posLit(4)};
   const std::vector<Lit> c3{negLit(0), posLit(3)};
-  w.pushClause(posLit(0), c1, /*restorable=*/true);
-  w.pushClause(posLit(2), c2, /*restorable=*/true);
-  w.pushClause(negLit(0), c3, /*restorable=*/true);
-  w.pushSubstitution(posLit(4), posLit(1));  // never restorable
-  ASSERT_EQ(w.size(), 5u);
+  const std::vector<Lit> c4{posLit(4), posLit(1)};
+  w.pushClause(posLit(0), c1);
+  w.pushClause(posLit(2), c2);
+  w.pushClause(negLit(0), c3);
+  w.pushClause(posLit(4), c4);
+  ASSERT_EQ(w.size(), 4u);
 
   std::vector<std::vector<Lit>> out;
   w.extractRestorable(0, out);
   ASSERT_EQ(out.size(), 2u);  // c1 and c3, in push order
   EXPECT_EQ(out[0], c1);
   EXPECT_EQ(out[1], c3);
-  EXPECT_EQ(w.size(), 3u);  // c2 and the substitution pair remain
+  EXPECT_EQ(w.size(), 2u);  // v2's and v4's entries remain
 
-  // The surviving entries still replay: v2's clause (v2 | ~v0) forces
-  // v2 when v0 holds, and the substitution still binds v4 to v1.
+  // The survivors still replay newest first: with v1 false, v4's clause
+  // (v4 | v1) sets v4, which satisfies v2's older clause (v2 | v4), so
+  // v2 is left alone. Swapped survivors would set v2 as well.
   std::vector<lbool> m{lbool::True, lbool::False, lbool::Undef, lbool::Undef,
                        lbool::Undef};
   w.extend(m);
-  EXPECT_EQ(m[2], lbool::True);
-  EXPECT_EQ(m[4], lbool::False);
+  EXPECT_EQ(m[4], lbool::True);
+  EXPECT_EQ(m[2], lbool::Undef);
 }
 
 TEST(Reconstruction, NewestFirstReplayComposesInterleavedPasses) {
-  // An elimination witness may mention a variable substituted *later*;
-  // the newer substitution entries sit above it and fix that variable
-  // first. Here v0's clause (v0 | v1) is pushed before v1 := v2, and a
-  // model with v2 false must come back with v1 false and v0 true.
+  // An older witness clause may name a variable eliminated *later*:
+  // here v0's clause (v0 | v1) is pushed before v1 is eliminated with
+  // (v1 | v2) and (~v1 | ~v2). v1's entries sit above v0's and fix v1
+  // first. Replaying oldest first instead would leave v0 false on v1's
+  // stale value, and (v0 | v1) false once v1 flips.
   WitnessStack w;
-  const std::vector<Lit> clause{posLit(0), posLit(1)};
-  w.pushClause(posLit(0), clause, /*restorable=*/true);
-  w.pushSubstitution(posLit(1), posLit(2));
-  std::vector<lbool> m{lbool::Undef, lbool::Undef, lbool::False};
+  const std::vector<Lit> c0{posLit(0), posLit(1)};
+  const std::vector<Lit> c1{posLit(1), posLit(2)};
+  const std::vector<Lit> c2{negLit(1), negLit(2)};
+  w.pushClause(posLit(0), c0);
+  w.pushClause(posLit(1), c1);
+  w.pushClause(negLit(1), c2);
+  std::vector<lbool> m{lbool::False, lbool::True, lbool::True};
   w.extend(m);
   EXPECT_EQ(m[1], lbool::False);
   EXPECT_EQ(m[0], lbool::True);
@@ -144,7 +140,7 @@ TEST(Reconstruction, SurvivesScopeRetirementAndVariableRecycling) {
 }
 
 TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
-  // Random interleavings of variable-removing passes with scope
+  // Random interleavings of elimination passes with scope
   // create / retire / enforce toggles, incremental global clauses
   // (which restore eliminated variables) and warm solves under random
   // assumptions. Every verdict is brute-force checked and every model
@@ -236,7 +232,7 @@ TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
         sink.setScopeEnforced(scopes[i].act, scopes[i].enforced);
       } else if (action == 3) {
         // A fresh global clause: routinely names variables a previous
-        // pass eliminated or substituted, exercising restoration.
+        // pass eliminated, exercising restoration.
         Clause c;
         for (int i = 0; i < 3; ++i) {
           c.push_back(Lit(static_cast<Var>(rng() % kVars), (rng() & 1) != 0));
@@ -281,8 +277,8 @@ TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
 }
 
 TEST(Reconstruction, EnginesReturnTotalCorrectModelsUnderInprocessing) {
-  // With a pass forced at every oracle call, the variable-removing
-  // passes run constantly mid-search; every engine must still report
+  // With a pass forced at every oracle call, variable elimination
+  // runs constantly mid-search; every engine must still report
   // the true optimum with a model whose recomputed cost matches —
   // which fails if any soft clause's variables come back undefined.
   const std::vector<std::string> engines{"msu3", "msu4-v2", "oll", "linear"};
