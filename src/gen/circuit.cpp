@@ -43,48 +43,53 @@ int Circuit::addGate(GateType type, std::vector<int> fanin) {
   return id;
 }
 
-std::vector<bool> Circuit::simulate(const std::vector<bool>& inputs) const {
+std::vector<std::uint64_t> Circuit::simulateWords(
+    const std::vector<std::uint64_t>& inputs) const {
   assert(static_cast<int>(inputs.size()) == num_inputs_);
-  std::vector<bool> value(gates_.size(), false);
-  for (int i = 0; i < num_inputs_; ++i) {
-    value[static_cast<std::size_t>(i)] = inputs[static_cast<std::size_t>(i)];
-  }
+  std::vector<std::uint64_t> value(inputs);
+  value.resize(gates_.size());
   for (std::size_t g = static_cast<std::size_t>(num_inputs_);
        g < gates_.size(); ++g) {
     const Gate& gate = gates_[g];
-    bool v = false;
+    std::uint64_t v = 0;
     switch (gate.type) {
       case GateType::Input:
         break;
       case GateType::And:
-      case GateType::Nand: {
-        v = true;
-        for (int f : gate.fanin) v = v && value[static_cast<std::size_t>(f)];
-        if (gate.type == GateType::Nand) v = !v;
+      case GateType::Nand:
+        v = ~std::uint64_t{0};
+        for (int f : gate.fanin) v &= value[static_cast<std::size_t>(f)];
         break;
-      }
       case GateType::Or:
-      case GateType::Nor: {
-        v = false;
-        for (int f : gate.fanin) v = v || value[static_cast<std::size_t>(f)];
-        if (gate.type == GateType::Nor) v = !v;
+      case GateType::Nor:
+        for (int f : gate.fanin) v |= value[static_cast<std::size_t>(f)];
         break;
-      }
-      case GateType::Xor: {
-        v = false;
-        for (int f : gate.fanin) v = v != value[static_cast<std::size_t>(f)];
+      case GateType::Xor:
+        for (int f : gate.fanin) v ^= value[static_cast<std::size_t>(f)];
         break;
-      }
       case GateType::Not:
-        v = !value[static_cast<std::size_t>(gate.fanin[0])];
-        break;
       case GateType::Buf:
         v = value[static_cast<std::size_t>(gate.fanin[0])];
         break;
     }
+    if (gate.type == GateType::Nand || gate.type == GateType::Nor ||
+        gate.type == GateType::Not) {
+      v = ~v;
+    }
     value[g] = v;
   }
   return value;
+}
+
+std::vector<bool> Circuit::simulate(const std::vector<bool>& inputs) const {
+  std::vector<std::uint64_t> words(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) words[i] = inputs[i] ? 1 : 0;
+  const std::vector<std::uint64_t> value = simulateWords(words);
+  std::vector<bool> lane0(value.size());
+  for (std::size_t g = 0; g < value.size(); ++g) {
+    lane0[g] = (value[g] & 1) != 0;
+  }
+  return lane0;
 }
 
 std::vector<bool> Circuit::evaluate(const std::vector<bool>& inputs) const {

@@ -63,11 +63,20 @@ class Circuit {
   /// Replaces the output list.
   void setOutputs(std::vector<int> outs) { outputs_ = std::move(outs); }
 
-  /// Simulates the circuit: returns the value of every gate.
+  /// Simulates 64 input vectors in one pass over the gates. Bit `j` of
+  /// every word is lane `j`, i.e. vector `j`: `inputs[i]` holds primary
+  /// input `i` of all 64 vectors, and entry `g` of the result holds gate
+  /// `g`'s value in each of them. A caller with fewer vectors ignores
+  /// the spare lanes. This is the only simulation kernel; the
+  /// single-vector calls below run it on lane 0.
+  [[nodiscard]] std::vector<std::uint64_t> simulateWords(
+      const std::vector<std::uint64_t>& inputs) const;
+
+  /// Simulates one vector: returns the value of every gate.
   [[nodiscard]] std::vector<bool> simulate(
       const std::vector<bool>& inputs) const;
 
-  /// Simulates and returns only the primary output values.
+  /// Simulates one vector and returns only the primary output values.
   [[nodiscard]] std::vector<bool> evaluate(
       const std::vector<bool>& inputs) const;
 

@@ -1,18 +1,34 @@
 #include "gen/debug.h"
 
 #include <algorithm>
-#include <cassert>
 #include <random>
+#include <stdexcept>
 
 namespace msu {
 
 DebugInstance designDebugInstance(const DebugParams& params, bool partial) {
+  const RandomCircuitParams& cp = params.circuit;
+  if (cp.numInputs < 1 || cp.numGates < 1 || cp.numOutputs < 1 ||
+      cp.numOutputs > cp.numInputs + cp.numGates) {
+    throw std::invalid_argument(
+        "designDebugInstance: the circuit needs at least one input, one "
+        "internal gate and between one output and one per gate");
+  }
+  if (params.numVectors < 1) {
+    throw std::invalid_argument(
+        "designDebugInstance: numVectors must be positive");
+  }
+  if (params.numErrors > cp.numGates) {
+    throw std::invalid_argument(
+        "designDebugInstance: more error sites than internal gates");
+  }
+
   std::mt19937_64 rng(params.seed);
   DebugInstance inst;
 
-  const Circuit correct = randomCircuit(params.circuit);
+  const Circuit correct = randomCircuit(cp);
   const int internalGates = correct.numGates() - correct.numInputs();
-  assert(internalGates > 0);
+  const std::size_t numInputs = static_cast<std::size_t>(correct.numInputs());
 
   // Pick error sites whose combined effect is observable on sampled
   // vectors; re-draw if sampling never exposes them.
@@ -21,6 +37,11 @@ DebugInstance designDebugInstance(const DebugParams& params, bool partial) {
   std::vector<std::vector<bool>> vectors;
   std::vector<std::vector<bool>> correctOutputs;
   const int numErrors = std::max(params.numErrors, 1);
+  constexpr int kLanes = 64;   // vectors per simulateWords() batch
+  constexpr int kBatches = 4;  // 256 candidate vectors per attempt
+  const auto full = [&] {
+    return static_cast<int>(vectors.size()) >= params.numVectors;
+  };
   for (int attempt = 0; attempt < 64; ++attempt) {
     sites.clear();
     faulty = correct;
@@ -37,30 +58,59 @@ DebugInstance designDebugInstance(const DebugParams& params, bool partial) {
     vectors.clear();
     correctOutputs.clear();
     int mismatches = 0;
-    for (int tries = 0;
-         tries < 256 && static_cast<int>(vectors.size()) < params.numVectors;
-         ++tries) {
-      std::vector<bool> in(static_cast<std::size_t>(correct.numInputs()));
-      for (std::size_t i = 0; i < in.size(); ++i) in[i] = (rng() & 1) != 0;
-      const std::vector<bool> good = correct.evaluate(in);
-      const std::vector<bool> bad = faulty.evaluate(in);
-      const bool mismatch = good != bad;
-      // Prefer exposing vectors; accept matching ones once we have one.
-      if (mismatch || mismatches > 0) {
-        vectors.push_back(in);
-        correctOutputs.push_back(good);
-        if (mismatch) ++mismatches;
+    // Lane j of a batch is its j-th candidate, drawn input by input
+    // after candidate j-1, as drawing one vector at a time would.
+    for (int batch = 0; batch < kBatches && !full(); ++batch) {
+      const std::mt19937_64 batchStart = rng;
+      std::vector<std::uint64_t> in(numInputs, 0);
+      for (int j = 0; j < kLanes; ++j) {
+        for (std::uint64_t& word : in) word |= (rng() & 1) << j;
+      }
+      const std::vector<std::uint64_t> good = correct.simulateWords(in);
+      const std::vector<std::uint64_t> bad = faulty.simulateWords(in);
+      std::uint64_t differ = 0;
+      for (int o : correct.outputs()) {
+        differ |= good[static_cast<std::size_t>(o)] ^
+                  bad[static_cast<std::size_t>(o)];
+      }
+      int j = 0;
+      for (; j < kLanes && !full(); ++j) {
+        const bool mismatch = ((differ >> j) & 1) != 0;
+        // Prefer exposing vectors; accept matching ones once we have one.
+        if (mismatch || mismatches > 0) {
+          std::vector<bool> vec(numInputs);
+          for (std::size_t i = 0; i < numInputs; ++i) {
+            vec[i] = ((in[i] >> j) & 1) != 0;
+          }
+          std::vector<bool> out;
+          out.reserve(correct.outputs().size());
+          for (int o : correct.outputs()) {
+            out.push_back(((good[static_cast<std::size_t>(o)] >> j) & 1) != 0);
+          }
+          vectors.push_back(std::move(vec));
+          correctOutputs.push_back(std::move(out));
+          if (mismatch) ++mismatches;
+        }
+      }
+      // A batch that stops early gives back its unused lanes' draws, so
+      // the generator always ends where one vector at a time leaves it.
+      if (j < kLanes) {
+        rng = batchStart;
+        rng.discard(static_cast<unsigned long long>(j) * numInputs);
       }
     }
-    if (mismatches > 0 && static_cast<int>(vectors.size()) >=
-                              std::min(params.numVectors, 1)) {
+    if (mismatches > 0) {
       inst.errorGate = sites.front();
       inst.errorGates = sites;
       inst.mismatchVectors = mismatches;
       break;
     }
   }
-  assert(inst.errorGate >= 0 && "no observable error site found");
+  if (inst.errorGate < 0) {
+    throw std::runtime_error(
+        "designDebugInstance: no sampled vector exposed the injected error "
+        "in 64 attempts");
+  }
 
   // Encode one copy of the faulty circuit per vector. Gate clauses are
   // collected in a scratch CNF per copy so we can classify them soft.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 
 #include "gen/bmc.h"
 #include "gen/debug.h"
@@ -24,6 +25,18 @@ std::string numbered(const std::string& base, int i) {
 
 int scaled(double base, double scale) {
   return std::max(1, static_cast<int>(std::lround(base * scale)));
+}
+
+/// Appends the plain-MaxSAT debugging instance of `dp`, if there is one.
+void addDebugInstance(std::vector<Instance>& suite, std::string name,
+                      const DebugParams& dp) {
+  try {
+    suite.push_back(Instance{std::move(name), "debug",
+                             designDebugInstance(dp, /*partial=*/false).wcnf});
+  } catch (const std::runtime_error&) {
+    // No sampled vector exposes an injected error in this design, so
+    // there is nothing to debug: the family comes out one short.
+  }
 }
 
 }  // namespace
@@ -71,9 +84,7 @@ std::vector<Instance> buildMixedSuite(const SuiteParams& params) {
     dp.numVectors = 3 + i / 2;
     dp.numErrors = 1 + i / 3;
     dp.seed = seed + 3000 + static_cast<std::uint64_t>(i);
-    DebugInstance di = designDebugInstance(dp, /*partial=*/false);
-    suite.push_back(
-        Instance{numbered("debug", i), "debug", std::move(di.wcnf)});
+    addDebugInstance(suite, numbered("debug", i), dp);
   }
 
   // Test-pattern generation: redundant (untestable) stuck-at faults.
@@ -135,9 +146,7 @@ std::vector<Instance> buildDebugSuite(const SuiteParams& params) {
     dp.circuit.seed = params.seed + 5000 + static_cast<std::uint64_t>(i);
     dp.numVectors = 3 + (i % 4);
     dp.seed = params.seed + 6000 + static_cast<std::uint64_t>(i);
-    DebugInstance di = designDebugInstance(dp, /*partial=*/false);
-    suite.push_back(
-        Instance{numbered("debug", i), "debug", std::move(di.wcnf)});
+    addDebugInstance(suite, numbered("debug", i), dp);
   }
   return suite;
 }

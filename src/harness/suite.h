@@ -27,7 +27,9 @@ struct Instance {
 struct SuiteParams {
   /// Multiplies instance sizes (1 = CI-friendly defaults).
   double sizeScale = 1.0;
-  /// Instances per family.
+  /// Instances per family. A debugging design whose injected error no
+  /// sampled vector exposes gives no instance, so the debug family can
+  /// come out short (buildDebugSuite at size 1 has no debug-09).
   int perFamily = 8;
   std::uint64_t seed = 20080310;  // DATE'08 week, for flavour
 };

@@ -1,11 +1,13 @@
 /// Tests for the instance generators: circuits simulate correctly,
 /// Tseitin encodings are consistent with simulation, rewrites preserve
 /// semantics, miters/BMC instances are unsatisfiable, debugging
-/// instances behave as designed, and generation is deterministic.
+/// instances behave as designed and reject bad parameters, and
+/// generation is deterministic.
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "cnf/oracle.h"
 #include "gen/bmc.h"
@@ -102,41 +104,61 @@ TEST(Circuit, SimulationBasicGates) {
   }
 }
 
+/// Simulates 64 random vectors in one simulateWords() call and checks
+/// every lane against the gate values the Tseitin CNF forces once the
+/// inputs are fixed to that lane's vector.
+void expectLanesMatchTseitin(const Circuit& c, std::mt19937_64& rng,
+                             const char* what) {
+  const TseitinResult enc = tseitinEncode(c);
+  Solver s;
+  load(s, enc.cnf);
+  std::vector<std::uint64_t> in(static_cast<std::size_t>(c.numInputs()));
+  for (std::uint64_t& word : in) word = rng();
+  const std::vector<std::uint64_t> vals = c.simulateWords(in);
+  ASSERT_EQ(vals.size(), static_cast<std::size_t>(c.numGates()));
+  for (int j = 0; j < 64; ++j) {
+    std::vector<Lit> assumps;
+    for (int i = 0; i < c.numInputs(); ++i) {
+      const std::size_t k = static_cast<std::size_t>(i);
+      assumps.push_back(Lit(enc.gateVar[k], ((in[k] >> j) & 1) == 0));
+    }
+    ASSERT_EQ(s.solve(assumps), lbool::True) << what << " lane " << j;
+    for (int g = 0; g < c.numGates(); ++g) {
+      const std::size_t k = static_cast<std::size_t>(g);
+      const lbool v = s.modelValue(posLit(enc.gateVar[k]));
+      EXPECT_EQ(v == lbool::True, ((vals[k] >> j) & 1) != 0)
+          << what << " gate " << g << " lane " << j;
+    }
+  }
+}
+
 TEST(Circuit, TseitinConsistentWithSimulation) {
-  // For random circuits and random input vectors, forcing the inputs in
-  // the CNF must force every gate variable to its simulated value.
+  // Random circuits, their rewrites (extra NOT gates) and a copy with
+  // a NOT gate flipped to BUF cover every gate type the kernel knows.
   std::mt19937_64 rng(11);
+  bool sawBuf = false;
   for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
     RandomCircuitParams p;
     p.numInputs = 5;
     p.numGates = 25;
     p.numOutputs = 2;
     p.seed = rng();
     const Circuit c = randomCircuit(p);
-    const TseitinResult enc = tseitinEncode(c);
-
-    Solver s;
-    load(s, enc.cnf);
-    for (int t = 0; t < 4; ++t) {
-      std::vector<bool> in(5);
-      for (int i = 0; i < 5; ++i) {
-        in[static_cast<std::size_t>(i)] = (rng() & 1) != 0;
-      }
-      const std::vector<bool> vals = c.simulate(in);
-      std::vector<Lit> assumps;
-      for (int i = 0; i < 5; ++i) {
-        assumps.push_back(Lit(enc.gateVar[static_cast<std::size_t>(i)],
-                              !in[static_cast<std::size_t>(i)]));
-      }
-      ASSERT_EQ(s.solve(assumps), lbool::True);
-      for (int g = 0; g < c.numGates(); ++g) {
-        const lbool v = s.modelValue(
-            posLit(enc.gateVar[static_cast<std::size_t>(g)]));
-        EXPECT_EQ(v == lbool::True, vals[static_cast<std::size_t>(g)])
-            << "gate " << g << " round " << round;
+    expectLanesMatchTseitin(c, rng, "random");
+    expectLanesMatchTseitin(rewriteCircuit(c, rng()), rng, "rewrite");
+    int site = c.numGates() - 1;
+    for (int g = c.numInputs(); g < c.numGates(); ++g) {
+      if (c.gate(g).type == GateType::Not) {
+        site = g;
+        break;
       }
     }
+    const Circuit faulty = injectGateError(c, site);
+    sawBuf = sawBuf || faulty.gate(site).type == GateType::Buf;
+    expectLanesMatchTseitin(faulty, rng, "injected");
   }
+  EXPECT_TRUE(sawBuf);
 }
 
 TEST(Circuit, RewritePreservesSemantics) {
@@ -283,6 +305,61 @@ TEST(Debug, Deterministic) {
   EXPECT_EQ(a.errorGate, b.errorGate);
   EXPECT_EQ(a.wcnf.numSoft(), b.wcnf.numSoft());
   EXPECT_EQ(a.wcnf.numHard(), b.wcnf.numHard());
+}
+
+TEST(Debug, RejectsDegenerateCircuit) {
+  // Without an internal gate, drawing an error site divides by zero;
+  // without an input, so does drawing a fanin; outputs beyond the gate
+  // count index below gate 0.
+  const auto shape = [](int inputs, int gates, int outputs) {
+    DebugParams dp;
+    dp.circuit.numInputs = inputs;
+    dp.circuit.numGates = gates;
+    dp.circuit.numOutputs = outputs;
+    return dp;
+  };
+  for (const DebugParams& dp : {shape(8, 0, 2), shape(0, 10, 2),
+                                shape(4, 10, 0), shape(4, 10, 15)}) {
+    EXPECT_THROW(static_cast<void>(designDebugInstance(dp)),
+                 std::invalid_argument)
+        << dp.circuit.numInputs << " inputs, " << dp.circuit.numGates
+        << " gates, " << dp.circuit.numOutputs << " outputs";
+  }
+}
+
+TEST(Debug, RejectsMoreErrorsThanGates) {
+  DebugParams dp;
+  dp.circuit.numGates = 5;
+  dp.numErrors = 6;
+  EXPECT_THROW(static_cast<void>(designDebugInstance(dp)),
+               std::invalid_argument);
+}
+
+TEST(Debug, RejectsZeroVectors) {
+  DebugParams dp;
+  dp.numVectors = 0;
+  EXPECT_THROW(static_cast<void>(designDebugInstance(dp)),
+               std::invalid_argument);
+}
+
+TEST(Debug, ThrowsWhenNoErrorIsObservable) {
+  // One input feeding one gate: AND(a, a) and OR(a, a) are both a, and
+  // NAND(a, a) and NOR(a, a) are both NOT a, so the injected error
+  // never shows on the output.
+  DebugParams dp;
+  dp.circuit.numInputs = 1;
+  dp.circuit.numGates = 1;
+  dp.circuit.numOutputs = 1;
+  for (dp.circuit.seed = 1;; ++dp.circuit.seed) {
+    ASSERT_LT(dp.circuit.seed, 100u) << "no masked single-gate circuit";
+    const GateType t = randomCircuit(dp.circuit).gate(1).type;
+    if (t == GateType::And || t == GateType::Or || t == GateType::Nand ||
+        t == GateType::Nor) {
+      break;
+    }
+  }
+  EXPECT_THROW(static_cast<void>(designDebugInstance(dp)),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
+#include "gen/debug.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "harness/runner.h"
@@ -48,6 +50,78 @@ TEST(Suite, DebugSuiteIsPlainMaxSat) {
     EXPECT_EQ(inst.family, "debug");
     EXPECT_EQ(inst.wcnf.numHard(), 0);  // plain MaxSAT, as in Table 2
   }
+}
+
+/// 64-bit FNV-1a over each formula's variable count, every hard clause
+/// and every soft clause's literals and weight. Counts and clause
+/// lengths go in too, so no two different formulas share a byte stream.
+class Fnv1a {
+ public:
+  void add(std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (static_cast<std::uint64_t>(v) >> (8 * b)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+
+  void add(const WcnfFormula& f) {
+    add(f.numVars());
+    add(f.numHard());
+    for (const Clause& c : f.hard()) {
+      add(static_cast<std::int64_t>(c.size()));
+      for (Lit p : c) add(p.index());
+    }
+    add(f.numSoft());
+    for (const SoftClause& s : f.soft()) {
+      add(static_cast<std::int64_t>(s.lits.size()));
+      for (Lit p : s.lits) add(p.index());
+      add(s.weight);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest(const std::vector<Instance>& suite) {
+  Fnv1a h;
+  for (const Instance& inst : suite) h.add(inst.wcnf);
+  return h.value();
+}
+
+TEST(Suite, GeneratedInstancesArePinned) {
+  // The generators' output backs e2ebench's recorded optima and every
+  // committed bench/BENCH_*.json, so a generator change that alters a
+  // single clause must show here. The values are libstdc++'s: the
+  // generators use <random> distributions, whose output the standard
+  // leaves to the library.
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "digests recorded with libstdc++";
+#else
+  SuiteParams mixed4;
+  mixed4.perFamily = 4;
+  EXPECT_EQ(digest(buildMixedSuite(mixed4)), 0x927baadb42854791ULL);
+  EXPECT_EQ(digest(buildMixedSuite({})), 0x08d0b29d775be19dULL);
+  EXPECT_EQ(digest(buildDebugSuite({})), 0xcbf083b8c3d43125ULL);
+  SuiteParams weighted;
+  weighted.perFamily = 3;
+  weighted.sizeScale = 0.85;
+  EXPECT_EQ(digest(buildWeightedSuite(weighted)), 0x6c76a96609e2c847ULL);
+
+  // The first of e2ebench's ingest instances.
+  DebugParams dp;
+  dp.circuit.numInputs = 24;
+  dp.circuit.numGates = 10000;
+  dp.circuit.numOutputs = 1024;
+  dp.circuit.seed = 20080310;
+  dp.numVectors = 12;
+  dp.seed = 20080317;
+  Fnv1a ingest;
+  ingest.add(designDebugInstance(dp, /*partial=*/true).wcnf);
+  EXPECT_EQ(ingest.value(), 0x39eb2549da8ad3a2ULL);
+#endif
 }
 
 TEST(Runner, RecordsAndCrossCheck) {
