@@ -20,7 +20,7 @@
 ///  * Session traces: an OracleSession-style selector workload driven
 ///    directly (solve / relax / solve ...), isolating oracle-call
 ///    overhead from conflict search. `steady` repeats one assumption
-///    set (the trimCore/minimizeCore pattern), `relax-tail` shrinks the
+///    set (the trimCore pattern), `relax-tail` shrinks the
 ///    set from the back (maximal surviving prefix), `relax-head`
 ///    shrinks it from the front (adversarial: no prefix survives —
 ///    this one bounds the cost of having reuse on when it cannot pay).

@@ -1,8 +1,8 @@
 /// \file micro_mus.cpp
 /// \brief google-benchmark microbenchmarks for the MUS/MCS module and
-///        the proof pipeline: extractor scaling on pigeonhole and random
-///        unsat inputs, MCS enumeration, and DRUP trace + RUP check
-///        overhead on refutations.
+///        the proof pipeline: MUS extraction on pigeonhole and random
+///        unsat inputs, model rotation off/on, MCS enumeration, and DRUP
+///        trace + RUP check overhead on refutations.
 
 #include <benchmark/benchmark.h>
 
@@ -20,45 +20,35 @@ using namespace msu;
 
 void BM_MusDeletionPigeonhole(benchmark::State& state) {
   const int holes = static_cast<int>(state.range(0));
-  const CnfFormula f = pigeonhole(holes + 1, holes);
+  const GroupCnf f = GroupCnf::perClause(pigeonhole(holes + 1, holes));
   for (auto _ : state) {
-    const MusResult r = extractMusDeletion(f, {});
-    benchmark::DoNotOptimize(r.clauseIndices.data());
+    const MusResult r = extractMus(f);
+    benchmark::DoNotOptimize(r.groups.data());
   }
-  state.counters["clauses"] = static_cast<double>(f.numClauses());
+  state.counters["clauses"] = static_cast<double>(f.numGroups());
 }
 BENCHMARK(BM_MusDeletionPigeonhole)->Arg(3)->Arg(4)->Arg(5);
 
 void BM_MusDeletionRandom(benchmark::State& state) {
   const int vars = static_cast<int>(state.range(0));
-  const CnfFormula f = randomUnsat3Sat(vars, 7.0, 11);
+  const GroupCnf f = GroupCnf::perClause(randomUnsat3Sat(vars, 7.0, 11));
   for (auto _ : state) {
-    const MusResult r = extractMusDeletion(f, {});
-    benchmark::DoNotOptimize(r.clauseIndices.data());
+    const MusResult r = extractMus(f);
+    benchmark::DoNotOptimize(r.groups.data());
   }
 }
 BENCHMARK(BM_MusDeletionRandom)->Arg(15)->Arg(25)->Arg(35);
 
-void BM_MusDichotomicRandom(benchmark::State& state) {
-  const int vars = static_cast<int>(state.range(0));
-  const CnfFormula f = randomUnsat3Sat(vars, 7.0, 11);
-  for (auto _ : state) {
-    const MusResult r = extractMusDichotomic(f, {});
-    benchmark::DoNotOptimize(r.clauseIndices.data());
-  }
-}
-BENCHMARK(BM_MusDichotomicRandom)->Arg(15)->Arg(25)->Arg(35);
-
 void BM_ModelRotationOnOff(benchmark::State& state) {
   const bool rotation = state.range(0) != 0;
-  const CnfFormula f = pigeonhole(5, 4);
+  const GroupCnf f = GroupCnf::perClause(pigeonhole(5, 4));
   MusOptions opts;
   opts.modelRotation = rotation;
   std::int64_t calls = 0;
   for (auto _ : state) {
-    const MusResult r = extractMusDeletion(f, opts);
+    const MusResult r = extractMus(f, opts);
     calls = r.satCalls;
-    benchmark::DoNotOptimize(r.clauseIndices.data());
+    benchmark::DoNotOptimize(r.groups.data());
   }
   state.counters["sat_calls"] = static_cast<double>(calls);
 }

@@ -2,8 +2,7 @@
 /// \brief MUS/MCS analysis of an unsatisfiable formula — the §2.3
 ///        relationship between unsatisfiable cores and MaxSAT, run both
 ///        directions on one instance:
-///          * extract a single MUS three ways (deletion / dichotomic /
-///            insertion) and compare their sizes and SAT-call counts;
+///          * extract a single MUS and report its size and SAT calls;
 ///          * enumerate all MCSes, read the MaxSAT optimum off the
 ///            smallest one, and cross-check with msu4;
 ///          * recover all MUSes as minimal hitting sets of the MCSes.
@@ -21,7 +20,6 @@
 #include "gen/pigeonhole.h"
 #include "harness/factory.h"
 #include "mus/gcnf_io.h"
-#include "mus/gmus.h"
 #include "mus/mcs.h"
 #include "mus/mus.h"
 
@@ -44,23 +42,18 @@ int runGroupMode(const char* path) {
   std::cout << "group instance: " << gcnf.numVars() << " vars, "
             << gcnf.background().size() << " background clauses, "
             << gcnf.numGroups() << " groups\n\n";
-  for (auto [name, fn] :
-       {std::pair{"deletion  ", &extractGroupMusDeletion},
-        std::pair{"dichotomic", &extractGroupMusDichotomic}}) {
-    const GroupMusResult r = fn(gcnf, {});
-    if (!r.minimal && r.groups.empty()) {
-      std::cout << "  " << name << ": satisfiable\n";
-      continue;
-    }
-    std::cout << "  " << name << ": group MUS of " << r.size() << "/"
-              << gcnf.numGroups() << " groups in " << r.satCalls
-              << " SAT calls {";
-    for (std::size_t i = 0; i < r.groups.size(); ++i) {
-      std::cout << (i ? "," : "") << r.groups[i];
-    }
-    std::cout << "} verified="
-              << (isGroupMus(gcnf, r.groups) ? "yes" : "NO") << "\n";
+  const MusResult r = extractMus(gcnf);
+  if (!r.minimal && r.groups.empty()) {
+    std::cout << "  satisfiable\n";
+    return 0;
   }
+  std::cout << "  group MUS of " << r.size() << "/" << gcnf.numGroups()
+            << " groups in " << r.satCalls << " SAT calls {";
+  for (std::size_t i = 0; i < r.groups.size(); ++i) {
+    std::cout << (i ? "," : "") << r.groups[i];
+  }
+  std::cout << "} verified=" << (isMus(gcnf, r.groups) ? "yes" : "NO")
+            << "\n";
   return 0;
 }
 
@@ -96,25 +89,15 @@ int main(int argc, char** argv) {
   std::cout << "instance: " << cnf.summary() << "\n\n";
 
   std::cout << "-- single MUS extraction --\n";
-  struct Row {
-    const char* name;
-    MusResult r;
-  };
-  const Row rows[] = {
-      {"deletion  ", extractMusDeletion(cnf, {})},
-      {"dichotomic", extractMusDichotomic(cnf, {})},
-      {"insertion ", extractMusInsertion(cnf, {})},
-  };
-  for (const Row& row : rows) {
-    if (!row.r.minimal && row.r.clauseIndices.empty()) {
-      std::cout << "  " << row.name << ": formula is satisfiable\n";
-      return 0;
-    }
-    std::cout << "  " << row.name << ": size " << row.r.size() << ", "
-              << row.r.satCalls << " SAT calls, " << row.r.rotationCriticals
-              << " rotation hits, minimal="
-              << (row.r.minimal ? "yes" : "budget-expired") << "\n";
+  const GroupCnf perClause = GroupCnf::perClause(cnf);
+  const MusResult r = extractMus(perClause);
+  if (!r.minimal && r.groups.empty()) {
+    std::cout << "  formula is satisfiable\n";
+    return 0;
   }
+  std::cout << "  size " << r.size() << ", " << r.satCalls << " SAT calls, "
+            << r.rotationCriticals << " rotation hits, minimal="
+            << (r.minimal ? "yes" : "budget-expired") << "\n";
 
   std::cout << "\n-- MCS enumeration --\n";
   McsOptions mopts;
@@ -145,8 +128,8 @@ int main(int argc, char** argv) {
       for (std::size_t j = 0; j < all.muses[i].size(); ++j) {
         std::cout << (j ? "," : "") << all.muses[i][j];
       }
-      std::cout << "}  verified=" << (isMus(cnf, all.muses[i]) ? "yes" : "NO")
-                << "\n";
+      std::cout << "}  verified="
+                << (isMus(perClause, all.muses[i]) ? "yes" : "NO") << "\n";
     }
   }
   return 0;

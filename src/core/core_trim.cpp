@@ -1,54 +1,15 @@
 #include "core/core_trim.h"
 
-#include <algorithm>
-
 namespace msu {
 
-std::vector<Lit> trimCore(Solver& solver, std::vector<Lit> core,
-                          const CoreTrimOptions& options) {
-  for (int round = 0; round < options.trimRounds; ++round) {
+std::vector<Lit> trimCore(Solver& solver, std::vector<Lit> core, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
     if (core.size() <= 1) break;
     const lbool st = solver.solve(core);
     if (st != lbool::False) break;  // budget interference: keep what we have
     std::vector<Lit> next = solver.core();
     if (next.size() >= core.size()) break;  // no progress
     core = std::move(next);
-  }
-  return core;
-}
-
-std::vector<Lit> minimizeCore(Solver& solver, std::vector<Lit> core,
-                              const CoreTrimOptions& options) {
-  core = trimCore(solver, std::move(core), options);
-  // Try dropping one literal at a time (deletion-based minimization).
-  std::size_t i = 0;
-  while (i < core.size() && core.size() > 1) {
-    std::vector<Lit> candidate;
-    candidate.reserve(core.size() - 1);
-    for (std::size_t j = 0; j < core.size(); ++j) {
-      if (j != i) candidate.push_back(core[j]);
-    }
-    const Budget saved = solver.budget();
-    solver.setBudget(Budget::conflicts(solver.stats().conflicts +
-                                       options.minimizeConflictBudget));
-    const lbool st = solver.solve(candidate);
-    solver.setBudget(saved);
-    if (st == lbool::False) {
-      // Still inconsistent without core[i]; adopt the (possibly even
-      // smaller) reported core.
-      std::vector<Lit> next = solver.core();
-      // Keep only literals of the candidate (order-preserving).
-      std::vector<Lit> filtered;
-      for (Lit p : candidate) {
-        if (std::find(next.begin(), next.end(), p) != next.end()) {
-          filtered.push_back(p);
-        }
-      }
-      core = filtered.empty() ? candidate : filtered;
-      i = 0;  // restart scan on the smaller set
-    } else {
-      ++i;  // needed (or budget ran out): keep it
-    }
   }
   return core;
 }

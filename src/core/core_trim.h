@@ -1,21 +1,18 @@
 /// \file core_trim.h
 /// \brief Unsatisfiable-core reduction. The paper observes msu4 is
 ///        "effective only for instances for which SAT solvers are
-///        effective at identifying small unsatisfiable cores"; these
-///        helpers shrink the cores the solver returns before the MaxSAT
-///        engine commits blocking variables to them.
+///        effective at identifying small unsatisfiable cores"; trimCore
+///        shrinks the cores the solver returns before the MaxSAT engine
+///        commits blocking variables to them (msu4 and oll, with
+///        `MaxSatOptions::trimCoreRounds`), and seeds the MUS extractor
+///        in mus/mus.h, which minimizes a trimmed core by deletion.
 ///
-/// Two levels:
-///  * trimCore — cheap fixpoint: re-solve under the core itself; the
-///    final-conflict analysis of the re-solve usually returns a proper
-///    subset. Iterate until stable or the round limit.
-///  * minimizeCore — destructive (deletion-based) minimization: try to
-///    drop each literal with a conflict-budgeted solve; quadratic cost,
-///    near-minimal results.
+/// The fixpoint is cheap: re-solve under the core itself; the
+/// final-conflict analysis of the re-solve usually returns a proper
+/// subset. Iterate until stable or the round limit.
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "cnf/literal.h"
@@ -23,25 +20,11 @@
 
 namespace msu {
 
-/// Options for core reduction.
-struct CoreTrimOptions {
-  int trimRounds = 4;  ///< fixpoint rounds for trimCore
-  std::int64_t minimizeConflictBudget = 1000;  ///< per drop attempt
-};
-
-/// Fixpoint trimming. `core` must be a failing assumption set of
-/// `solver` (conjunction inconsistent with the clause database). Returns
-/// a subset that is still failing. The solver keeps any clauses it
-/// learns — later calls only get faster.
+/// Fixpoint trimming in at most `rounds` re-solves. `core` must be a
+/// failing assumption set of `solver` (conjunction inconsistent with the
+/// clause database). Returns a subset that is still failing. The solver
+/// keeps any clauses it learns — later calls only get faster.
 [[nodiscard]] std::vector<Lit> trimCore(Solver& solver, std::vector<Lit> core,
-                                        const CoreTrimOptions& options = {});
-
-/// Deletion-based minimization: for each literal, re-solve without it
-/// under a conflict budget; literals whose removal keeps the set failing
-/// are dropped permanently. Returns the reduced core (an unsatisfiable
-/// subset; minimal if no budget was exhausted).
-[[nodiscard]] std::vector<Lit> minimizeCore(
-    Solver& solver, std::vector<Lit> core,
-    const CoreTrimOptions& options = {});
+                                        int rounds = 4);
 
 }  // namespace msu

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "core/core_trim.h"
 #include "core/incremental_atmost.h"
 #include "core/oracle_session.h"
 
@@ -103,9 +102,7 @@ MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
     ++result.coresFound;
     std::vector<Lit> coreLits = session.sat().core();
     if (opts_.trimCoreRounds > 0 && coreLits.size() > 1) {
-      CoreTrimOptions trimOpts;
-      trimOpts.trimRounds = opts_.trimCoreRounds;
-      coreLits = session.trimCore(std::move(coreLits), trimOpts);
+      coreLits = session.trimCore(std::move(coreLits), opts_.trimCoreRounds);
     }
     const std::vector<int> coreSoft = tracker.coreSoftIndices(coreLits);
     if (coreSoft.empty()) {

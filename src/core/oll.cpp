@@ -6,7 +6,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "core/core_trim.h"
 #include "core/oracle_session.h"
 #include "encodings/totalizer.h"
 
@@ -119,9 +118,7 @@ MaxSatResult OllSolver::solve(const WcnfFormula& formula) {
     std::erase_if(core, [&](Lit p) { return !active.contains(p); });
     if (core.empty()) return finish(MaxSatStatus::UnsatisfiableHard, 0, {});
     if (opts_.trimCoreRounds > 0 && core.size() > 1) {
-      CoreTrimOptions trimOpts;
-      trimOpts.trimRounds = opts_.trimCoreRounds;
-      core = session.trimCore(std::move(core), trimOpts);
+      core = session.trimCore(std::move(core), opts_.trimCoreRounds);
       std::erase_if(core, [&](Lit p) { return !active.contains(p); });
       if (core.empty()) return finish(MaxSatStatus::UnsatisfiableHard, 0, {});
     }

@@ -189,29 +189,15 @@ class OracleSession {
 
   // ---- Core reduction --------------------------------------------------
 
-  /// Fixpoint-trims a failing assumption set through this session's
-  /// oracle (scope activators are auto-assumed by the solver as in any
-  /// other session solve), charging the re-solves actually performed to
-  /// satCalls() instead of a caller-side guess.
-  [[nodiscard]] std::vector<Lit> trimCore(std::vector<Lit> core,
-                                          const CoreTrimOptions& opts = {}) {
+  /// Fixpoint-trims a failing assumption set in at most `rounds`
+  /// re-solves through this session's oracle (scope activators are
+  /// auto-assumed by the solver as in any other session solve), charging
+  /// the re-solves actually performed to satCalls() instead of a
+  /// caller-side guess.
+  [[nodiscard]] std::vector<Lit> trimCore(std::vector<Lit> core, int rounds) {
     obs::TraceSpan span(trace_, obs::TraceCat::kCore, "trim-core");
     const std::int64_t before = sat_.stats().solves;
-    core = msu::trimCore(sat_, std::move(core), opts);
-    const std::int64_t calls = sat_.stats().solves - before;
-    sat_calls_ += calls;
-    syncProgress(calls);
-    span.arg("lits", static_cast<std::int64_t>(core.size()));
-    return core;
-  }
-
-  /// Deletion-based core minimization through this session's oracle;
-  /// the (conflict-budgeted) drop attempts count into satCalls().
-  [[nodiscard]] std::vector<Lit> minimizeCore(
-      std::vector<Lit> core, const CoreTrimOptions& opts = {}) {
-    obs::TraceSpan span(trace_, obs::TraceCat::kCore, "minimize-core");
-    const std::int64_t before = sat_.stats().solves;
-    core = msu::minimizeCore(sat_, std::move(core), opts);
+    core = msu::trimCore(sat_, std::move(core), rounds);
     const std::int64_t calls = sat_.stats().solves - before;
     sat_calls_ += calls;
     syncProgress(calls);

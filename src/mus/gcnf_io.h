@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "mus/gmus.h"
+#include "mus/mus.h"
 
 namespace msu {
 

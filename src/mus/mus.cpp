@@ -2,125 +2,150 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
+#include <numeric>
 
 #include "core/core_trim.h"
 
 namespace msu {
 
+GroupCnf GroupCnf::perClause(const CnfFormula& cnf) {
+  GroupCnf gcnf(cnf.numVars());
+  for (const Clause& c : cnf.clauses()) gcnf.addToGroup(gcnf.addGroup(), c);
+  return gcnf;
+}
+
+void GroupCnf::addBackground(std::span<const Lit> lits) {
+  Clause c(lits.begin(), lits.end());
+  for (const Lit p : c) ensureVars(p.var() + 1);
+  background_.push_back(std::move(c));
+}
+
+void GroupCnf::addToGroup(int g, std::span<const Lit> lits) {
+  assert(g >= 0 && g < numGroups());
+  Clause c(lits.begin(), lits.end());
+  for (const Lit p : c) ensureVars(p.var() + 1);
+  groups_[static_cast<std::size_t>(g)].push_back(std::move(c));
+}
+
 namespace {
 
-/// Shared substrate: one selector per clause, `(C_i ∨ s_i)`; assuming
-/// `¬s_i` enforces clause i. Keeps the solver (and everything it learns)
-/// alive across the whole extraction.
+/// One selector per group: every clause of group g becomes `(C ∨ s_g)`;
+/// assuming `¬s_g` enforces the whole group. Keeps the solver (and
+/// everything it learns) alive across the whole extraction.
 class SelectorInstance {
  public:
-  SelectorInstance(const CnfFormula& cnf, const Solver::Options& satOpts,
+  SelectorInstance(const GroupCnf& gcnf, const Solver::Options& satOpts,
                    const Budget& budget)
-      : cnf_(&cnf), solver_(satOpts) {
+      : solver_(satOpts) {
     solver_.setBudget(budget);
-    for (Var v = 0; v < cnf.numVars(); ++v) {
+    for (Var v = 0; v < gcnf.numVars(); ++v) {
       static_cast<void>(solver_.newVar());
     }
-    selectors_.reserve(static_cast<std::size_t>(cnf.numClauses()));
-    sel_of_var_.assign(static_cast<std::size_t>(cnf.numVars()), -1);
-    for (int i = 0; i < cnf.numClauses(); ++i) {
+    for (const Clause& c : gcnf.background()) {
+      static_cast<void>(solver_.addClause(c));
+    }
+    selectors_.reserve(static_cast<std::size_t>(gcnf.numGroups()));
+    group_of_var_.assign(static_cast<std::size_t>(gcnf.numVars()), -1);
+    for (int g = 0; g < gcnf.numGroups(); ++g) {
       const Lit sel = posLit(solver_.newVar());
       selectors_.push_back(sel);
-      sel_of_var_.push_back(i);
-      Clause withSel = cnf.clause(i);
-      withSel.push_back(sel);
-      static_cast<void>(solver_.addClause(withSel));
+      group_of_var_.push_back(g);
+      for (const Clause& c : gcnf.group(g)) {
+        Clause withSel = c;
+        withSel.push_back(sel);
+        static_cast<void>(solver_.addClause(withSel));
+      }
     }
   }
 
-  [[nodiscard]] Solver& solver() { return solver_; }
-  [[nodiscard]] const CnfFormula& cnf() const { return *cnf_; }
+  [[nodiscard]] const Solver& solver() const { return solver_; }
 
-  [[nodiscard]] Lit enforceLit(int clause) const {
-    return ~selectors_[static_cast<std::size_t>(clause)];
-  }
-
-  /// Solves with exactly the clauses in `subset` enforced.
-  [[nodiscard]] lbool solveSubset(std::span<const int> subset) {
-    std::vector<Lit> assumptions;
-    assumptions.reserve(subset.size());
-    for (int i : subset) assumptions.push_back(enforceLit(i));
+  /// Solves with exactly the groups in `groups` enforced.
+  [[nodiscard]] lbool solve(std::span<const int> groups) {
     ++sat_calls_;
-    return solver_.solve(assumptions);
+    return solver_.solve(enforcing(groups));
   }
 
-  /// Maps the last failing-assumption core back to clause indices.
-  [[nodiscard]] std::vector<int> coreIndices() const {
-    std::vector<int> out;
-    out.reserve(solver_.core().size());
-    for (Lit p : solver_.core()) {
-      const int idx = sel_of_var_[static_cast<std::size_t>(p.var())];
-      assert(idx >= 0);
-      out.push_back(idx);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+  /// The groups of the last failing-assumption core, sorted.
+  [[nodiscard]] std::vector<int> coreGroups() const {
+    return groupsOf(solver_.core());
   }
 
-  /// Fixpoint-trims a failing clause subset via core_trim on the
+  /// Fixpoint-trims a failing group set via core_trim on the
   /// corresponding assumption literals.
-  [[nodiscard]] std::vector<int> trimSubset(std::span<const int> subset,
-                                            int rounds) {
-    std::vector<Lit> assumptions;
-    assumptions.reserve(subset.size());
-    for (int i : subset) assumptions.push_back(enforceLit(i));
-    CoreTrimOptions topts;
-    topts.trimRounds = rounds;
-    const std::vector<Lit> trimmed =
-        trimCore(solver_, std::move(assumptions), topts);
-    std::vector<int> out;
-    out.reserve(trimmed.size());
-    for (Lit p : trimmed) {
-      out.push_back(sel_of_var_[static_cast<std::size_t>(p.var())]);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+  [[nodiscard]] std::vector<int> trim(std::span<const int> groups,
+                                      int rounds) {
+    return groupsOf(trimCore(solver_, enforcing(groups), rounds));
   }
 
   [[nodiscard]] std::int64_t satCalls() const { return sat_calls_; }
 
  private:
-  const CnfFormula* cnf_;
+  [[nodiscard]] std::vector<Lit> enforcing(
+      std::span<const int> groups) const {
+    std::vector<Lit> assumptions;
+    assumptions.reserve(groups.size());
+    for (const int g : groups) {
+      assumptions.push_back(~selectors_[static_cast<std::size_t>(g)]);
+    }
+    return assumptions;
+  }
+
+  [[nodiscard]] std::vector<int> groupsOf(std::span<const Lit> lits) const {
+    std::vector<int> out;
+    out.reserve(lits.size());
+    for (const Lit p : lits) {
+      const int g = group_of_var_[static_cast<std::size_t>(p.var())];
+      assert(g >= 0);
+      out.push_back(g);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
   Solver solver_;
   std::vector<Lit> selectors_;
-  std::vector<int> sel_of_var_;  // var -> clause index (-1: original var)
+  std::vector<int> group_of_var_;  // -1: original variable
   std::int64_t sat_calls_ = 0;
 };
 
-/// Extracts the model over original variables from the solver.
-[[nodiscard]] Assignment modelPrefix(const Solver& solver, int numVars) {
-  Assignment a(static_cast<std::size_t>(numVars));
-  for (Var v = 0; v < numVars; ++v) a[static_cast<std::size_t>(v)] =
-      solver.model()[static_cast<std::size_t>(v)];
-  return a;
+[[nodiscard]] bool satisfied(const Clause& c, const Assignment& a) {
+  return std::any_of(c.begin(), c.end(), [&a](Lit p) {
+    return applySign(a[static_cast<std::size_t>(p.var())], p) == lbool::True;
+  });
 }
 
-/// Indices of `candidate` clauses falsified by `a`.
-[[nodiscard]] std::vector<int> falsifiedAmong(const CnfFormula& cnf,
-                                              std::span<const int> candidate,
-                                              const Assignment& a) {
-  std::vector<int> out;
-  for (int i : candidate) {
-    if (!cnf.clauseSatisfied(i, a)) out.push_back(i);
+[[nodiscard]] bool satisfiesAll(const std::vector<Clause>& clauses,
+                                const Assignment& a) {
+  return std::all_of(clauses.begin(), clauses.end(),
+                     [&a](const Clause& c) { return satisfied(c, a); });
+}
+
+/// The only group of `candidate` that `a` falsifies; -1 when `a`
+/// falsifies none or several.
+[[nodiscard]] int soleFalsified(const GroupCnf& gcnf,
+                                std::span<const int> candidate,
+                                const Assignment& a) {
+  int found = -1;
+  for (const int g : candidate) {
+    if (satisfiesAll(gcnf.group(g), a)) continue;
+    if (found >= 0) return -1;
+    found = g;
   }
-  return out;
+  return found;
 }
 
-/// Recursive model rotation (Belov & Marques-Silva): `a` falsifies
-/// exactly clause `seed` among `candidate`; flipping one variable of the
-/// uniquely-falsified clause may make another clause uniquely falsified,
-/// which is then also critical. Marks into `critical`.
-void rotateModels(const CnfFormula& cnf, std::span<const int> candidate,
+/// Recursive model rotation (Belov & Marques-Silva): `a` satisfies the
+/// background and falsifies exactly group `seed` among `candidate`.
+/// Flipping one variable of a falsified clause of that group may give an
+/// assignment that still satisfies the background and falsifies exactly
+/// one group h among `candidate`; then h is critical too, and rotation
+/// continues from it. Marks into `critical`.
+void rotateModels(const GroupCnf& gcnf, std::span<const int> candidate,
                   int seed, Assignment a, std::vector<char>& critical,
                   std::int64_t& marked) {
   struct Frame {
-    int clause;
+    int group;
     Assignment assignment;
   };
   std::vector<Frame> stack;
@@ -128,216 +153,107 @@ void rotateModels(const CnfFormula& cnf, std::span<const int> candidate,
   while (!stack.empty()) {
     Frame fr = std::move(stack.back());
     stack.pop_back();
-    for (const Lit p : cnf.clause(fr.clause)) {
-      Assignment flipped = fr.assignment;
-      auto& cell = flipped[static_cast<std::size_t>(p.var())];
-      cell = ~cell;
-      const std::vector<int> fals = falsifiedAmong(cnf, candidate, flipped);
-      if (fals.size() == 1 &&
-          critical[static_cast<std::size_t>(fals.front())] == 0) {
-        critical[static_cast<std::size_t>(fals.front())] = 1;
-        ++marked;
-        stack.push_back({fals.front(), std::move(flipped)});
+    for (const Clause& c : gcnf.group(fr.group)) {
+      if (satisfied(c, fr.assignment)) continue;
+      for (const Lit p : c) {
+        Assignment flipped = fr.assignment;
+        auto& cell = flipped[static_cast<std::size_t>(p.var())];
+        cell = ~cell;
+        if (!satisfiesAll(gcnf.background(), flipped)) continue;
+        const int h = soleFalsified(gcnf, candidate, flipped);
+        if (h >= 0 && critical[static_cast<std::size_t>(h)] == 0) {
+          critical[static_cast<std::size_t>(h)] = 1;
+          ++marked;
+          stack.push_back({h, std::move(flipped)});
+        }
       }
     }
   }
 }
 
-[[nodiscard]] MusResult finish(SelectorInstance& inst, std::vector<int> set,
-                               bool minimal, std::int64_t rotated) {
-  MusResult r;
-  std::sort(set.begin(), set.end());
-  r.clauseIndices = std::move(set);
-  r.minimal = minimal;
-  r.satCalls = inst.satCalls();
-  r.rotationCriticals = rotated;
-  return r;
-}
-
-/// Initial unsatisfiable core (trimmed), or nullopt when the formula is
-/// satisfiable / the budget expired.
-[[nodiscard]] std::optional<std::vector<int>> initialCore(
-    SelectorInstance& inst, const MusOptions& options) {
-  std::vector<int> all(static_cast<std::size_t>(inst.cnf().numClauses()));
-  for (int i = 0; i < inst.cnf().numClauses(); ++i)
-    all[static_cast<std::size_t>(i)] = i;
-  const lbool st = inst.solveSubset(all);
-  if (st != lbool::False) return std::nullopt;
-  std::vector<int> core = inst.coreIndices();
-  if (options.trimRounds > 0) {
-    core = inst.trimSubset(core, options.trimRounds);
-  }
-  return core;
-}
-
 }  // namespace
 
-MusResult extractMusDeletion(const CnfFormula& cnf,
-                             const MusOptions& options) {
-  SelectorInstance inst(cnf, options.sat, options.budget);
-  auto seed = initialCore(inst, options);
-  if (!seed) return MusResult{{}, false, inst.satCalls(), 0};
-
-  std::vector<int> candidate = std::move(*seed);
-  std::vector<char> critical(static_cast<std::size_t>(cnf.numClauses()), 0);
+MusResult extractMus(const GroupCnf& gcnf, const MusOptions& options) {
+  SelectorInstance inst(gcnf, options.sat, options.budget);
   std::int64_t rotated = 0;
+  const auto finish = [&inst, &rotated](std::vector<int> groups,
+                                        bool minimal) {
+    std::sort(groups.begin(), groups.end());
+    return MusResult{std::move(groups), minimal, inst.satCalls(), rotated};
+  };
 
-  // Invariant: `candidate` is unsatisfiable; clauses marked critical
-  // belong to every MUS inside it.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t pos = 0; pos < candidate.size(); ++pos) {
-      const int i = candidate[pos];
-      if (critical[static_cast<std::size_t>(i)] != 0) continue;
-
-      std::vector<int> test;
-      test.reserve(candidate.size() - 1);
-      for (int j : candidate) {
-        if (j != i) test.push_back(j);
-      }
-      const lbool st = inst.solveSubset(test);
-      if (st == lbool::Undef) {
-        return finish(inst, std::move(candidate), false, rotated);
-      }
-      if (st == lbool::False) {
-        // Clause-set refinement: adopt the (usually much smaller) core.
-        candidate = inst.coreIndices();
-        progressed = true;
-        break;  // restart the scan over the refined candidate
-      }
-      // SAT: `i` is a transition clause — critical. The model falsifies
-      // exactly `i` among `candidate`, the precondition for rotation.
-      critical[static_cast<std::size_t>(i)] = 1;
-      if (options.modelRotation) {
-        const Assignment a = modelPrefix(inst.solver(), cnf.numVars());
-        rotateModels(cnf, candidate, i, a, critical, rotated);
-      }
-    }
+  std::vector<int> candidate(static_cast<std::size_t>(gcnf.numGroups()));
+  std::iota(candidate.begin(), candidate.end(), 0);
+  if (inst.solve(candidate) != lbool::False) return finish({}, false);
+  candidate = inst.coreGroups();
+  if (options.trimRounds > 0) {
+    candidate = inst.trim(candidate, options.trimRounds);
   }
-  return finish(inst, std::move(candidate), true, rotated);
+
+  // Invariant: background ∪ `candidate` is unsatisfiable; groups marked
+  // critical belong to every MUS inside it.
+  std::vector<char> critical(static_cast<std::size_t>(gcnf.numGroups()), 0);
+  std::size_t pos = 0;
+  while (pos < candidate.size()) {
+    const int g = candidate[pos];
+    if (critical[static_cast<std::size_t>(g)] != 0) {
+      ++pos;
+      continue;
+    }
+    std::vector<int> test;
+    test.reserve(candidate.size() - 1);
+    for (const int other : candidate) {
+      if (other != g) test.push_back(other);
+    }
+    const lbool st = inst.solve(test);
+    if (st == lbool::Undef) return finish(std::move(candidate), false);
+    if (st == lbool::False) {
+      // Group-set refinement: adopt the (usually much smaller) core and
+      // restart the scan over it.
+      candidate = inst.coreGroups();
+      pos = 0;
+      continue;
+    }
+    // SAT: `g` is a transition group — critical. The model falsifies
+    // exactly `g` among `candidate`, the precondition for rotation.
+    critical[static_cast<std::size_t>(g)] = 1;
+    if (options.modelRotation) {
+      const std::vector<lbool>& model = inst.solver().model();
+      rotateModels(gcnf, candidate, g,
+                   Assignment(model.begin(), model.begin() + gcnf.numVars()),
+                   critical, rotated);
+    }
+    ++pos;
+  }
+  return finish(std::move(candidate), true);
 }
 
-namespace {
-
-/// QuickXplain recursion. Precondition: background ∪ candidates is
-/// unsatisfiable. Returns a minimal subset M of `candidates` with
-/// background ∪ M unsatisfiable, or nullopt on budget expiry.
-[[nodiscard]] std::optional<std::vector<int>> quickXplain(
-    SelectorInstance& inst, std::vector<int>& background,
-    std::span<const int> candidates, bool backgroundChanged) {
-  if (backgroundChanged && !candidates.empty()) {
-    const lbool st = inst.solveSubset(background);
-    if (st == lbool::Undef) return std::nullopt;
-    if (st == lbool::False) return std::vector<int>{};
-  }
-  if (candidates.empty()) return std::vector<int>{};
-  if (candidates.size() == 1) {
-    return std::vector<int>{candidates.front()};
-  }
-  const std::size_t half = candidates.size() / 2;
-  const std::span<const int> d1 = candidates.subspan(0, half);
-  const std::span<const int> d2 = candidates.subspan(half);
-
-  // M2 = qx(B ∪ D1, D2)
-  const std::size_t mark1 = background.size();
-  background.insert(background.end(), d1.begin(), d1.end());
-  auto m2 = quickXplain(inst, background, d2, /*backgroundChanged=*/true);
-  background.resize(mark1);
-  if (!m2) return std::nullopt;
-
-  // M1 = qx(B ∪ M2, D1)
-  const std::size_t mark2 = background.size();
-  background.insert(background.end(), m2->begin(), m2->end());
-  auto m1 = quickXplain(inst, background, d1,
-                        /*backgroundChanged=*/!m2->empty());
-  background.resize(mark2);
-  if (!m1) return std::nullopt;
-
-  m1->insert(m1->end(), m2->begin(), m2->end());
-  return m1;
-}
-
-}  // namespace
-
-MusResult extractMusDichotomic(const CnfFormula& cnf,
-                               const MusOptions& options) {
-  SelectorInstance inst(cnf, options.sat, options.budget);
-  auto seed = initialCore(inst, options);
-  if (!seed) return MusResult{{}, false, inst.satCalls(), 0};
-
-  std::vector<int> background;
-  auto mus = quickXplain(inst, background, *seed,
-                         /*backgroundChanged=*/false);
-  if (!mus) return finish(inst, std::move(*seed), false, 0);
-  return finish(inst, std::move(*mus), true, 0);
-}
-
-MusResult extractMusInsertion(const CnfFormula& cnf,
-                              const MusOptions& options) {
-  SelectorInstance inst(cnf, options.sat, options.budget);
-  auto seed = initialCore(inst, options);
-  if (!seed) return MusResult{{}, false, inst.satCalls(), 0};
-
-  // Work inside the seed core only; `mus` grows one transition clause
-  // per outer iteration, `pool` shrinks to the prefix that tipped over.
-  std::vector<int> pool = std::move(*seed);
-  std::vector<int> mus;
-  while (true) {
-    {
-      const lbool st = inst.solveSubset(mus);
-      if (st == lbool::Undef) {
-        // `pool` is still unsatisfiable and contains mus.
-        return finish(inst, std::move(pool), false, 0);
-      }
-      if (st == lbool::False) break;  // mus itself unsatisfiable: done
-    }
-    std::vector<int> prefix = mus;
-    bool tipped = false;
-    for (int c : pool) {
-      if (std::find(mus.begin(), mus.end(), c) != mus.end()) continue;
-      prefix.push_back(c);
-      const lbool st = inst.solveSubset(prefix);
-      if (st == lbool::Undef) {
-        return finish(inst, std::move(pool), false, 0);
-      }
-      if (st == lbool::False) {
-        mus.push_back(c);    // transition clause is in every MUS of prefix
-        pool = std::move(prefix);  // restrict future work to the prefix
-        tipped = true;
-        break;
-      }
-    }
-    if (!tipped) {
-      // pool ∪ mus satisfiable — cannot happen when pool is unsat.
-      assert(false && "insertion scan failed to tip over");
-      return finish(inst, std::move(pool), false, 0);
-    }
-  }
-  return finish(inst, std::move(mus), true, 0);
-}
-
-bool subsetUnsat(const CnfFormula& cnf, std::span<const int> clauseIndices,
+bool subsetUnsat(const GroupCnf& gcnf, std::span<const int> groups,
                  const Budget& budget) {
   Solver solver;
   solver.setBudget(budget);
-  for (Var v = 0; v < cnf.numVars(); ++v) static_cast<void>(solver.newVar());
-  for (int i : clauseIndices) {
-    if (!solver.addClause(cnf.clause(i))) return true;
+  for (Var v = 0; v < gcnf.numVars(); ++v) static_cast<void>(solver.newVar());
+  for (const Clause& c : gcnf.background()) {
+    if (!solver.addClause(c)) return true;
+  }
+  for (const int g : groups) {
+    for (const Clause& c : gcnf.group(g)) {
+      if (!solver.addClause(c)) return true;
+    }
   }
   return solver.solve() == lbool::False;
 }
 
-bool isMus(const CnfFormula& cnf, std::span<const int> clauseIndices,
+bool isMus(const GroupCnf& gcnf, std::span<const int> groups,
            const Budget& budget) {
-  if (!subsetUnsat(cnf, clauseIndices, budget)) return false;
+  if (!subsetUnsat(gcnf, groups, budget)) return false;
   std::vector<int> test;
-  for (std::size_t skip = 0; skip < clauseIndices.size(); ++skip) {
+  for (std::size_t skip = 0; skip < groups.size(); ++skip) {
     test.clear();
-    for (std::size_t j = 0; j < clauseIndices.size(); ++j) {
-      if (j != skip) test.push_back(clauseIndices[j]);
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      if (j != skip) test.push_back(groups[j]);
     }
-    if (subsetUnsat(cnf, test, budget)) return false;
+    if (subsetUnsat(gcnf, test, budget)) return false;
   }
   return true;
 }

@@ -1,7 +1,6 @@
 /// Tests for the extension modules beyond the paper's core algorithm:
-/// core trimming/minimization, Fu-Malik with weight splitting (msu1),
-/// MaxSAT-safe preprocessing, and the test-pattern-generation instance
-/// family.
+/// core trimming, Fu-Malik with weight splitting (msu1), MaxSAT-safe
+/// preprocessing, and the test-pattern-generation instance family.
 
 #include <gtest/gtest.h>
 
@@ -50,21 +49,6 @@ TEST(CoreTrim, TrimmedCoreStillFails) {
     // The trimmed set must still be a failing assumption set.
     EXPECT_EQ(s.solve(trimmed), lbool::False);
   }
-}
-
-TEST(CoreTrim, MinimizedCoreIsMinimalOnSmallInstance) {
-  // Formula with a known 2-clause core plus junk: (x)(~x)(y)(z | y)...
-  CnfFormula f(3);
-  f.addClause({posLit(0)});
-  f.addClause({negLit(0)});
-  f.addClause({posLit(1)});
-  f.addClause({posLit(2), posLit(1)});
-  Solver s;
-  const std::vector<Lit> assumps = loadWithSelectors(s, f);
-  ASSERT_EQ(s.solve(assumps), lbool::False);
-  const std::vector<Lit> minimized = minimizeCore(s, s.core());
-  EXPECT_EQ(minimized.size(), 2u);
-  EXPECT_EQ(s.solve(minimized), lbool::False);
 }
 
 TEST(CoreTrim, Msu4WithTrimmingAgreesWithOracle) {

@@ -152,19 +152,19 @@ TEST(FuzzWeighted, LadderInstancesThreeEnginesAgree) {
 
 TEST(FuzzMus, ExtractedMusesVerifyAtMediumScale) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const CnfFormula f = randomUnsat3Sat(20, 6.5, seed * 11);
-    const MusResult r = extractMusDeletion(f, {});
+    const GroupCnf f =
+        GroupCnf::perClause(randomUnsat3Sat(20, 6.5, seed * 11));
+    const MusResult r = extractMus(f);
     if (!r.minimal) continue;  // satisfiable draw
     // subsetUnsat is CDCL-backed: usable beyond the oracle's range.
-    EXPECT_TRUE(subsetUnsat(f, r.clauseIndices)) << "seed " << seed;
+    EXPECT_TRUE(subsetUnsat(f, r.groups)) << "seed " << seed;
     // Spot-check minimality: dropping the first and last clause each
     // restores satisfiability (full isMus is quadratic; spot is enough
     // at this scale, the small-scale tests do the exhaustive version).
-    for (const std::size_t drop :
-         {std::size_t{0}, r.clauseIndices.size() - 1}) {
+    for (const std::size_t drop : {std::size_t{0}, r.groups.size() - 1}) {
       std::vector<int> sub;
-      for (std::size_t j = 0; j < r.clauseIndices.size(); ++j) {
-        if (j != drop) sub.push_back(r.clauseIndices[j]);
+      for (std::size_t j = 0; j < r.groups.size(); ++j) {
+        if (j != drop) sub.push_back(r.groups[j]);
       }
       EXPECT_FALSE(subsetUnsat(f, sub)) << "seed " << seed;
     }

@@ -1,8 +1,8 @@
 /// Tests for group-MUS extraction (the design-debugging granularity):
 ///  * crafted instances with known group MUSes;
 ///  * background-only unsatisfiability yields the empty group MUS;
-///  * both extractors produce oracle-verified minimal group sets on
-///    randomized grouped formulas;
+///  * the extractor produces verified minimal group sets on randomized
+///    grouped formulas, with and without a background;
 ///  * a miniature gate-grouped debugging scenario: the group MUS pins
 ///    the faulty gate;
 ///  * budget behaviour.
@@ -14,7 +14,7 @@
 
 #include "gen/random_cnf.h"
 #include "mus/gcnf_io.h"
-#include "mus/gmus.h"
+#include "mus/mus.h"
 
 namespace msu {
 namespace {
@@ -34,46 +34,37 @@ GroupCnf twoContradictions() {
   return g;
 }
 
-using GExtract = GroupMusResult (*)(const GroupCnf&, const MusOptions&);
-
-struct GCase {
-  const char* name;
-  GExtract fn;
-};
-
-class GroupMusTest : public ::testing::TestWithParam<GCase> {};
-
-TEST_P(GroupMusTest, FindsAPairAmongTwoContradictions) {
+TEST(GroupMusTest, FindsAPairAmongTwoContradictions) {
   const GroupCnf g = twoContradictions();
-  const GroupMusResult r = GetParam().fn(g, {});
+  const MusResult r = extractMus(g);
   ASSERT_TRUE(r.minimal);
   EXPECT_EQ(r.size(), 2);
   EXPECT_TRUE(r.groups == (std::vector<int>{0, 1}) ||
               r.groups == (std::vector<int>{2, 3}));
-  EXPECT_TRUE(isGroupMus(g, r.groups));
+  EXPECT_TRUE(isMus(g, r.groups));
 }
 
-TEST_P(GroupMusTest, BackgroundUnsatGivesEmptyGroupMus) {
+TEST(GroupMusTest, BackgroundUnsatGivesEmptyGroupMus) {
   GroupCnf g(1);
   g.addBackground({posLit(0)});
   g.addBackground({negLit(0)});
   const int g0 = g.addGroup();
   g.addToGroup(g0, {posLit(0)});
-  const GroupMusResult r = GetParam().fn(g, {});
+  const MusResult r = extractMus(g);
   ASSERT_TRUE(r.minimal);
   EXPECT_TRUE(r.groups.empty());
 }
 
-TEST_P(GroupMusTest, SatisfiableInputGivesNonMinimalEmpty) {
+TEST(GroupMusTest, SatisfiableInputGivesNonMinimalEmpty) {
   GroupCnf g(2);
   const int g0 = g.addGroup();
   g.addToGroup(g0, {posLit(0), posLit(1)});
-  const GroupMusResult r = GetParam().fn(g, {});
+  const MusResult r = extractMus(g);
   EXPECT_FALSE(r.minimal);
   EXPECT_TRUE(r.groups.empty());
 }
 
-TEST_P(GroupMusTest, MultiClauseGroupsAreAllOrNothing) {
+TEST(GroupMusTest, MultiClauseGroupsAreAllOrNothing) {
   // Group 0 = {x, y}, group 1 = {~x ∨ ~y}: together SAT (x=1,y=1 fails
   // group 1... actually x=1,y=1 falsifies ~x∨~y) — craft carefully:
   // group 0 forces x and y; group 1 forbids both; they conflict only
@@ -86,13 +77,13 @@ TEST_P(GroupMusTest, MultiClauseGroupsAreAllOrNothing) {
   g.addToGroup(g1, {negLit(0), negLit(1)});
   const int g2 = g.addGroup();
   g.addToGroup(g2, {posLit(2)});
-  const GroupMusResult r = GetParam().fn(g, {});
+  const MusResult r = extractMus(g);
   ASSERT_TRUE(r.minimal);
   EXPECT_EQ(r.groups, (std::vector<int>{0, 1}));
   static_cast<void>(g2);
 }
 
-TEST_P(GroupMusTest, RandomGroupedFormulasYieldVerifiedGroupMuses) {
+TEST(GroupMusTest, RandomGroupedFormulasYieldVerifiedGroupMuses) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const CnfFormula f = randomUnsat3Sat(9, 8.0, seed * 3);
     // Partition clauses round-robin into 6 groups.
@@ -101,15 +92,14 @@ TEST_P(GroupMusTest, RandomGroupedFormulasYieldVerifiedGroupMuses) {
     for (int i = 0; i < f.numClauses(); ++i) {
       g.addToGroup(i % 6, f.clause(i));
     }
-    const GroupMusResult r = GetParam().fn(g, {});
+    const MusResult r = extractMus(g);
     if (!r.minimal && r.groups.empty()) continue;  // satisfiable draw
     ASSERT_TRUE(r.minimal) << "seed " << seed;
-    EXPECT_TRUE(isGroupMus(g, r.groups))
-        << GetParam().name << " seed " << seed;
+    EXPECT_TRUE(isMus(g, r.groups)) << "seed " << seed;
   }
 }
 
-TEST_P(GroupMusTest, GateGroupedDebuggingPinsTheFaultyGate) {
+TEST(GroupMusTest, GateGroupedDebuggingPinsTheFaultyGate) {
   // Miniature debugging scenario. Correct design: g1: a = in1 AND in2,
   // g2: b = NOT a, output b. Faulty chip observed: in1=1, in2=1, b=1
   // (correct answer is b=0). Background: observed I/O. Groups: the two
@@ -129,22 +119,14 @@ TEST_P(GroupMusTest, GateGroupedDebuggingPinsTheFaultyGate) {
   g.addToGroup(invGate, {posLit(2), posLit(3)});
   g.addToGroup(invGate, {negLit(2), negLit(3)});
 
-  const GroupMusResult r = GetParam().fn(g, {});
+  const MusResult r = extractMus(g);
   ASSERT_TRUE(r.minimal);
   EXPECT_EQ(r.groups, (std::vector<int>{andGate, invGate}));
   // Both gates participate: AND forces a=1, inverter then forces b=0,
   // contradicting the observation. Removing either group restores
   // consistency — the debugger reports both as candidate fault sites.
-  EXPECT_TRUE(isGroupMus(g, r.groups));
+  EXPECT_TRUE(isMus(g, r.groups));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothExtractors, GroupMusTest,
-    ::testing::Values(GCase{"deletion", &extractGroupMusDeletion},
-                      GCase{"dichotomic", &extractGroupMusDichotomic}),
-    [](const ::testing::TestParamInfo<GCase>& info) {
-      return info.param.name;
-    });
 
 TEST(GroupMusBudgetTest, BudgetExpiryReturnsUnminimizedSet) {
   const CnfFormula f = randomUnsat3Sat(12, 7.5, 5);
@@ -153,9 +135,9 @@ TEST(GroupMusBudgetTest, BudgetExpiryReturnsUnminimizedSet) {
   for (int i = 0; i < f.numClauses(); ++i) g.addToGroup(i % 8, f.clause(i));
   MusOptions opts;
   opts.budget = Budget::conflicts(1);
-  const GroupMusResult r = extractGroupMusDeletion(g, opts);
+  const MusResult r = extractMus(g, opts);
   if (!r.minimal && !r.groups.empty()) {
-    EXPECT_TRUE(groupSubsetUnsat(g, r.groups));
+    EXPECT_TRUE(subsetUnsat(g, r.groups));
   }
 }
 
@@ -186,8 +168,8 @@ TEST(GcnfIoTest, RoundTrip) {
     EXPECT_EQ(reparsed.group(g), original.group(g)) << "group " << g;
   }
   // Extraction results coincide as well.
-  const GroupMusResult a = extractGroupMusDeletion(original, {});
-  const GroupMusResult b = extractGroupMusDeletion(reparsed, {});
+  const MusResult a = extractMus(original);
+  const MusResult b = extractMus(reparsed);
   ASSERT_TRUE(a.minimal);
   ASSERT_TRUE(b.minimal);
   EXPECT_EQ(a.groups, b.groups);

@@ -1,6 +1,6 @@
 /// Tests for the MUS extraction / MCS enumeration module:
-///  * extractors return genuine MUSes (oracle-validated minimality);
-///  * the three extractors agree on MUS-ness (not necessarily identity);
+///  * the extractor returns genuine MUSes (oracle-validated minimality),
+///    each one of the MUSes the full enumeration finds;
 ///  * MCS enumeration is exhaustive, minimal, and size-ordered;
 ///  * hitting-set duality: MUSes == minimal hitting sets of MCSes, and
 ///    the smallest MCS size equals the MaxSAT optimum cost (the paper's
@@ -48,80 +48,61 @@ CnfFormula tinyUnsat() {
   return f;
 }
 
-using ExtractFn = MusResult (*)(const CnfFormula&, const MusOptions&);
-
-struct ExtractorCase {
-  const char* name;
-  ExtractFn fn;
-};
-
-class MusExtractorTest : public ::testing::TestWithParam<ExtractorCase> {};
-
-TEST_P(MusExtractorTest, TinyUnsatFindsTheUniqueMus) {
-  const CnfFormula f = tinyUnsat();
-  const MusResult r = GetParam().fn(f, {});
+TEST(MusExtractorTest, TinyUnsatFindsTheUniqueMus) {
+  const MusResult r = extractMus(GroupCnf::perClause(tinyUnsat()));
   EXPECT_TRUE(r.minimal);
-  EXPECT_EQ(r.clauseIndices, (std::vector<int>{0, 1}));
+  EXPECT_EQ(r.groups, (std::vector<int>{0, 1}));
 }
 
-TEST_P(MusExtractorTest, PaperExample2YieldsSizeThreeMus) {
-  const CnfFormula f = paperExample2();
-  const MusResult r = GetParam().fn(f, {});
+TEST(MusExtractorTest, PaperExample2YieldsSizeThreeMus) {
+  const GroupCnf f = GroupCnf::perClause(paperExample2());
+  const MusResult r = extractMus(f);
   ASSERT_TRUE(r.minimal);
   // Both MUSes of the formula have exactly three clauses
   // ({0,1,2} and {2,3,4} -- via {x2},{x3},{¬x2∨¬x3} it is {2,4,5}).
   EXPECT_EQ(r.size(), 3);
-  EXPECT_TRUE(isMus(f, r.clauseIndices)) << GetParam().name;
+  EXPECT_TRUE(isMus(f, r.groups));
 }
 
-TEST_P(MusExtractorTest, PigeonholeMusIsWholeFormula) {
+TEST(MusExtractorTest, PigeonholeMusIsWholeFormula) {
   // PHP(n+1, n) is minimally unsatisfiable: the MUS is everything.
   const CnfFormula f = pigeonhole(3, 2);
-  const MusResult r = GetParam().fn(f, {});
+  const MusResult r = extractMus(GroupCnf::perClause(f));
   ASSERT_TRUE(r.minimal);
   EXPECT_EQ(r.size(), f.numClauses());
 }
 
-TEST_P(MusExtractorTest, SatisfiableInputYieldsEmptyNonMinimal) {
+TEST(MusExtractorTest, SatisfiableInputYieldsEmptyNonMinimal) {
   CnfFormula f(2);
   f.addClause({posLit(0), posLit(1)});
   f.addClause({negLit(0)});
-  const MusResult r = GetParam().fn(f, {});
+  const MusResult r = extractMus(GroupCnf::perClause(f));
   EXPECT_FALSE(r.minimal);
-  EXPECT_TRUE(r.clauseIndices.empty());
+  EXPECT_TRUE(r.groups.empty());
 }
 
-TEST_P(MusExtractorTest, RandomUnsatInstancesYieldOracleCheckedMuses) {
+TEST(MusExtractorTest, RandomUnsatInstancesYieldOracleCheckedMuses) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const CnfFormula f = randomUnsat3Sat(10, 8.5, seed);
     if (!oracleUnsat(f)) continue;  // the generator is probabilistic
-    const MusResult r = GetParam().fn(f, {});
+    const GroupCnf g = GroupCnf::perClause(f);
+    const MusResult r = extractMus(g);
     ASSERT_TRUE(r.minimal) << "seed " << seed;
-    EXPECT_TRUE(oracleSubsetUnsat(f, r.clauseIndices)) << "seed " << seed;
-    EXPECT_TRUE(isMus(f, r.clauseIndices))
-        << GetParam().name << " seed " << seed;
+    EXPECT_TRUE(oracleSubsetUnsat(f, r.groups)) << "seed " << seed;
+    EXPECT_TRUE(isMus(g, r.groups)) << "seed " << seed;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllExtractors, MusExtractorTest,
-    ::testing::Values(ExtractorCase{"deletion", &extractMusDeletion},
-                      ExtractorCase{"dichotomic", &extractMusDichotomic},
-                      ExtractorCase{"insertion", &extractMusInsertion}),
-    [](const ::testing::TestParamInfo<ExtractorCase>& info) {
-      return info.param.name;
-    });
 
 TEST(MusDeletionTest, ModelRotationMarksCriticalsWithoutExtraCalls) {
   // On PHP every clause is critical; rotation should find some of them
   // without dedicated SAT calls.
-  const CnfFormula f = pigeonhole(4, 3);
+  const GroupCnf f = GroupCnf::perClause(pigeonhole(4, 3));
   MusOptions with;
   with.modelRotation = true;
   MusOptions without;
   without.modelRotation = false;
-  const MusResult a = extractMusDeletion(f, with);
-  const MusResult b = extractMusDeletion(f, without);
+  const MusResult a = extractMus(f, with);
+  const MusResult b = extractMus(f, without);
   ASSERT_TRUE(a.minimal);
   ASSERT_TRUE(b.minimal);
   EXPECT_EQ(a.size(), b.size());
@@ -133,16 +114,16 @@ TEST(MusBudgetTest, ExpiredBudgetReturnsUnminimizedUnsatSubset) {
   const CnfFormula f = randomUnsat3Sat(14, 7.0, 3);
   MusOptions opts;
   opts.budget = Budget::conflicts(1);
-  const MusResult r = extractMusDeletion(f, opts);
+  const MusResult r = extractMus(GroupCnf::perClause(f), opts);
   // Either it finished within the budget (tiny instances can) or the
   // returned set must still be unsatisfiable.
-  if (!r.minimal && !r.clauseIndices.empty()) {
-    EXPECT_TRUE(oracleSubsetUnsat(f, r.clauseIndices));
+  if (!r.minimal && !r.groups.empty()) {
+    EXPECT_TRUE(oracleSubsetUnsat(f, r.groups));
   }
 }
 
 TEST(SubsetUnsatTest, AgreesWithOracleOnSubsets) {
-  const CnfFormula f = paperExample2();
+  const GroupCnf f = GroupCnf::perClause(paperExample2());
   const std::vector<int> mus{0, 1, 2};
   const std::vector<int> sat{0, 2, 4};
   EXPECT_TRUE(subsetUnsat(f, mus));
@@ -293,7 +274,7 @@ TEST(AllMusesTest, PaperExample2HasTheTwoKnownMuses) {
   const AllMusesResult r = enumerateAllMuses(f);
   ASSERT_TRUE(r.complete);
   for (const auto& mus : r.muses) {
-    EXPECT_TRUE(isMus(f, mus));
+    EXPECT_TRUE(isMus(GroupCnf::perClause(f), mus));
   }
   // Clauses 6,7 (the x4 equivalence) are in no MUS.
   for (const auto& mus : r.muses) {
@@ -302,7 +283,7 @@ TEST(AllMusesTest, PaperExample2HasTheTwoKnownMuses) {
   }
 }
 
-TEST(AllMusesTest, EveryExtractorMusAppearsInTheFullEnumeration) {
+TEST(AllMusesTest, ExtractedMusAppearsInTheFullEnumeration) {
   // Full MUS enumeration is exponential (the MCS collection of a dense
   // random instance explodes), so exercise small structured inputs.
   std::vector<CnfFormula> inputs;
@@ -323,14 +304,11 @@ TEST(AllMusesTest, EveryExtractorMusAppearsInTheFullEnumeration) {
     const AllMusesResult all = enumerateAllMuses(f);
     ASSERT_TRUE(all.complete) << "input " << which;
     ASSERT_FALSE(all.muses.empty());
-    for (const auto& extracted :
-         {extractMusDeletion(f, {}), extractMusDichotomic(f, {}),
-          extractMusInsertion(f, {})}) {
-      ASSERT_TRUE(extracted.minimal);
-      EXPECT_TRUE(std::find(all.muses.begin(), all.muses.end(),
-                            extracted.clauseIndices) != all.muses.end())
-          << "input " << which;
-    }
+    const MusResult extracted = extractMus(GroupCnf::perClause(f));
+    ASSERT_TRUE(extracted.minimal);
+    EXPECT_TRUE(std::find(all.muses.begin(), all.muses.end(),
+                          extracted.groups) != all.muses.end())
+        << "input " << which;
   }
 }
 
