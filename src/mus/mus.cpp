@@ -62,7 +62,6 @@ class SelectorInstance {
 
   /// Solves with exactly the groups in `groups` enforced.
   [[nodiscard]] lbool solve(std::span<const int> groups) {
-    ++sat_calls_;
     return solver_.solve(enforcing(groups));
   }
 
@@ -77,8 +76,6 @@ class SelectorInstance {
                                       int rounds) {
     return groupsOf(trimCore(solver_, enforcing(groups), rounds));
   }
-
-  [[nodiscard]] std::int64_t satCalls() const { return sat_calls_; }
 
  private:
   [[nodiscard]] std::vector<Lit> enforcing(
@@ -106,7 +103,6 @@ class SelectorInstance {
   Solver solver_;
   std::vector<Lit> selectors_;
   std::vector<int> group_of_var_;  // -1: original variable
-  std::int64_t sat_calls_ = 0;
 };
 
 [[nodiscard]] bool satisfied(const Clause& c, const Assignment& a) {
@@ -179,7 +175,8 @@ MusResult extractMus(const GroupCnf& gcnf, const MusOptions& options) {
   const auto finish = [&inst, &rotated](std::vector<int> groups,
                                         bool minimal) {
     std::sort(groups.begin(), groups.end());
-    return MusResult{std::move(groups), minimal, inst.satCalls(), rotated};
+    return MusResult{std::move(groups), minimal,
+                     inst.solver().stats().solves, rotated};
   };
 
   std::vector<int> candidate(static_cast<std::size_t>(gcnf.numGroups()));

@@ -116,7 +116,7 @@ struct MusResult {
   bool minimal = false;
 
   /// Diagnostics.
-  std::int64_t satCalls = 0;           ///< SAT solver invocations
+  std::int64_t satCalls = 0;           ///< every SAT solve, trimCore's too
   std::int64_t rotationCriticals = 0;  ///< groups marked by rotation alone
 
   [[nodiscard]] int size() const { return static_cast<int>(groups.size()); }
