@@ -74,7 +74,7 @@ GroupCnf readGcnf(std::istream& in) {
         current.clear();
         currentGroup = -2;
       } else {
-        if (std::abs(value) > declaredVars) {
+        if (value < -declaredVars || value > declaredVars) {
           throw GcnfError("literal out of range: " + tok);
         }
         current.push_back(Lit::fromDimacs(static_cast<std::int32_t>(value)));

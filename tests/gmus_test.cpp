@@ -180,6 +180,8 @@ TEST(GcnfIoTest, MalformedInputsThrow) {
   EXPECT_THROW(parseGcnf("p gcnf 2 1 1\n1 0\n"), GcnfError); // missing tag
   EXPECT_THROW(parseGcnf("p gcnf 2 1 1\n{2} 1 0\n"), GcnfError);  // range
   EXPECT_THROW(parseGcnf("p gcnf 2 1 1\n{1} 5 0\n"), GcnfError);  // lit
+  EXPECT_THROW(parseGcnf("p gcnf 2 1 1\n{1} -9223372036854775808 0\n"),
+               GcnfError);  // lit: INT64_MIN
   EXPECT_THROW(parseGcnf("p gcnf 2 1 1\n{1} 1\n"), GcnfError);  // truncated
   EXPECT_THROW(parseGcnf("p cnf 2 1\n"), GcnfError);          // wrong fmt
 }
