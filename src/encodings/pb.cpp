@@ -96,19 +96,48 @@ Lit buildPbLeqBdd(ClauseSink& sink, std::span<const PbTerm> terms,
     assert(ts[static_cast<std::size_t>(i)].coeff > 0);
     suffix[i] = suffix[i + 1] + ts[static_cast<std::size_t>(i)].coeff;
   }
-  if (bound < 0) return ~tru;
-  if (suffix[0] <= bound) return tru;
-
+  // Node (i, b) stands for "terms i.. sum to at most b". Nodes are built
+  // post-order (hi child, lo child, then the node) on an explicit stack:
+  // the diagram is as deep as there are terms.
+  struct Frame {
+    int i;
+    Weight b;
+    int childrenVisited;
+    Lit hi;
+  };
   std::map<std::pair<int, Weight>, Lit> memo;
-  auto node = [&](auto&& self, int i, Weight b) -> Lit {
-    if (b < 0) return ~tru;
-    if (suffix[i] <= b) return tru;
-    const auto key = std::make_pair(i, b);
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-
-    const PbTerm& t = ts[static_cast<std::size_t>(i)];
-    const Lit hi = self(self, i + 1, b - t.coeff);
-    const Lit lo = self(self, i + 1, b);
+  std::vector<Frame> stack;
+  Lit done = tru;  // literal of the node settled last
+  // Settles node (i, b) into `done` if it is a leaf or built already;
+  // pushes it otherwise.
+  const auto visit = [&](int i, Weight b) {
+    if (b < 0) {
+      done = ~tru;
+    } else if (suffix[i] <= b) {
+      done = tru;
+    } else if (const auto it = memo.find({i, b}); it != memo.end()) {
+      done = it->second;
+    } else {
+      stack.push_back({i, b, 0, kUndefLit});
+    }
+  };
+  visit(0, bound);
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const PbTerm& t = ts[static_cast<std::size_t>(f.i)];
+    if (f.childrenVisited == 0) {
+      f.childrenVisited = 1;
+      visit(f.i + 1, f.b - t.coeff);  // may push: `f` dangles after this
+      continue;
+    }
+    if (f.childrenVisited == 1) {
+      f.childrenVisited = 2;
+      f.hi = done;
+      visit(f.i + 1, f.b);
+      continue;
+    }
+    const Lit hi = f.hi;
+    const Lit lo = done;
     Lit v;
     if (hi == lo) {
       v = hi;
@@ -122,10 +151,11 @@ Lit buildPbLeqBdd(ClauseSink& sink, std::span<const PbTerm> terms,
       sink.addClause({~hi, ~lo, v});
       sink.addClause({hi, lo, ~v});
     }
-    memo.emplace(key, v);
-    return v;
-  };
-  return node(node, 0, bound);
+    memo.emplace(std::make_pair(f.i, f.b), v);
+    stack.pop_back();
+    done = v;
+  }
+  return done;
 }
 
 std::vector<Lit> buildAdderNetwork(ClauseSink& sink,

@@ -149,6 +149,34 @@ TEST(PbEncoding, ActivatorGuards) {
   }
 }
 
+/// Numbers variables and counts clauses without storing anything.
+class CountingSink final : public ClauseSink {
+ public:
+  Var newVar() override { return num_vars_++; }
+  [[nodiscard]] std::int64_t clauses() const { return clauses_; }
+
+ protected:
+  void emitClause(std::span<const Lit> /*lits*/) override { ++clauses_; }
+
+ private:
+  Var num_vars_ = 0;
+  std::int64_t clauses_ = 0;
+};
+
+TEST(PbEncoding, BddAsDeepAsItsTermsBuildsWithoutRecursion) {
+  // The diagram has one level per term, deeper than a call stack holds.
+  // At bound 1 its inner nodes are (i, 1) for i < n-1 and (i, 0) for
+  // 0 < i < n, each with a variable and six clauses; the sink's true
+  // literal adds one unit clause.
+  constexpr int kTerms = 100000;
+  CountingSink sink;
+  std::vector<PbTerm> terms;
+  for (int i = 0; i < kTerms; ++i) terms.push_back({posLit(sink.newVar()), 1});
+  const Lit root = buildPbLeqBdd(sink, terms, 1);
+  EXPECT_EQ(root.var(), sink.newVar() - 1);  // the root is built last
+  EXPECT_EQ(sink.clauses(), 1 + 6 * 2 * std::int64_t{kTerms - 1});
+}
+
 TEST(AdderNetwork, BitsEncodeTheSum) {
   // Check the adder's result bits against the true sum for all inputs.
   Fixture f(5);
