@@ -99,6 +99,38 @@ TEST(GroupMusTest, RandomGroupedFormulasYieldVerifiedGroupMuses) {
   }
 }
 
+TEST(GroupMusTest, RotationKeepsTheBackgroundSatisfied) {
+  // A rotated model proves a group critical only while it still
+  // satisfies the background. Every third clause goes to the background,
+  // the others round-robin into 4, 8 or 16 groups.
+  int minimal = 0;
+  std::int64_t rotated = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const CnfFormula f = randomUnsat3Sat(10, 8.0, seed);
+    for (const int numGroups : {4, 8, 16}) {
+      GroupCnf g(f.numVars());
+      for (int i = 0; i < numGroups; ++i) static_cast<void>(g.addGroup());
+      for (int i = 0; i < f.numClauses(); ++i) {
+        if (i % 3 == 2) {
+          g.addBackground(f.clause(i));
+        } else {
+          g.addToGroup(i % numGroups, f.clause(i));
+        }
+      }
+      MusOptions opts;
+      opts.modelRotation = true;
+      const MusResult r = extractMus(g, opts);
+      if (!r.minimal) continue;  // satisfiable draw
+      ++minimal;
+      rotated += r.rotationCriticals;
+      EXPECT_TRUE(isMus(g, r.groups))
+          << "seed " << seed << ", " << numGroups << " groups";
+    }
+  }
+  EXPECT_GT(minimal, 100);
+  EXPECT_GT(rotated, 0);
+}
+
 TEST(GroupMusTest, GateGroupedDebuggingPinsTheFaultyGate) {
   // Miniature debugging scenario. Correct design: g1: a = in1 AND in2,
   // g2: b = NOT a, output b. Faulty chip observed: in1=1, in2=1, b=1
