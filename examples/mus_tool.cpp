@@ -10,6 +10,10 @@
 /// Usage: mus_tool [file.cnf | file.gcnf]
 ///        (default: a built-in pigeonhole mix; .gcnf files get group-MUS
 ///        analysis instead of the clause-level pipeline)
+///
+/// Checks itself: exits 1 when an extracted or enumerated MUS fails
+/// isMus, or when the smallest MCS disagrees with msu4-v2's optimum;
+/// exits 2 on unreadable input.
 
 #include <iostream>
 
@@ -52,9 +56,9 @@ int runGroupMode(const char* path) {
   for (std::size_t i = 0; i < r.groups.size(); ++i) {
     std::cout << (i ? "," : "") << r.groups[i];
   }
-  std::cout << "} verified=" << (isMus(gcnf, r.groups) ? "yes" : "NO")
-            << "\n";
-  return 0;
+  const bool verified = isMus(gcnf, r.groups);
+  std::cout << "} verified=" << (verified ? "yes" : "NO") << "\n";
+  return verified || !r.minimal ? 0 : 1;
 }
 
 }  // namespace
@@ -95,9 +99,11 @@ int main(int argc, char** argv) {
     std::cout << "  formula is satisfiable\n";
     return 0;
   }
+  bool ok = !r.minimal || isMus(perClause, r.groups);
   std::cout << "  size " << r.size() << ", " << r.satCalls << " SAT calls, "
             << r.rotationCriticals << " rotation hits, minimal="
-            << (r.minimal ? "yes" : "budget-expired") << "\n";
+            << (r.minimal ? "yes" : "budget-expired")
+            << (ok ? "" : ", NOT a MUS") << "\n";
 
   std::cout << "\n-- MCS enumeration --\n";
   McsOptions mopts;
@@ -111,26 +117,27 @@ int main(int argc, char** argv) {
               << "  == MaxSAT optimum cost";
     const auto solver = makeSolver("msu4-v2");
     const MaxSatResult opt = solver->solve(WcnfFormula::allSoft(cnf));
+    const bool agree = opt.status == MaxSatStatus::Optimum &&
+                       opt.cost == mcses.minSize();
+    ok = ok && agree;
     std::cout << " (msu4 says " << opt.cost << ": "
-              << (opt.status == MaxSatStatus::Optimum &&
-                          opt.cost == mcses.minSize()
-                      ? "agree"
-                      : "DISAGREE")
-              << ")\n";
+              << (agree ? "agree" : "DISAGREE") << ")\n";
   }
 
   if (mcses.complete) {
     std::cout << "\n-- all MUSes (hitting-set duality) --\n";
     const AllMusesResult all = enumerateAllMuses(cnf, mopts);
     std::cout << "  " << all.muses.size() << " MUS(es)\n";
-    for (std::size_t i = 0; i < all.muses.size() && i < 8; ++i) {
+    for (std::size_t i = 0; i < all.muses.size(); ++i) {
+      const bool verified = isMus(perClause, all.muses[i]);
+      ok = ok && verified;
+      if (i >= 8 && verified) continue;
       std::cout << "  mus[" << i << "] = {";
       for (std::size_t j = 0; j < all.muses[i].size(); ++j) {
         std::cout << (j ? "," : "") << all.muses[i][j];
       }
-      std::cout << "}  verified="
-                << (isMus(perClause, all.muses[i]) ? "yes" : "NO") << "\n";
+      std::cout << "}  verified=" << (verified ? "yes" : "NO") << "\n";
     }
   }
-  return 0;
+  return ok ? 0 : 1;
 }
