@@ -172,9 +172,9 @@ void rotateModels(const GroupCnf& gcnf, std::span<const int> candidate,
 MusResult extractMus(const GroupCnf& gcnf, const MusOptions& options) {
   SelectorInstance inst(gcnf, options.sat, options.budget);
   std::int64_t rotated = 0;
+  // `groups` comes sorted: from coreGroups() or trim().
   const auto finish = [&inst, &rotated](std::vector<int> groups,
                                         bool minimal) {
-    std::sort(groups.begin(), groups.end());
     return MusResult{std::move(groups), minimal,
                      inst.solver().stats().solves, rotated};
   };
