@@ -15,7 +15,8 @@ void IncrementalAtMost::retireCurrent(ClauseSink& sink) {
 }
 
 const std::vector<Lit>& IncrementalAtMost::cover(ClauseSink& sink,
-                                                 const std::vector<Lit>& lits) {
+                                                 const std::vector<Lit>& lits,
+                                                 int k) {
   // Suffix extension requires `lits` to extend `covered_` as a prefix
   // (callers provide relaxation-ordered literals); fall back to a fresh
   // structure if the prefix property ever fails.
@@ -38,9 +39,9 @@ const std::vector<Lit>& IncrementalAtMost::cover(ClauseSink& sink,
     }
     return totalizer_->outputs();
   }
-  // Sorter: sort only the new literals and merge them into the outputs.
+  // Sorter: sort only the new literals and join them to the outputs.
   if (!suffix.empty()) {
-    outputs_ = mergeSorted(sink, outputs_, buildSortingNetwork(sink, suffix));
+    outputs_ = joinSorted(sink, outputs_, buildSortingNetwork(sink, suffix), k);
   }
   return outputs_;
 }
@@ -60,18 +61,22 @@ void IncrementalAtMost::assertAtMost(ClauseSink& sink,
     // solver can tell apart from hard-clause consequences, which keeps
     // learnt-clause sharing sound (see sat/share.h). The literal set
     // only grows and the bound never loosens, so every earlier unit
-    // stays implied.
-    const std::vector<Lit>& out = cover(sink, lits);
+    // stays implied, and the sorter keeps no outputs above the tightest
+    // bound: a looser one is left to the earlier unit.
+    if (k > tightest_) return;
+    tightest_ = k;
+    std::vector<Lit> unit;  // empty for k < 0: falsum
+    if (k >= 0) {
+      const std::vector<Lit>& out = cover(sink, lits, k);
+      assert(static_cast<std::size_t>(k) < out.size());
+      unit.push_back(~out[static_cast<std::size_t>(k)]);
+    }
     if (!unit_scope_.defined()) {
       unit_scope_ = sink.beginScope();
     } else {
       sink.reopenScope(unit_scope_);
     }
-    if (k < 0) {
-      sink.addClause(std::initializer_list<Lit>{});
-    } else {
-      sink.addClause({~out[static_cast<std::size_t>(k)]});
-    }
+    sink.addClause(unit);
     sink.endScope(unit_scope_);
     return;
   }
@@ -102,7 +107,8 @@ std::optional<Lit> IncrementalAtMost::assumeAtMost(
   assert(k >= 0);
 
   if (growsInPlace()) {
-    return ~cover(sink, lits)[static_cast<std::size_t>(k)];
+    // Bounds may loosen: keep every output.
+    return ~cover(sink, lits, n - 1)[static_cast<std::size_t>(k)];
   }
 
   // Bound-specific encodings (Bdd/Sequential/...): one scope per

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -33,7 +34,11 @@ namespace msu {
 /// The totalizer and the sorter are built unscoped: their clauses only
 /// define fresh variables. New literals are counted (or sorted) on
 /// their own and merged into the existing outputs instead of
-/// re-encoding the whole set.
+/// re-encoding the whole set. The sorter joins each sorted batch by a
+/// direct merge cut at the bound (joinSorted in cardinality.h): in
+/// assert mode the bound only tightens, so outputs above it are never
+/// read again; assume mode keeps every output. One object serves one
+/// mode.
 class IncrementalAtMost {
  public:
   IncrementalAtMost(CardEncoding enc, bool reuse)
@@ -41,7 +46,10 @@ class IncrementalAtMost {
 
   /// Adds clauses enforcing `sum(lits) <= k` from now on. `lits` must
   /// contain every literal passed in earlier calls (append-only
-  /// growth), and the bound must not loosen.
+  /// growth), and the bound must not loosen. On a grown totalizer or
+  /// sorter, a bound looser than an earlier one is a no-op: the sorter
+  /// keeps no outputs above the tightest bound, and the earlier unit
+  /// already enforces it.
   ///
   /// Bound restrictions are never emitted as raw (unguarded) clauses:
   /// even the incremental totalizer's and sorter's monotone bound units
@@ -74,8 +82,10 @@ class IncrementalAtMost {
   void retireCurrent(ClauseSink& sink);
 
   /// Grows (or rebuilds) the unscoped totalizer or sorter to cover
-  /// `lits` and returns its outputs.
-  const std::vector<Lit>& cover(ClauseSink& sink, const std::vector<Lit>& lits);
+  /// `lits` and returns its outputs. A sorter growth step serves bounds
+  /// of `k` or less and keeps no outputs above it.
+  const std::vector<Lit>& cover(ClauseSink& sink, const std::vector<Lit>& lits,
+                                int k);
 
   CardEncoding enc_;
   bool reuse_;
@@ -87,6 +97,8 @@ class IncrementalAtMost {
   ScopeHandle unit_scope_;    // permanent scope for grown-structure bounds
   int scope_bound_ = -1;      // bound baked into a per-(set,k) scope
   bool scope_enforced_ = true;
+  // Tightest bound asserted on the grown totalizer or sorter.
+  int tightest_ = std::numeric_limits<int>::max();
 };
 
 /// Produces *assumption* literals enforcing `sum(lits) <= k` when

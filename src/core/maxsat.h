@@ -16,7 +16,9 @@
 /// in *encoding scopes* (see sink.h) and are physically retired — the
 /// clauses deleted, their auxiliary variables recycled — the moment a
 /// re-encode supersedes them. Sorting networks and totalizers are never
-/// outgrown: they grow in place, unscoped (core/incremental_atmost.h).
+/// outgrown: they grow in place, unscoped (core/incremental_atmost.h);
+/// a sorter joins each sorted batch of new blocking variables with one
+/// layer of direct-merge clauses cut at the asserted bound.
 /// `MaxSatResult::satStats` surfaces the lifecycle counters (retired
 /// scopes/clauses, reclaimed bytes, recycled variables) alongside the
 /// propagation-core counters.
@@ -107,11 +109,11 @@ struct MaxSatOptions {
   bool msu4AtLeastOne = true;
 
   /// Grow sorting networks and totalizers in place across iterations
-  /// (new blocking variables are merged into the existing outputs)
-  /// instead of re-encoding. The other encodings re-encode every bound,
-  /// as does everything when reuse is off: the superseded structure's
-  /// scope is retired, its clauses physically deleted and its auxiliary
-  /// variables recycled.
+  /// (new blocking variables are sorted or counted alone and merged
+  /// into the existing outputs) instead of re-encoding. The other
+  /// encodings re-encode every bound, as does everything when reuse is
+  /// off: the superseded structure's scope is retired, its clauses
+  /// physically deleted and its auxiliary variables recycled.
   bool reuseEncodings = true;
 
   /// Rounds of core trimming (re-solve under the core and adopt the

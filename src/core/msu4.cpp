@@ -32,13 +32,17 @@ std::string Msu4Solver::name() const {
 
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) {
-    // Weights too large to duplicate: Unknown, with the trivial bounds.
-    result.upperBound = input.totalSoftWeight();
-    return result;
+  // A unit-weight input is used as is; a weighted one is duplicated.
+  std::optional<WcnfFormula> reduced;
+  if (!input.isUnweighted()) {
+    reduced = input.unweighted();
+    if (!reduced) {
+      // Weights too large to duplicate: Unknown, with the trivial bounds.
+      result.upperBound = input.totalSoftWeight();
+      return result;
+    }
   }
-  const WcnfFormula& formula = *reduced;
+  const WcnfFormula& formula = reduced ? *reduced : input;
   const Weight m = formula.numSoft();
 
   OracleSession session(opts_);

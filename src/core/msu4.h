@@ -15,7 +15,10 @@
 /// bounds meeting. The best model's cost is the MaxSAT optimum.
 ///
 /// Variants: v1 = BDD cardinality encoding, v2 = sorting networks —
-/// exactly the paper's two implementations.
+/// the paper's two implementations. v2's network grows in place, which
+/// the paper does not do: each batch of new blocking variables is
+/// sorted by Batcher's network and joined to the grown outputs (see
+/// core/incremental_atmost.h).
 
 #pragma once
 
@@ -36,6 +39,9 @@ class Msu4Solver final : public MaxSatSolver {
 
   [[nodiscard]] std::string name() const override;
 
+  /// Solves a unit-weight input as is and a weighted one by duplicating
+  /// each soft clause (WcnfFormula::unweighted); beyond its clause cap
+  /// the answer is Unknown with the trivial bounds.
   [[nodiscard]] MaxSatResult solve(const WcnfFormula& formula) override;
 
  private:

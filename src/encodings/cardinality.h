@@ -2,7 +2,10 @@
 /// \brief CNF encodings of cardinality constraints `sum(lits) <= k` (and
 ///        friends). The DATE'08 paper's two msu4 variants differ only
 ///        here: v1 encodes with BDDs, v2 with Batcher odd-even sorting
-///        networks, both following Eén & Sörensson's minisat+ paper.
+///        networks, both following Eén & Sörensson's minisat+ paper
+///        (our v2 sorts each batch of new blocking variables with
+///        Batcher's network and joins it to the grown sorter by a
+///        direct merge cut at the bound; the paper rebuilds).
 ///        Sequential counters (Sinz) and totalizers (Bailleux–Boufkhad)
 ///        are provided as ablation encodings, plus pairwise/ladder
 ///        special cases for at-most-one.
@@ -79,7 +82,8 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 /// input->output clauses (Asín et al., Constraints 2011), which keeps
 /// unit propagation complete for `sum <= k`; the outputs do not give
 /// `sum >= k`. One network serves every bound, which is what lets msu4
-/// v2 reuse it across successively tighter bounds.
+/// v2 reuse it across successively tighter bounds; it grows by
+/// joinSorted.
 [[nodiscard]] std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
                                                    std::span<const Lit> lits);
 
@@ -87,11 +91,27 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 /// buildSortingNetwork or of earlier merges) into |a| + |b| outputs with
 /// the same contract. Both are padded with the constant false to a
 /// common power of two, merged by one full Batcher merge, and the
-/// padding positions dropped. This is how a sorter grows in place: sort
-/// only the new inputs, then merge them into the existing outputs.
+/// padding positions dropped. It adds log2 of that power of two
+/// comparator layers; joinSorted uses it only where the direct merge
+/// would be larger.
 [[nodiscard]] std::vector<Lit> mergeSorted(ClauseSink& sink,
                                            std::span<const Lit> a,
                                            std::span<const Lit> b);
+
+/// Joins a sorted batch `b` to the outputs `a` of a growing sorter
+/// (buildSortingNetwork or earlier joins) for bounds of `k` or less.
+/// This is how msu4 v2's sorter grows in place: each batch of new
+/// inputs is sorted alone, then joined by directMerge (totalizer.h)
+/// cut at `k` — one layer, min(|a| + |b|, k + 1) outputs — or by
+/// mergeSorted where the direct merge would emit more clauses than the
+/// odd-even merge for the same sizes; the rule reads only |a|, |b|
+/// and k. Either way `~out[k']` enforces `sum <= k'` for every
+/// k' <= k, provided `a` was itself built for bounds of k or more;
+/// positions above `k` must not serve a looser bound later. An empty
+/// side returns the other unchanged. Requires k >= 0.
+[[nodiscard]] std::vector<Lit> joinSorted(ClauseSink& sink,
+                                          std::span<const Lit> a,
+                                          std::span<const Lit> b, int k);
 
 /// Builds the BDD (counter-DAG) for `sum(lits) <= k` and returns a
 /// literal equivalent to the constraint (biconditional encoding).

@@ -1,10 +1,12 @@
 #include "encodings/cardnet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 #include "encodings/cardinality.h"
+#include "encodings/totalizer.h"
 
 namespace msu {
 
@@ -89,6 +91,29 @@ std::vector<Lit> truncatedMerge(ClauseSink& sink, const std::vector<Lit>& a,
   return out;
 }
 
+/// Comparators that emit clauses when truncatedMerge fully merges two
+/// vectors padded to the power of two `n` whose first `p` and `q`
+/// positions are not constants. A comparator emits only when neither
+/// input is the constant false, and by the 0-1 principle each
+/// sub-merge keeps its non-constant wires first.
+std::int64_t mergeComparators(std::size_t n, int p, int q) {
+  if (p + q <= 1) return 0;
+  if (n == 1) return 1;
+  const int evens = (p + 1) / 2 + (q + 1) / 2;
+  const int odds = p / 2 + q / 2;
+  return mergeComparators(n / 2, (p + 1) / 2, (q + 1) / 2) +
+         mergeComparators(n / 2, p / 2, q / 2) +
+         std::max(0, std::min(evens - 1, odds));
+}
+
+/// Clauses directMerge emits for sizes `p` and `q` cut at `k`.
+std::int64_t directMergeClauses(int p, int q, int k) {
+  const int m = std::min(p + q, k + 1);
+  std::int64_t clauses = -1;  // (i, j) = (0, 0) emits nothing
+  for (int i = 0; i <= std::min(p, m); ++i) clauses += std::min(q, m - i) + 1;
+  return clauses;
+}
+
 /// Recursive cardinality network: returns the first `min(|v|, m)` sorted
 /// outputs over `v`.
 std::vector<Lit> cardRec(ClauseSink& sink, std::span<const Lit> v, int m,
@@ -149,6 +174,20 @@ std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,
       sink, left, right, static_cast<int>(2 * left.size()), tru);
   out.resize(a.size() + b.size());  // drop the padding positions
   return out;
+}
+
+std::vector<Lit> joinSorted(ClauseSink& sink, std::span<const Lit> a,
+                            std::span<const Lit> b, int k) {
+  assert(k >= 0);
+  if (a.empty()) return {b.begin(), b.end()};
+  if (b.empty()) return {a.begin(), a.end()};
+  const int p = static_cast<int>(a.size());
+  const int q = static_cast<int>(b.size());
+  const std::size_t padded = std::bit_ceil(std::max(a.size(), b.size()));
+  if (directMergeClauses(p, q, k) > 3 * mergeComparators(padded, p, q)) {
+    return mergeSorted(sink, a, b);
+  }
+  return directMerge(sink, a, b, k);
 }
 
 }  // namespace msu

@@ -1,12 +1,13 @@
 /// \file cardnet.h
 /// \brief k-Cardinality networks (Asín, Nieuwenhuis, Oliveras &
 ///        Rodríguez-Carbonell): odd-even merge networks truncated to the
-///        first k+1 outputs. msu4 v2's full Batcher sorter
-///        (buildSortingNetwork and mergeSorted in cardinality.h) is made
-///        of the same three-clause comparators and the same merge,
-///        untruncated over inputs padded to a power of two; truncation
-///        keeps its propagation for `sum <= k` at O(n log^2 k) instead
-///        of O(n log^2 n) size — the natural "alternative encoding" the
+///        first k+1 outputs. msu4 v2's Batcher sorter
+///        (buildSortingNetwork in cardinality.h, and mergeSorted, the
+///        size fallback of its growth step) is made of the same
+///        three-clause comparators and the same merge, untruncated over
+///        inputs padded to a power of two; truncation keeps its
+///        propagation for `sum <= k` at O(n log^2 k) instead of
+///        O(n log^2 n) size — the natural "alternative encoding" the
 ///        paper's §5 asks to be explored. All the odd-even code, the
 ///        sorter's included, lives in cardnet.cpp.
 ///

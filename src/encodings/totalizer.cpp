@@ -1,5 +1,6 @@
 #include "encodings/totalizer.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace msu {
@@ -33,20 +34,7 @@ std::vector<Lit> Totalizer::merge(const std::vector<Lit>& left,
                                   const std::vector<Lit>& right) {
   const int p = static_cast<int>(left.size());
   const int q = static_cast<int>(right.size());
-  std::vector<Lit> out(static_cast<std::size_t>(p + q));
-  for (Lit& r : out) r = posLit(sink_->newVar());
-
-  // Forward: left>=i and right>=j imply out>=i+j.
-  for (int i = 0; i <= p; ++i) {
-    for (int j = 0; j <= q; ++j) {
-      if (i + j == 0) continue;
-      std::vector<Lit> clause;
-      if (i > 0) clause.push_back(~left[i - 1]);
-      if (j > 0) clause.push_back(~right[j - 1]);
-      clause.push_back(out[static_cast<std::size_t>(i + j - 1)]);
-      sink_->addClause(clause);
-    }
-  }
+  std::vector<Lit> out = directMerge(*sink_, left, right, p + q - 1);
   if (both_) {
     // Reverse: out>=i+j+1 implies left>=i+1 or right>=j+1.
     for (int i = 0; i <= p; ++i) {
@@ -58,6 +46,28 @@ std::vector<Lit> Totalizer::merge(const std::vector<Lit>& left,
         clause.push_back(~out[static_cast<std::size_t>(i + j)]);
         sink_->addClause(clause);
       }
+    }
+  }
+  return out;
+}
+
+std::vector<Lit> directMerge(ClauseSink& sink, std::span<const Lit> a,
+                             std::span<const Lit> b, int k) {
+  const int p = static_cast<int>(a.size());
+  const int q = static_cast<int>(b.size());
+  const int m = std::min(p + q, k + 1);
+  std::vector<Lit> out(static_cast<std::size_t>(std::max(m, 0)));
+  for (Lit& r : out) r = posLit(sink.newVar());
+
+  // Forward: a>=i and b>=j imply out>=i+j.
+  std::vector<Lit> clause;
+  for (int i = 0; i <= std::min(p, m); ++i) {
+    for (int j = i == 0 ? 1 : 0; j <= std::min(q, m - i); ++j) {
+      clause.clear();
+      if (i > 0) clause.push_back(~a[static_cast<std::size_t>(i - 1)]);
+      if (j > 0) clause.push_back(~b[static_cast<std::size_t>(j - 1)]);
+      clause.push_back(out[static_cast<std::size_t>(i + j - 1)]);
+      sink.addClause(clause);
     }
   }
   return out;

@@ -1,7 +1,8 @@
 /// \file totalizer.h
 /// \brief Bailleux–Boufkhad totalizer with incremental input extension —
 ///        the cardinality substrate used by the incremental variants of
-///        msu3/msu4 (and as an ablation encoding inside msu4 itself).
+///        msu3/msu4 (and as an ablation encoding inside msu4 itself) —
+///        and its merge, which also joins msu4 v2's sorted batches.
 
 #pragma once
 
@@ -12,6 +13,20 @@
 #include "encodings/sink.h"
 
 namespace msu {
+
+/// Direct merge of two ones-first output vectors `a` and `b`, cut at
+/// `k`: the totalizer's merge in the "at most" direction. Returns
+/// min(|a| + |b|, k + 1) fresh outputs and emits one clause
+/// `~a[i-1] | ~b[j-1] | out[i+j-1]` for every i <= |a|, j <= |b| with
+/// 1 <= i + j <= k + 1 (a zero index drops its literal), in that
+/// i-major order. With `a[i-1]` and `b[j-1]` true, `out[i+j-1]`
+/// follows in one propagation step. Outputs above `k` are not emitted:
+/// `~out[k']` enforces `sum <= k'` for every k' <= k. msu4 v2's grown
+/// sorter joins each sorted batch this way (joinSorted in
+/// cardinality.h).
+[[nodiscard]] std::vector<Lit> directMerge(ClauseSink& sink,
+                                           std::span<const Lit> a,
+                                           std::span<const Lit> b, int k);
 
 /// A totalizer over a growing set of input literals.
 ///
@@ -52,7 +67,8 @@ class Totalizer {
   }
 
  private:
-  /// Merges two sorted-count output vectors into a fresh one.
+  /// Merges two sorted-count output vectors into a fresh one: the
+  /// uncut directMerge, plus the reverse clauses when both_.
   [[nodiscard]] std::vector<Lit> merge(const std::vector<Lit>& left,
                                        const std::vector<Lit>& right);
 

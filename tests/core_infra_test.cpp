@@ -5,14 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <random>
 #include <set>
 
 #include "cnf/oracle.h"
 #include "core/bounds.h"
 #include "core/incremental_atmost.h"
 #include "core/soft_tracker.h"
+#include "encodings/cardinality.h"
 #include "encodings/sink.h"
+#include "encodings/totalizer.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 
@@ -106,6 +110,229 @@ TEST(IncrementalAtMost, GrowingSetWithTighteningBounds) {
       }
       if (reuse && growsInPlace(enc)) {
         EXPECT_EQ(s.stats().retired_scopes, 0) << toString(enc);
+      }
+    }
+  }
+}
+
+/// Numbers variables and counts clauses without storing anything.
+class CountingSink final : public ClauseSink {
+ public:
+  Var newVar() override { return num_vars_++; }
+  [[nodiscard]] std::int64_t clauses() const { return clauses_; }
+
+ protected:
+  void emitClause(std::span<const Lit> /*lits*/) override { ++clauses_; }
+
+ private:
+  Var num_vars_ = 0;
+  std::int64_t clauses_ = 0;
+};
+
+/// What clausesOf builds.
+enum class Build { Sorter, OddEven, Direct, Join };
+
+/// Clauses that `build` emits over fresh vectors `a` and `b` of sizes
+/// `p` and `q` (merges cut at `k`), once the sink's constant exists.
+/// The sorter sorts `b`.
+std::int64_t clausesOf(Build build, int p, int q, int k = 0) {
+  CountingSink sink;
+  static_cast<void>(sink.trueLit());
+  std::vector<Lit> a;
+  std::vector<Lit> b;
+  for (int i = 0; i < p; ++i) a.push_back(posLit(sink.newVar()));
+  for (int i = 0; i < q; ++i) b.push_back(posLit(sink.newVar()));
+  const std::int64_t before = sink.clauses();
+  switch (build) {
+    case Build::Sorter:
+      static_cast<void>(buildSortingNetwork(sink, b));
+      break;
+    case Build::OddEven:
+      static_cast<void>(mergeSorted(sink, a, b));
+      break;
+    case Build::Direct:
+      static_cast<void>(directMerge(sink, a, b, k));
+      break;
+    case Build::Join:
+      static_cast<void>(joinSorted(sink, a, b, k));
+      break;
+  }
+  return sink.clauses() - before;
+}
+
+/// Checks the assignment `bits` of `lits` against the bounds asserted
+/// so far, each `(n, k)` for `sum(lits[0..n)) <= k`: it must be
+/// satisfiable iff within all of them, and assuming only the true
+/// literals of a violating one must fail by unit propagation alone.
+void expectWithinBoundsIffSat(Solver& s, const std::vector<Lit>& lits,
+                              const std::vector<bool>& bits,
+                              const std::vector<std::pair<int, int>>& bounds) {
+  bool within = true;
+  for (const auto& [n, k] : bounds) {
+    within = within && std::count(bits.begin(), bits.begin() + n, true) <= k;
+  }
+  std::vector<Lit> full;
+  std::vector<Lit> trueOnly;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    full.push_back(bits[i] ? lits[i] : ~lits[i]);
+    if (bits[i]) trueOnly.push_back(lits[i]);
+  }
+  ASSERT_EQ(s.solve(full) == lbool::True, within);
+  if (within) return;
+  const std::int64_t decisions = s.stats().decisions;
+  ASSERT_EQ(s.solve(trueOnly), lbool::False);
+  EXPECT_EQ(s.stats().decisions, decisions);
+}
+
+TEST(IncrementalAtMost, RandomGrowthSchedulesAreExactAndPropagate) {
+  // msu4's pattern on up to 10 literals: at least four batches, each
+  // asserted under a bound that never loosens, sometimes tightened
+  // again without growth. Every full assignment is checked after every
+  // step.
+  for (CardEncoding enc : {CardEncoding::Sorter, CardEncoding::Totalizer}) {
+    SCOPED_TRACE(toString(enc));
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed);
+      std::mt19937_64 rng(seed);
+      Solver s;
+      SolverSink sink(s);
+      IncrementalAtMost inc(enc, /*reuse=*/true);
+      std::vector<Lit> lits;
+      std::vector<std::pair<int, int>> bounds;
+      int k = static_cast<int>(rng() % 11);
+      auto assertAndCheck = [&] {
+        inc.assertAtMost(sink, lits, k);
+        bounds.emplace_back(static_cast<int>(lits.size()), k);
+        const std::size_t n = lits.size();
+        for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+          SCOPED_TRACE(testing::Message() << "mask " << mask);
+          std::vector<bool> bits(n);
+          for (std::size_t i = 0; i < n; ++i) bits[i] = (mask >> i) & 1u;
+          expectWithinBoundsIffSat(s, lits, bits, bounds);
+        }
+      };
+      const int batches = 4 + static_cast<int>(rng() % 3);
+      for (int b = 0; b < batches; ++b) {
+        // Leave room for one literal in each batch still to come.
+        const int room = 10 - static_cast<int>(lits.size()) - batches + b + 1;
+        const int size = 1 + static_cast<int>(rng() % std::min(3, room));
+        for (int i = 0; i < size; ++i) lits.push_back(posLit(s.newVar()));
+        if (rng() % 2 == 0) k = std::max(0, k - static_cast<int>(rng() % 3));
+        assertAndCheck();
+        if (k > 0 && rng() % 4 == 0) {
+          --k;  // tighten over the same set
+          assertAndCheck();
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalAtMost, FallbackJoinOfCutOutputsStaysExact) {
+  // Joins take the odd-even merge only on larger sizes than the
+  // exhaustive schedules reach. Here the second step cuts 48 covered
+  // literals to 36 outputs, the third joins 30 more to those by the
+  // odd-even merge, and the fourth is direct again. Assignments are
+  // sampled with popcounts around the bound.
+  ASSERT_LT(clausesOf(Build::Direct, 40, 8, 35),
+            clausesOf(Build::OddEven, 40, 8));
+  ASSERT_GT(clausesOf(Build::Direct, 36, 30, 35),
+            clausesOf(Build::OddEven, 36, 30));
+  ASSERT_LT(clausesOf(Build::Direct, 66, 10, 30),
+            clausesOf(Build::OddEven, 66, 10));
+  struct Step {
+    int batch;
+    int k;
+  };
+  const Step steps[] = {{40, 35}, {8, 35}, {30, 35}, {10, 30}};
+  Solver s;
+  SolverSink sink(s);
+  IncrementalAtMost inc(CardEncoding::Sorter, /*reuse=*/true);
+  std::vector<Lit> lits;
+  std::vector<std::pair<int, int>> bounds;
+  std::mt19937_64 rng(7);
+  for (const Step& step : steps) {
+    for (int i = 0; i < step.batch; ++i) lits.push_back(posLit(s.newVar()));
+    inc.assertAtMost(sink, lits, step.k);
+    bounds.emplace_back(static_cast<int>(lits.size()), step.k);
+    for (int sample = 0; sample < 200; ++sample) {
+      SCOPED_TRACE(testing::Message() << "sample " << sample);
+      // step.k - 2 .. step.k + 3 true literals at random positions.
+      std::vector<bool> bits(lits.size());
+      const int ones = step.k - 2 + static_cast<int>(rng() % 6);
+      std::fill(bits.begin(), bits.begin() + ones, true);
+      std::shuffle(bits.begin(), bits.end(), rng);
+      expectWithinBoundsIffSat(s, lits, bits, bounds);
+    }
+  }
+}
+
+TEST(IncrementalAtMost, LooserBoundIsANoOp) {
+  // The second growth step cuts the sorter at k = 1, leaving two
+  // outputs; the looser bound that follows must not read past them.
+  for (CardEncoding enc : {CardEncoding::Sorter, CardEncoding::Totalizer}) {
+    Solver s;
+    SolverSink sink(s);
+    std::vector<Lit> lits;
+    for (int i = 0; i < 6; ++i) lits.push_back(posLit(s.newVar()));
+    IncrementalAtMost inc(enc, /*reuse=*/true);
+    inc.assertAtMost(sink, {lits.begin(), lits.begin() + 3}, 1);
+    inc.assertAtMost(sink, {lits.begin(), lits.begin() + 5}, 1);
+    inc.assertAtMost(sink, lits, 4);  // looser: no-op
+    for (std::uint32_t mask = 0; mask < 64; ++mask) {
+      std::vector<Lit> assumps;
+      for (int i = 0; i < 6; ++i) {
+        assumps.push_back(((mask >> i) & 1u) != 0 ? lits[i] : ~lits[i]);
+      }
+      EXPECT_EQ(s.solve(assumps) == lbool::True,
+                std::popcount(mask & 0x1Fu) <= 1)
+          << toString(enc) << " mask=" << mask;
+    }
+  }
+}
+
+TEST(IncrementalAtMost, GrowthStepTakesTheSmallerMerge) {
+  // One sorter growth step on each side of the size rule: a tight
+  // bound keeps the direct merge small, while a bound as large as the
+  // outputs makes it quadratic and the odd-even merge takes over.
+  struct Side {
+    int outputs;
+    int batch;
+    int k;
+    bool direct;
+  };
+  const Side sides[] = {{8, 8, 2, true}, {32, 32, 31, false}};
+  for (const Side& side : sides) {
+    SCOPED_TRACE(testing::Message() << "outputs " << side.outputs);
+    CountingSink sink;
+    std::vector<Lit> lits;
+    for (int i = 0; i < side.outputs + side.batch; ++i) {
+      lits.push_back(posLit(sink.newVar()));
+    }
+    IncrementalAtMost inc(CardEncoding::Sorter, /*reuse=*/true);
+    const std::vector<Lit> first(lits.begin(), lits.begin() + side.outputs);
+    inc.assertAtMost(sink, first, side.k);
+    const std::int64_t before = sink.clauses();
+    inc.assertAtMost(sink, lits, side.k);
+    // The step emits the batch's sorter, the join and one bound unit.
+    const std::int64_t sorter = clausesOf(Build::Sorter, 0, side.batch);
+    const std::int64_t join = sink.clauses() - before - sorter - 1;
+    const std::int64_t direct =
+        clausesOf(Build::Direct, side.outputs, side.batch, side.k);
+    const std::int64_t oddEven =
+        clausesOf(Build::OddEven, side.outputs, side.batch);
+    EXPECT_EQ(direct <= oddEven, side.direct);
+    EXPECT_LE(join, oddEven);
+    EXPECT_EQ(join, side.direct ? direct : oddEven);
+  }
+  // The rule on every small size: joinSorted emits the smaller merge.
+  for (int p = 1; p <= 12; ++p) {
+    for (int q = 1; q <= 12; ++q) {
+      for (int k = 0; k < p + q; ++k) {
+        EXPECT_EQ(clausesOf(Build::Join, p, q, k),
+                  std::min(clausesOf(Build::Direct, p, q, k),
+                           clausesOf(Build::OddEven, p, q)))
+            << "p=" << p << " q=" << q << " k=" << k;
       }
     }
   }

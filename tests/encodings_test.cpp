@@ -255,6 +255,36 @@ TEST(SortingNetwork, MergeExtensionMatchesMonolithic) {
   }
 }
 
+TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
+  // Joining a sorted batch for bounds of k or less keeps the outputs'
+  // contract at every position up to k. At these sizes the direct
+  // merge is always the smaller one; core_infra_test checks a join
+  // that takes the odd-even merge.
+  for (int n = 2; n <= 8; ++n) {
+    for (int split = 1; split < n; ++split) {
+      for (int k : {0, n / 2, n - 1}) {
+        Fixture f(n);
+        const std::span<const Lit> all(f.inputs);
+        const std::vector<Lit> first =
+            buildSortingNetwork(f.sink, all.subspan(0, split));
+        const std::vector<Lit> second =
+            buildSortingNetwork(f.sink, all.subspan(split));
+        const std::vector<Lit> out = joinSorted(f.sink, first, second, k);
+        ASSERT_GE(out.size(), static_cast<std::size_t>(k + 1));
+        for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+          for (int i = 0; i <= k; ++i) {
+            const Lit o = out[static_cast<std::size_t>(i)];
+            EXPECT_EQ(f.solveMask(mask, ~o) == lbool::True,
+                      std::popcount(mask) <= i)
+                << "n=" << n << " split=" << split << " k=" << k
+                << " mask=" << mask << " ~out[" << i << "]";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BddAtMost, RootIsBiconditional) {
   for (int n : {3, 5}) {
     for (int k : {1, 2}) {
