@@ -453,12 +453,13 @@ std::string BnbSolver::name() const { return "maxsatz-like"; }
 
 MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) {
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) {
     result.upperBound = input.totalSoftWeight();
     return result;
   }
-  BnbEngine engine(*reduced, opts_);
+  BnbEngine engine(*unit, opts_);
   result = engine.run();
   return result;
 }

@@ -4,7 +4,8 @@
 /// Supported formats:
 ///  * CNF:  `p cnf <vars> <clauses>` followed by 0-terminated clauses.
 ///  * WCNF: `p wcnf <vars> <clauses> [top]` where each clause starts with
-///    a weight; weight == top (when given) marks a hard clause.
+///    a weight; weight == top (when given) marks a hard clause. The soft
+///    weights must sum to less than INT64_MAX.
 /// Comments (`c ...`) and blank lines are ignored. Parsing is strict about
 /// literal ranges but tolerant about the clause count in the header.
 
@@ -25,17 +26,14 @@ class DimacsError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Parses a DIMACS CNF stream. Throws DimacsError on malformed input.
+/// Parses a DIMACS CNF string. Throws DimacsError on malformed input.
 ///
 /// All readers below are thin adapters over the zero-copy parser core
-/// in fastparse.h: `loadDimacs*` mmaps the file, `parseDimacs*` scans
-/// the string in place, and the istream overloads slurp the stream
-/// once and scan the buffer (the pipe path). Comments are strictly
-/// line-anchored ('c' first on its line); a '%' line ends the input
-/// (SAT-competition convention).
-[[nodiscard]] CnfFormula readDimacsCnf(std::istream& in);
-
-/// Parses a DIMACS CNF string.
+/// in fastparse.h, the only DIMACS parser: `loadDimacs*` mmaps the
+/// file, `parseDimacs*` scans the string in place, and the istream
+/// overload slurps the stream once and scans the buffer (the pipe
+/// path). Comments are strictly line-anchored ('c' first on its line);
+/// a '%' line ends the input (SAT-competition convention).
 [[nodiscard]] CnfFormula parseDimacsCnf(const std::string& text);
 
 /// Parses a DIMACS WCNF stream (or a plain CNF stream, which is lifted to
@@ -50,13 +48,6 @@ class DimacsError : public std::runtime_error {
 
 /// Loads a WCNF (or CNF) file from disk. Throws DimacsError.
 [[nodiscard]] WcnfFormula loadDimacsWcnf(const std::string& path);
-
-/// Legacy istream tokenizer readers (the pre-fastparse implementation),
-/// kept for differential fuzzing and as the bench_parse A/B baseline.
-/// Known quirk the new core fixes: a mid-clause token with a leading
-/// 'c' (e.g. `cat`) is silently eaten as a comment-to-EOL here.
-[[nodiscard]] CnfFormula readDimacsCnfLegacy(std::istream& in);
-[[nodiscard]] WcnfFormula readDimacsWcnfLegacy(std::istream& in);
 
 /// Writes DIMACS CNF.
 void writeDimacsCnf(std::ostream& out, const CnfFormula& cnf);

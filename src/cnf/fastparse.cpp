@@ -167,35 +167,20 @@ std::int64_t FastCursor::readInt(const char* what) {
   if (!skipToToken()) {
     fail(std::string("expected ") + what + ", got end of input");
   }
-  const char* start = p_;
-  bool neg = false;
-  if (*p_ == '-' || *p_ == '+') {
-    neg = (*p_ == '-');
-    ++p_;
+  const std::string_view tok = pendingToken();
+  std::int64_t v = 0;
+  switch (scanInt(tok, v)) {
+    case IntScan::kOk:
+      p_ += tok.size();
+      return v;
+    case IntScan::kMalformed:
+      fail(std::string("expected ") + what + ", got '" + std::string(tok) +
+           "'");
+    case IntScan::kOverflow:
+      break;
   }
-  const char* digits = p_;
-  std::uint64_t v = 0;
-  while (p_ != end_ && *p_ >= '0' && *p_ <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(*p_ - '0');
-    ++p_;
-  }
-  const std::ptrdiff_t ndigits = p_ - digits;
-  if (ndigits == 0 || (p_ != end_ && !endsToken(*p_))) {
-    p_ = start;
-    fail(std::string("expected ") + what + ", got '" +
-         std::string(pendingToken()) + "'");
-  }
-  // <= 19 digits cannot wrap uint64; past that (or past int64's range)
-  // the value is out of range for any weight/literal we accept.
-  const std::uint64_t lim =
-      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
-      (neg ? 1u : 0u);
-  if (ndigits > 19 || v > lim) {
-    p_ = start;
-    fail(std::string("integer overflow in ") + what + ": '" +
-         std::string(pendingToken()) + "'");
-  }
-  return neg ? -static_cast<std::int64_t>(v) : static_cast<std::int64_t>(v);
+  fail(std::string("integer overflow in ") + what + ": '" + std::string(tok) +
+       "'");
 }
 
 std::string_view FastCursor::readWord() {
@@ -393,10 +378,24 @@ std::int64_t clauseReserveHint(std::int64_t declared, std::size_t bytes) {
                                 static_cast<std::int64_t>(bytes / 2) + 16);
 }
 
+/// Appends a soft clause of weight `w` > 0 and adds `w` to `total`,
+/// the sum of the softs so far; fails when the sum would reach
+/// INT64_MAX (see fastParseDimacsWcnf). Both WCNF formats add their
+/// softs here.
+void addSoftWithinTotal(FastCursor& cur, WcnfFormula& out, const Clause& c,
+                        Weight w, Weight& total) {
+  if (w >= std::numeric_limits<Weight>::max() - total) {
+    cur.fail("soft weights sum to INT64_MAX or more");
+  }
+  total += w;
+  out.addSoft(c, w);
+}
+
 /// Headerless 2022 WCNF: `h <lits> 0` hard lines, `<w> <lits> 0` softs.
 WcnfFormula parseWcnf2022(FastCursor& cur) {
   constexpr std::int64_t kMaxVar = std::numeric_limits<std::int32_t>::max() / 2;
   WcnfFormula out;
+  Weight total = 0;
   Clause c;
   while (cur.skipToToken()) {
     bool hard = false;
@@ -424,7 +423,7 @@ WcnfFormula parseWcnf2022(FastCursor& cur) {
     if (hard) {
       out.addHard(c);
     } else {
-      out.addSoft(c, w);
+      addSoftWithinTotal(cur, out, c, w, total);
     }
   }
   return out;
@@ -440,7 +439,7 @@ bool fastLoadDimacsCnfInto(const InputBuffer& buf, Solver& solver) {
   if (h.wcnf) throw DimacsError("expected cnf, got wcnf");
   while (solver.numVars() < h.vars) static_cast<void>(solver.newVar());
   {
-    const Solver::BulkLoadGuard bulk(solver, solver.options().bulk_load);
+    const Solver::BulkLoadGuard bulk(solver);
     Clause c;
     while (cur.skipToToken()) {
       cur.readClauseLits(h.vars, c);
@@ -483,6 +482,7 @@ WcnfFormula fastParseDimacsWcnf(const InputBuffer& buf) {
     }
     return out;
   }
+  Weight total = 0;
   while (cur.skipToToken()) {
     const Weight w = cur.readIntQuick("clause weight");
     if (w <= 0) cur.fail("non-positive clause weight");
@@ -491,7 +491,7 @@ WcnfFormula fastParseDimacsWcnf(const InputBuffer& buf) {
     if (h.top && w >= *h.top) {
       out.addHard(c);
     } else {
-      out.addSoft(c, w);
+      addSoftWithinTotal(cur, out, c, w, total);
     }
   }
   return out;

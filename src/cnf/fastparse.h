@@ -7,16 +7,16 @@
 /// pipes and streams, or a borrowed view for in-memory strings) and a
 /// `FastCursor` scans them with a hand-rolled pointer-bumping lexer —
 /// no iostreams, no per-token std::string, branch-light digit loops.
-/// `dimacs.cpp` and `opb.cpp` are thin adapters over this core; the
-/// previous istream tokenizers survive as `*Legacy` entry points for
-/// differential testing and as the bench_parse A/B baseline.
+/// It is the only lexer: `dimacs.cpp` and `opb.cpp` are thin adapters
+/// over it. Every integer token goes through `scanInt`, except clean
+/// tokens of at most 9 digits on the clause and weight fast paths,
+/// which cannot overflow.
 ///
 /// Comment handling is strictly line-anchored: a comment begins only
 /// when the comment character ('c' for DIMACS, '*' for OPB) is the
 /// first non-blank character of a line. A token like `cat` in the
-/// middle of a clause is a parse error, never a silent comment-to-EOL
-/// (the legacy tokenizer's fragile leading-'c' heuristic). A line
-/// whose first non-blank character is '%' ends the input (SAT
+/// middle of a clause is a parse error, never a silent comment-to-EOL.
+/// A line whose first non-blank character is '%' ends the input (SAT
 /// competition convention) when the format enables it.
 ///
 /// Errors are reported with 1-based line numbers and thrown as
@@ -28,12 +28,43 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "cnf/dimacs.h"
 
 namespace msu {
+
+/// Outcome of scanInt.
+enum class IntScan { kOk, kMalformed, kOverflow };
+
+/// The one integer scan of every front end: an optional sign, then
+/// decimal digits that fill `tok` exactly. Stores the value in `out`
+/// and returns kOk only when |value| <= INT64_MAX, so a caller may
+/// negate any value it gets (INT64_MIN is out of range). A token with
+/// a non-digit is kMalformed, even when its digits also overflow.
+[[nodiscard]] inline IntScan scanInt(std::string_view tok,
+                                     std::int64_t& out) {
+  bool neg = false;
+  if (!tok.empty() && (tok[0] == '-' || tok[0] == '+')) {
+    neg = tok[0] == '-';
+    tok.remove_prefix(1);
+  }
+  if (tok.empty()) return IntScan::kMalformed;
+  std::uint64_t v = 0;  // wraps past 19 digits, caught below
+  for (const char ch : tok) {
+    if (ch < '0' || ch > '9') return IntScan::kMalformed;
+    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
+  }
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  // 19 digits cannot wrap uint64, and INT64_MAX's negation is in range.
+  if (tok.size() > 19 || v > kMax) return IntScan::kOverflow;
+  const auto sv = static_cast<std::int64_t>(v);
+  out = neg ? -sv : sv;
+  return IntScan::kOk;
+}
 
 /// Owns (or borrows) the bytes of one input. Move-only; unmaps/frees on
 /// destruction. `data()` is NOT NUL-terminated — always honor `size()`.
@@ -101,9 +132,9 @@ class FastCursor {
   /// First character of the pending token; call after skipToToken().
   [[nodiscard]] char peek() const { return *p_; }
 
-  /// skipToToken() + integer parse (optional sign, then digits, ending
-  /// at whitespace). Throws DimacsError naming `what`, the offending
-  /// token and the line on malformed input, overflow or end of input.
+  /// skipToToken() + scanInt over the whitespace-delimited token.
+  /// Throws DimacsError naming `what`, the offending token and the line
+  /// on malformed input, overflow or end of input.
   std::int64_t readInt(const char* what);
 
   /// skipToToken() + scan of one whitespace-delimited token as a view
@@ -172,7 +203,10 @@ bool fastLoadDimacsCnfInto(const InputBuffer& buf, Solver& solver);
 /// Parses DIMACS WCNF from a buffer: the old `p wcnf <vars> <clauses>
 /// [top]` format, the 2022 headerless format (`h`-prefixed hard
 /// clauses, weight-prefixed softs), or a plain `p cnf` instance lifted
-/// to all-soft weight 1. Throws DimacsError.
+/// to all-soft weight 1. Throws DimacsError, also when the soft weights
+/// sum to INT64_MAX or more: the total stays below it, so
+/// `totalSoftWeight() + 1` (the writer's top, the engines' "no model
+/// yet" cost) is representable.
 [[nodiscard]] WcnfFormula fastParseDimacsWcnf(const InputBuffer& buf);
 
 }  // namespace msu

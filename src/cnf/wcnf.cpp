@@ -52,6 +52,13 @@ std::optional<WcnfFormula> WcnfFormula::unweighted(
   return out;
 }
 
+const WcnfFormula* WcnfFormula::unitWeight(
+    std::optional<WcnfFormula>& expanded, std::int64_t maxClauses) const {
+  if (isUnweighted()) return this;
+  expanded = unweighted(maxClauses);
+  return expanded ? &*expanded : nullptr;
+}
+
 namespace {
 
 bool clauseSat(const Clause& c, const Assignment& a) {

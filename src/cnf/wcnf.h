@@ -86,6 +86,14 @@ class WcnfFormula {
   [[nodiscard]] std::optional<WcnfFormula> unweighted(
       std::int64_t maxClauses = 1'000'000) const;
 
+  /// The unit-weight instance an engine that counts falsified softs
+  /// runs on: this formula itself when every weight is 1 (no copy),
+  /// otherwise unweighted(maxClauses), stored in `expanded`. nullptr
+  /// when that expansion would exceed `maxClauses`.
+  [[nodiscard]] const WcnfFormula* unitWeight(
+      std::optional<WcnfFormula>& expanded,
+      std::int64_t maxClauses = 1'000'000) const;
+
   /// Cost (total weight of falsified soft clauses) of a complete
   /// assignment, or `nullopt` if it violates a hard clause.
   [[nodiscard]] std::optional<Weight> cost(const Assignment& a) const;

@@ -14,12 +14,13 @@ std::string BinarySearchSolver::name() const {
 
 MaxSatResult BinarySearchSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) {
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) {
     result.upperBound = input.totalSoftWeight();
     return result;
   }
-  const WcnfFormula& formula = *reduced;
+  const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
   OracleSession session(opts_);

@@ -7,9 +7,10 @@ namespace msu {
 DisjointCoresResult disjointCores(const WcnfFormula& input,
                                   const Budget& budget) {
   DisjointCoresResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
-  const WcnfFormula& formula = *reduced;
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) return result;
+  const WcnfFormula& formula = *unit;
 
   Solver sat;
   sat.setBudget(budget);
@@ -43,9 +44,10 @@ DisjointCoresResult disjointCores(const WcnfFormula& input,
 
 std::optional<BlockingBoundResult> blockingUpperBound(
     const WcnfFormula& input, const Budget& budget) {
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return std::nullopt;
-  const WcnfFormula& formula = *reduced;
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) return std::nullopt;
+  const WcnfFormula& formula = *unit;
 
   Solver sat;
   sat.setBudget(budget);

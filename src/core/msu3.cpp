@@ -13,12 +13,13 @@ std::string Msu3Solver::name() const {
 
 MaxSatResult Msu3Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) {
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) {
     result.upperBound = input.totalSoftWeight();
     return result;
   }
-  const WcnfFormula& formula = *reduced;
+  const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
   OracleSession session(opts_);

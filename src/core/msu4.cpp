@@ -32,17 +32,14 @@ std::string Msu4Solver::name() const {
 
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  // A unit-weight input is used as is; a weighted one is duplicated.
-  std::optional<WcnfFormula> reduced;
-  if (!input.isUnweighted()) {
-    reduced = input.unweighted();
-    if (!reduced) {
-      // Weights too large to duplicate: Unknown, with the trivial bounds.
-      result.upperBound = input.totalSoftWeight();
-      return result;
-    }
+  std::optional<WcnfFormula> expanded;
+  const WcnfFormula* unit = input.unitWeight(expanded);
+  if (unit == nullptr) {
+    // Weights too large to duplicate: Unknown, with the trivial bounds.
+    result.upperBound = input.totalSoftWeight();
+    return result;
   }
-  const WcnfFormula& formula = reduced ? *reduced : input;
+  const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
   OracleSession session(opts_);

@@ -40,7 +40,7 @@ class Msu4Solver final : public MaxSatSolver {
   [[nodiscard]] std::string name() const override;
 
   /// Solves a unit-weight input as is and a weighted one by duplicating
-  /// each soft clause (WcnfFormula::unweighted); beyond its clause cap
+  /// each soft clause (WcnfFormula::unitWeight); beyond its clause cap
   /// the answer is Unknown with the trivial bounds.
   [[nodiscard]] MaxSatResult solve(const WcnfFormula& formula) override;
 

@@ -106,12 +106,12 @@ class OracleSession {
   }
 
   /// Loads the hard clauses of `f` (creating its variables first).
-  /// Runs under a bulk-load scope (Options::bulk_load, default on):
-  /// watch construction is deferred to one counting pass over the
-  /// whole batch instead of per-clause incremental growth.
+  /// Runs under a bulk-load scope: watch construction is deferred to
+  /// one counting pass over the whole batch instead of per-clause
+  /// incremental growth.
   void addHards(const WcnfFormula& f) {
     ensureVars(f.numVars());
-    const Solver::BulkLoadGuard bulk(sat_, sat_.options().bulk_load);
+    const Solver::BulkLoadGuard bulk(sat_);
     for (const Clause& c : f.hard()) {
       static_cast<void>(sat_.addClause(c));
     }
@@ -122,7 +122,7 @@ class OracleSession {
   /// Bulk-loaded like addHards.
   SoftTracker& trackSofts(const WcnfFormula& f) {
     assert(!tracker_.has_value());
-    const Solver::BulkLoadGuard bulk(sat_, sat_.options().bulk_load);
+    const Solver::BulkLoadGuard bulk(sat_);
     tracker_.emplace(sat_, f);
     return *tracker_;
   }

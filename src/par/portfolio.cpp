@@ -153,10 +153,8 @@ MaxSatResult PortfolioSolver::solve(const WcnfFormula& formula) {
   for (int w = 0; w < n; ++w) {
     WorkerConfig& cfg = configs[static_cast<std::size_t>(w)];
     cfg.opts.budget.setInterrupt(&stop);
-    if (opts_.shareClauses && engineSharesSafely(cfg.engine)) {
+    if (engineSharesSafely(cfg.engine)) {
       cfg.opts.sat.share = pool.endpoint(w);
-      cfg.opts.sat.share_max_size = opts_.shareMaxSize;
-      cfg.opts.sat.share_max_lbd = opts_.shareMaxLbd;
       cfg.opts.sat.share_num_vars = formula.numVars();
     }
   }

@@ -25,7 +25,7 @@
 ///    (lock-free per-worker segments) and import the other workers'
 ///    clauses in budgeted drains on a conflict cadence — at forced
 ///    level-0 backtracks inside search, not just at restart
-///    boundaries (Solver::Options::share_import_interval).
+///    boundaries (Solver::kShareImportInterval).
 ///
 /// With `threads == 1` the portfolio degenerates to running the base
 /// configuration synchronously — no pool, no stop flag, no extra
@@ -54,13 +54,6 @@ struct PortfolioOptions {
   /// Engine names cycled across workers (factory names); empty selects
   /// defaultEngines(). The first entry is worker 0's engine.
   std::vector<std::string> engines;
-
-  /// Inter-oracle learnt-clause sharing (only engines whose additions
-  /// satisfy the sharing discipline participate; see
-  /// engineSharesSafely).
-  bool shareClauses = true;
-  int shareMaxSize = 8;  ///< export ceiling on clause length
-  int shareMaxLbd = 4;   ///< export ceiling on LBD
 
   /// Seed of the deterministic per-worker perturbation.
   unsigned seed = 1;

@@ -5,7 +5,6 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -15,119 +14,41 @@ namespace msu {
 
 namespace {
 
-/// Splits the input into whitespace-separated tokens, dropping `*`
-/// comment lines. Legacy path only (readOpbLegacy).
-std::vector<std::string> tokenize(std::istream& in) {
-  std::vector<std::string> tokens;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] == '*') continue;
-    std::istringstream ls(line);
-    std::string tok;
-    while (ls >> tok) tokens.push_back(tok);
-  }
-  return tokens;
-}
-
-[[nodiscard]] bool isRelop(const std::string& tok) {
+[[nodiscard]] bool isRelop(std::string_view tok) {
   return tok == ">=" || tok == "<=" || tok == "=";
 }
 
 /// Parses an integer coefficient like "+3", "-12", "7".
-[[nodiscard]] Weight parseCoeff(const std::string& tok) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(tok, &pos);
-    if (pos != tok.size()) throw OpbError("bad coefficient: " + tok);
-    return static_cast<Weight>(v);
-  } catch (const OpbError&) {
-    throw;
-  } catch (...) {
-    throw OpbError("bad coefficient: " + tok);
+[[nodiscard]] Weight parseCoeff(std::string_view tok) {
+  Weight v = 0;
+  if (scanInt(tok, v) != IntScan::kOk) {
+    throw OpbError("bad coefficient: " + std::string(tok));
   }
+  return v;
 }
 
 /// Parses a literal token "x12" or "~x12" (1-based).
-[[nodiscard]] Lit parseLitToken(const std::string& tok) {
-  std::string body = tok;
-  bool negated = false;
-  if (!body.empty() && body[0] == '~') {
-    negated = true;
-    body.erase(body.begin());
-  }
-  if (body.size() < 2 || body[0] != 'x') {
-    throw OpbError("bad variable: " + tok);
-  }
-  try {
-    std::size_t pos = 0;
-    const long long id = std::stoll(body.substr(1), &pos);
-    if (pos != body.size() - 1 || id <= 0) {
-      throw OpbError("bad variable: " + tok);
-    }
-    return mkLit(static_cast<Var>(id - 1), negated);
-  } catch (const OpbError&) {
-    throw;
-  } catch (...) {
-    throw OpbError("bad variable: " + tok);
-  }
-}
-
-[[nodiscard]] bool isRelopView(std::string_view tok) {
-  return tok == ">=" || tok == "<=" || tok == "=";
-}
-
-/// Zero-copy twin of parseCoeff over a buffer token.
-[[nodiscard]] Weight parseCoeffView(std::string_view tok) {
-  std::size_t i = 0;
-  bool neg = false;
-  if (!tok.empty() && (tok[0] == '+' || tok[0] == '-')) {
-    neg = tok[0] == '-';
-    i = 1;
-  }
-  if (i == tok.size()) throw OpbError("bad coefficient: " + std::string(tok));
-  std::uint64_t v = 0;
-  for (; i < tok.size(); ++i) {
-    const char ch = tok[i];
-    if (ch < '0' || ch > '9') {
-      throw OpbError("bad coefficient: " + std::string(tok));
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  const std::uint64_t lim =
-      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
-      (neg ? 1u : 0u);
-  if (tok.size() > 20 || v > lim) {
-    throw OpbError("bad coefficient: " + std::string(tok));
-  }
-  return neg ? -static_cast<Weight>(v) : static_cast<Weight>(v);
-}
-
-/// Zero-copy twin of parseLitToken: "x12" or "~x12" (1-based).
-[[nodiscard]] Lit parseLitTokenView(std::string_view tok) {
+[[nodiscard]] Lit parseLitToken(std::string_view tok) {
   std::string_view body = tok;
   bool negated = false;
   if (!body.empty() && body[0] == '~') {
     negated = true;
     body.remove_prefix(1);
   }
-  if (body.size() < 2 || body[0] != 'x') {
+  if (body.size() < 2 || body[0] != 'x' || body[1] < '0' || body[1] > '9') {
     throw OpbError("bad variable: " + std::string(tok));
   }
   body.remove_prefix(1);
-  std::uint64_t id = 0;
-  for (const char ch : body) {
-    if (ch < '0' || ch > '9') throw OpbError("bad variable: " + std::string(tok));
-    id = id * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  constexpr std::uint64_t kMaxVarId =
+  constexpr std::int64_t kMaxVarId =
       std::numeric_limits<std::int32_t>::max() / 2;
-  if (id == 0 || body.size() > 19 || id > kMaxVarId) {
+  std::int64_t id = 0;
+  if (scanInt(body, id) != IntScan::kOk || id == 0 || id > kMaxVarId) {
     throw OpbError("bad variable: " + std::string(tok));
   }
   return mkLit(static_cast<Var>(id - 1), negated);
 }
 
-/// The live OPB parser: one pointer-bumping pass over the buffer.
+/// The OPB parser: one pointer-bumping pass over the buffer.
 PboProblem parseOpbBuffer(const InputBuffer& buf) {
   FastCursor cur(buf, '*', /*percentEndsInput=*/false);
   PboProblem problem;
@@ -143,14 +64,18 @@ PboProblem parseOpbBuffer(const InputBuffer& buf) {
     while (!tok.empty() && tok != ";") {
       const std::string_view litTok = cur.readWord();
       if (litTok.empty()) throw OpbError("truncated objective");
-      const Weight coeff = parseCoeffView(tok);
-      const Lit lit = parseLitTokenView(litTok);
+      const Weight coeff = parseCoeff(tok);
+      const Lit lit = parseLitToken(litTok);
       noteVar(lit);
       if (coeff >= 0) {
         if (coeff > 0) problem.objective.push_back({lit, coeff});
       } else {
         // -c*l == -c + c*(~l) with c = -coeff > 0.
         problem.objective.push_back({~lit, -coeff});
+        if (problem.objectiveOffset <
+            std::numeric_limits<Weight>::min() - coeff) {
+          throw OpbError("objective offset overflows");
+        }
         problem.objectiveOffset += coeff;
       }
       tok = cur.readWord();
@@ -162,11 +87,11 @@ PboProblem parseOpbBuffer(const InputBuffer& buf) {
   // Constraints.
   while (!tok.empty()) {
     std::vector<PbTerm> terms;
-    while (!tok.empty() && !isRelopView(tok)) {
+    while (!tok.empty() && !isRelop(tok)) {
       const std::string_view litTok = cur.readWord();
       if (litTok.empty()) throw OpbError("truncated constraint");
-      const Weight coeff = parseCoeffView(tok);
-      const Lit lit = parseLitTokenView(litTok);
+      const Weight coeff = parseCoeff(tok);
+      const Lit lit = parseLitToken(litTok);
       noteVar(lit);
       terms.push_back({lit, coeff});
       tok = cur.readWord();
@@ -175,7 +100,7 @@ PboProblem parseOpbBuffer(const InputBuffer& buf) {
     const std::string_view relop = tok;
     const std::string_view boundTok = cur.readWord();
     if (boundTok.empty()) throw OpbError("constraint missing bound");
-    const Weight bound = parseCoeffView(boundTok);
+    const Weight bound = parseCoeff(boundTok);
     if (cur.readWord() != ";") throw OpbError("constraint missing ';'");
 
     if (relop == "<=" || relop == "=") {
@@ -202,78 +127,6 @@ PboProblem readOpb(std::istream& in) {
 
 PboProblem parseOpb(const std::string& text) {
   return parseOpbBuffer(InputBuffer::borrow(text.data(), text.size()));
-}
-
-PboProblem loadOpb(const std::string& path) {
-  try {
-    return parseOpbBuffer(InputBuffer::fromFile(path));
-  } catch (const DimacsError& e) {
-    throw OpbError(e.what());  // I/O failures surface as this module's error
-  }
-}
-
-PboProblem readOpbLegacy(std::istream& in) {
-  const std::vector<std::string> tokens = tokenize(in);
-  PboProblem problem;
-  std::size_t i = 0;
-  Var maxVar = -1;
-
-  auto noteVar = [&](Lit p) { maxVar = std::max(maxVar, p.var()); };
-
-  // Optional objective.
-  if (i < tokens.size() && tokens[i] == "min:") {
-    ++i;
-    while (i < tokens.size() && tokens[i] != ";") {
-      if (i + 1 >= tokens.size()) throw OpbError("truncated objective");
-      const Weight coeff = parseCoeff(tokens[i]);
-      const Lit lit = parseLitToken(tokens[i + 1]);
-      noteVar(lit);
-      if (coeff >= 0) {
-        if (coeff > 0) problem.objective.push_back({lit, coeff});
-      } else {
-        // -c*l == -c + c*(~l) with c = -coeff > 0.
-        problem.objective.push_back({~lit, -coeff});
-        problem.objectiveOffset += coeff;
-      }
-      i += 2;
-    }
-    if (i == tokens.size()) throw OpbError("objective missing ';'");
-    ++i;  // consume ';'
-  }
-
-  // Constraints.
-  while (i < tokens.size()) {
-    std::vector<PbTerm> terms;
-    while (i < tokens.size() && !isRelop(tokens[i])) {
-      if (i + 1 >= tokens.size()) throw OpbError("truncated constraint");
-      const Weight coeff = parseCoeff(tokens[i]);
-      const Lit lit = parseLitToken(tokens[i + 1]);
-      noteVar(lit);
-      terms.push_back({lit, coeff});
-      i += 2;
-    }
-    if (i >= tokens.size()) throw OpbError("constraint missing relation");
-    const std::string relop = tokens[i++];
-    if (i >= tokens.size()) throw OpbError("constraint missing bound");
-    const Weight bound = parseCoeff(tokens[i++]);
-    if (i >= tokens.size() || tokens[i] != ";") {
-      throw OpbError("constraint missing ';'");
-    }
-    ++i;
-
-    if (relop == "<=" || relop == "=") {
-      problem.constraints.push_back({terms, bound});
-    }
-    if (relop == ">=" || relop == "=") {
-      // sum(c*l) >= b  <=>  sum(-c*l) <= -b.
-      std::vector<PbTerm> flipped = terms;
-      for (PbTerm& t : flipped) t.coeff = -t.coeff;
-      problem.constraints.push_back({std::move(flipped), -bound});
-    }
-  }
-
-  problem.numVars = maxVar + 1;
-  return problem;
 }
 
 void writeOpb(std::ostream& out, const PboProblem& problem) {

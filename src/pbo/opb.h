@@ -9,7 +9,9 @@
 /// form; `=` splits into two inequalities; negative objective
 /// coefficients are rewritten over complemented literals with a constant
 /// offset (`-c*x == -c + c*(~x)`), so `PboProblem::objective` always
-/// carries positive coefficients.
+/// carries positive coefficients. Every integer must satisfy
+/// |v| <= INT64_MAX, so these negations cannot overflow; an objective
+/// offset that would is rejected.
 
 #pragma once
 
@@ -29,21 +31,14 @@ class OpbError : public std::runtime_error {
 
 /// Parses an OPB stream. Throws OpbError on malformed input.
 ///
-/// Like the DIMACS readers, these are adapters over the zero-copy
-/// lexer in cnf/fastparse.h: `loadOpb` mmaps, `parseOpb` scans the
-/// string in place, and the istream overload slurps once. `*` comment
-/// lines are strictly line-anchored.
+/// Like the DIMACS readers, both are adapters over the zero-copy lexer
+/// in cnf/fastparse.h, the only OPB parser: `parseOpb` scans the string
+/// in place, and the istream overload slurps once. `*` comment lines
+/// are strictly line-anchored.
 [[nodiscard]] PboProblem readOpb(std::istream& in);
 
 /// Parses an OPB string.
 [[nodiscard]] PboProblem parseOpb(const std::string& text);
-
-/// Loads an OPB file from disk (mmap path). Throws OpbError.
-[[nodiscard]] PboProblem loadOpb(const std::string& path);
-
-/// Legacy istream tokenizer reader, kept for differential fuzzing and
-/// as the bench_parse A/B baseline.
-[[nodiscard]] PboProblem readOpbLegacy(std::istream& in);
 
 /// Writes a PboProblem in OPB syntax. Only `<=` constraints and the
 /// positive-coefficient objective form are emitted (the canonical shape

@@ -11,7 +11,7 @@
 /// variable prefix only — see Solver::Options::share_num_vars) the
 /// moment they are learnt, and *imports* foreign clauses in budgeted
 /// drains at decision level 0 — at solve entry, at restart boundaries,
-/// and (on a conflict cadence, see Solver::Options::share_import_interval)
+/// and (on a conflict cadence, see Solver::kShareImportInterval)
 /// at forced level-0 backtrack points inside search — where attaching
 /// them is trivially sound for the search state.
 ///

@@ -1054,17 +1054,10 @@ void Solver::relocAll(ClauseArena& to) {
 
 void Solver::maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd) {
   if (!sharing() || !ok_) return;
-  // Lazy init of the dynamic ceilings (0 = not yet seeded from opts).
-  if (share_size_cur_ == 0) {
-    share_size_cur_ = opts_.share_max_size;
-    share_lbd_cur_ = opts_.share_max_lbd;
+  if (static_cast<int>(lits.size()) > share_size_cur_) return;
+  if (lits.size() > 2 && lbd > static_cast<std::uint32_t>(share_lbd_cur_)) {
+    return;
   }
-  const int maxSize = opts_.share_dynamic ? share_size_cur_
-                                          : opts_.share_max_size;
-  const int maxLbd = opts_.share_dynamic ? share_lbd_cur_
-                                         : opts_.share_max_lbd;
-  if (static_cast<int>(lits.size()) > maxSize) return;
-  if (lits.size() > 2 && lbd > static_cast<std::uint32_t>(maxLbd)) return;
   // Only clauses over the shareable variable prefix are consequences of
   // the shared (hard) part of the problem; anything touching a
   // selector, activator or encoding auxiliary stays private. See
@@ -1153,22 +1146,17 @@ void Solver::importSharedClauses(int maxClauses) {
   // the traffic it receives is mostly stale (everyone learns the same
   // facts), so the whole pool is likely over-sharing — tighten what we
   // contribute. A high attach rate means sharing is pulling its weight
-  // — relax back toward the configured maxima. One notch per window
-  // keeps the feedback loop stable against bursty drains.
-  if (opts_.share_dynamic &&
-      share_win_hits_ + share_win_misses_ >= kShareWindow) {
-    if (share_size_cur_ == 0) {
-      share_size_cur_ = opts_.share_max_size;
-      share_lbd_cur_ = opts_.share_max_lbd;
-    }
+  // — relax back toward the maxima. One notch per window keeps the
+  // feedback loop stable against bursty drains.
+  if (share_win_hits_ + share_win_misses_ >= kShareWindow) {
     if (share_win_hits_ * 2 < share_win_misses_) {
       // Under a 1-in-3 attach rate: tighten.
-      share_size_cur_ = std::max(opts_.share_dyn_min_size, share_size_cur_ - 1);
-      share_lbd_cur_ = std::max(opts_.share_dyn_min_lbd, share_lbd_cur_ - 1);
+      share_size_cur_ = std::max(kShareMinSize, share_size_cur_ - 1);
+      share_lbd_cur_ = std::max(kShareMinLbd, share_lbd_cur_ - 1);
     } else if (share_win_hits_ > share_win_misses_) {
       // Over half attached: relax.
-      share_size_cur_ = std::min(opts_.share_max_size, share_size_cur_ + 1);
-      share_lbd_cur_ = std::min(opts_.share_max_lbd, share_lbd_cur_ + 1);
+      share_size_cur_ = std::min(kShareMaxSize, share_size_cur_ + 1);
+      share_lbd_cur_ = std::min(kShareMaxLbd, share_lbd_cur_ + 1);
     }
     share_win_hits_ = 0;
     share_win_misses_ = 0;
@@ -1326,12 +1314,11 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       // long stable plateaus (Luby tails, EMA-blocked stretches). The
       // level-0 precondition of importSharedClauses() is established by
       // the cancelUntil(0) here; see its definition for why it matters.
-      if (sharing() && opts_.share_import_interval > 0 &&
-          stats_.conflicts >= next_share_import_) {
-        next_share_import_ = stats_.conflicts + opts_.share_import_interval;
+      if (sharing() && stats_.conflicts >= next_share_import_) {
+        next_share_import_ = stats_.conflicts + kShareImportInterval;
         if (opts_.share->hasPending()) {
           cancelUntil(0);
-          importSharedClauses(opts_.share_import_budget);
+          importSharedClauses(kShareImportBudget);
           warm_solves_since_import_ = 0;
           if (!ok_) {
             traceLemma({});
@@ -1478,7 +1465,7 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
     // inprocessing its periodic shot at the database. A warm first
     // segment skips both — they run at the next genuine restart.
     if (decisionLevel() == 0) {
-      importSharedClauses(opts_.share_import_budget);
+      importSharedClauses(kShareImportBudget);
       warm_solves_since_import_ = 0;
       if (!ok_ || !maybeInprocess()) {
         status = lbool::False;

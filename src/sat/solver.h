@@ -253,7 +253,6 @@ class Solver {
   /// Tunable parameters; defaults match MiniSat's.
   struct Options {
     double var_decay = 0.95;       ///< VSIDS activity decay
-    double clause_decay = 0.999;   ///< learnt clause activity decay
     int restart_base = 100;        ///< conflicts per Luby unit
     bool luby_restarts = true;     ///< Luby vs. geometric restarts
     double restart_inc = 2.0;      ///< geometric restart factor
@@ -307,32 +306,11 @@ class Solver {
     /// Optional learnt-clause exchange (non-owning; must outlive the
     /// solver). Sharing is active only when this is set AND
     /// share_num_vars > 0. Refutation proofs and sharing are mutually
-    /// exclusive: imported clauses enter the trace as axioms.
+    /// exclusive: imported clauses enter the trace as axioms. The
+    /// export ceilings, the import cadence and the drain budget are
+    /// fixed (kShareMaxSize and the constants beside it).
     ClauseShare* share = nullptr;
-    int share_max_size = 8;  ///< export ceiling on clause length
-    int share_max_lbd = 4;   ///< export ceiling on LBD (clauses > 2 lits)
     Var share_num_vars = 0;  ///< only clauses over vars < this qualify
-    /// Conflict cadence of in-search import drains: every this many
-    /// conflicts, a sharing solver at a no-conflict point backtracks to
-    /// level 0 (a forced mini-restart) and runs one budgeted drain —
-    /// instead of waiting for a natural restart, which on long stable
-    /// plateaus can starve the exchange. 0 disables the cadence
-    /// (imports then happen only at solve entry and restart
-    /// boundaries, the pre-PR-7 behaviour).
-    std::int64_t share_import_interval = 256;
-    /// Max foreign clauses attached per drain; <0 = unbounded. Bounds
-    /// the level-0 work a drain injects so import cost stays amortized
-    /// against the conflict cadence.
-    int share_import_budget = 128;
-    /// Adapt the export ceilings to the measured usefulness of the
-    /// traffic: per adaptation window (see kShareWindow), if most
-    /// imported clauses were dropped as satisfied/void the ceilings
-    /// tighten toward (share_dyn_min_size, share_dyn_min_lbd); if most
-    /// attached, they relax back toward the configured maxima. Off =
-    /// fixed ceilings (bit-for-bit the static filter).
-    bool share_dynamic = true;
-    int share_dyn_min_size = 3;  ///< floor of the dynamic size ceiling
-    int share_dyn_min_lbd = 2;   ///< floor of the dynamic LBD ceiling
 
     /// Optional execution tracer (non-owning; must outlive the solver).
     /// When set and enabled, the solver emits spans for solve() calls,
@@ -388,13 +366,6 @@ class Solver {
     /// charge it to each worker — deliberately conservative.
     std::int64_t external_mem_bytes = 0;
 
-    /// Load hard/soft clauses through the bulk path (beginBulkLoad/
-    /// endBulkLoad) in OracleSession::addHards()/trackSofts(). On by
-    /// default; off restores per-clause attachment (the A/B baseline
-    /// for bench_parse's pipeline cases and the bit-for-bit gate in
-    /// tests/bulkload_test.cpp).
-    bool bulk_load = true;
-
     /// Abort with the offending scope id when a clause references a
     /// variable of a live scope that is neither open for emission nor
     /// older than the emitting scope (the misuse retire()'s literal
@@ -409,6 +380,27 @@ class Solver {
     bool check_cross_scope = true;
 #endif
   };
+
+  /// Learnt-clause sharing (see Options::share). Exports are clauses
+  /// of at most kShareMaxSize literals and, above two literals, LBD at
+  /// most kShareMaxLbd. Per kShareWindow imported clauses, the ceilings
+  /// move one notch by the window's attach rate: down toward
+  /// kShareMinSize/kShareMinLbd when most imports were dropped as
+  /// satisfied, back up when most attached. Every kShareImportInterval
+  /// conflicts a sharing solver at a no-conflict point backtracks to
+  /// level 0 (a forced mini-restart) and drains at most
+  /// kShareImportBudget foreign clauses, instead of waiting for a
+  /// natural restart, which on long stable plateaus can starve the
+  /// exchange; the budget keeps a drain's level-0 work amortized
+  /// against that cadence. Decision record: bench/README.md
+  /// "conflict-cadence clause import + dynamic export ceilings".
+  static constexpr int kShareMaxSize = 8;
+  static constexpr int kShareMaxLbd = 4;
+  static constexpr int kShareMinSize = 3;
+  static constexpr int kShareMinLbd = 2;
+  static constexpr std::int64_t kShareWindow = 64;
+  static constexpr std::int64_t kShareImportInterval = 256;
+  static constexpr int kShareImportBudget = 128;
 
   Solver() : Solver(Options{}) {}
   explicit Solver(const Options& opts);
@@ -464,6 +456,8 @@ class Solver {
 
   // ---- Bulk clause loading (huge-instance ingest) ----------------------
   //
+  // The only path OracleSession and fastLoadDimacsCnfInto load through.
+  //
   // Contract: between beginBulkLoad() and endBulkLoad(), addClause()
   // keeps its root-level simplification semantics exactly (tautology
   // and satisfied-clause dropping, false-literal stripping, duplicate
@@ -504,22 +498,18 @@ class Solver {
   /// lists and propagates the loaded units. Returns okay().
   bool endBulkLoad();
 
-  /// RAII wrapper: begin on construction, end on destruction. The
-  /// `enable` flag makes call sites branch-free A/B switches.
+  /// RAII wrapper: begin on construction, end on destruction.
   class BulkLoadGuard {
    public:
-    explicit BulkLoadGuard(Solver& solver, bool enable = true)
-        : solver_(enable ? &solver : nullptr) {
-      if (solver_ != nullptr) solver_->beginBulkLoad();
+    explicit BulkLoadGuard(Solver& solver) : solver_(solver) {
+      solver_.beginBulkLoad();
     }
-    ~BulkLoadGuard() {
-      if (solver_ != nullptr) static_cast<void>(solver_->endBulkLoad());
-    }
+    ~BulkLoadGuard() { static_cast<void>(solver_.endBulkLoad()); }
     BulkLoadGuard(const BulkLoadGuard&) = delete;
     BulkLoadGuard& operator=(const BulkLoadGuard&) = delete;
 
    private:
-    Solver* solver_;
+    Solver& solver_;
   };
 
   // ---- Encoding lifecycle (see the file comment) -----------------------
@@ -776,7 +766,7 @@ class Solver {
   void varBumpActivity(Var v);
   void varDecayActivity() { var_inc_ /= opts_.var_decay; }
   void claBumpActivity(ClauseRefView c);
-  void claDecayActivity() { cla_inc_ /= opts_.clause_decay; }
+  void claDecayActivity() { cla_inc_ /= kClauseDecay; }
 
   [[nodiscard]] bool withinBudget() const;
 
@@ -870,6 +860,7 @@ class Solver {
   VarOrderHeap order_heap_;
   double var_inc_ = 1.0;
   double cla_inc_ = 1.0;
+  static constexpr double kClauseDecay = 0.999;  // learnt activity decay
 
   // Assumption interface.
   std::vector<Lit> assumptions_;
@@ -887,15 +878,14 @@ class Solver {
   std::int64_t warm_solves_since_import_ = 0;
 
   // Conflict-cadence import + dynamic export ceilings (sharing only).
-  // The ceilings start at the configured maxima and move one notch per
+  // The ceilings start at their maxima and move one notch per
   // kShareWindow imported clauses according to the window's attach
-  // rate; see adaptShareCeilings().
+  // rate; see importSharedClauses().
   std::int64_t next_share_import_ = 0;  // stats_.conflicts threshold
-  int share_size_cur_ = 0;              // current dynamic size ceiling
-  int share_lbd_cur_ = 0;               // current dynamic LBD ceiling
+  int share_size_cur_ = kShareMaxSize;  // current dynamic size ceiling
+  int share_lbd_cur_ = kShareMaxLbd;    // current dynamic LBD ceiling
   std::int64_t share_win_hits_ = 0;     // window: imports attached
   std::int64_t share_win_misses_ = 0;   // window: imports dropped
-  static constexpr std::int64_t kShareWindow = 64;
 
   // Adaptive-restart state (Options::ema_restarts).
   RestartEma restart_ema_;

@@ -117,7 +117,7 @@ TEST(BulkLoad, RootConflictSurfacesAtEndOfLoad) {
   EXPECT_EQ(s.solve(), lbool::False);
 }
 
-TEST(BulkLoad, GuardNestsAndDisables) {
+TEST(BulkLoad, GuardNests) {
   Solver s(plainOpts());
   static_cast<void>(s.newVar());
   static_cast<void>(s.newVar());
@@ -132,14 +132,6 @@ TEST(BulkLoad, GuardNestsAndDisables) {
     EXPECT_EQ(s.value(Var{1}), lbool::Undef);
   }
   EXPECT_EQ(s.value(Var{1}), lbool::True);
-
-  Solver t(plainOpts());
-  static_cast<void>(t.newVar());
-  {
-    const Solver::BulkLoadGuard off(t, /*enable=*/false);  // no-op guard
-    ASSERT_TRUE(t.addClause({posLit(0)}));
-    EXPECT_EQ(t.value(Var{0}), lbool::True);  // incremental semantics untouched
-  }
 }
 
 TEST(BulkLoad, MemoryCapAbortsLoadWithStructuredReason) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "cnf/dimacs.h"
@@ -122,6 +123,28 @@ TEST(Wcnf, UnweightedDuplication) {
   EXPECT_EQ(u->numSoft(), 3);
   EXPECT_TRUE(u->isUnweighted());
   EXPECT_FALSE(w.unweighted(2).has_value());  // exceeds the cap
+}
+
+TEST(Wcnf, UnitWeightReusesUnitWeightInput) {
+  WcnfFormula unit(2);
+  unit.addHard({posLit(0)});
+  unit.addSoft({posLit(1)});
+  unit.addSoft({negLit(1)});
+  std::optional<WcnfFormula> expanded;
+  // The input itself, not a copy, and no expansion — even past the cap,
+  // which bounds only what an expansion would add.
+  EXPECT_EQ(unit.unitWeight(expanded), &unit);
+  EXPECT_EQ(unit.unitWeight(expanded, 1), &unit);
+  EXPECT_FALSE(expanded.has_value());
+
+  WcnfFormula weighted(1);
+  weighted.addSoft({posLit(0)}, 3);
+  const WcnfFormula* u = weighted.unitWeight(expanded);
+  ASSERT_TRUE(expanded.has_value());
+  EXPECT_EQ(u, &*expanded);
+  EXPECT_EQ(u->numSoft(), 3);
+  EXPECT_TRUE(u->isUnweighted());
+  EXPECT_EQ(weighted.unitWeight(expanded, 2), nullptr);  // exceeds the cap
 }
 
 TEST(Wcnf, NumSoftSatisfiedMatchesPaperObjective) {

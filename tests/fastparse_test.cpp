@@ -1,17 +1,19 @@
-/// Tests for the zero-copy parser core (cnf/fastparse.h): differential
-/// fuzz against the legacy istream tokenizers across all three formats,
-/// the adversarial inputs the legacy leading-'c' heuristic got wrong,
+/// Tests for the zero-copy parser core (cnf/fastparse.h): writer ->
+/// parser round trips of generated formulas in all three formats, each
+/// compared with the formula that generated it; line-anchored comments,
 /// competition conventions ('%' terminator, CRLF, malformed headers),
-/// mmap-vs-fallback equivalence, and the direct buffer-to-solver bulk
-/// loader.
+/// integer and weight-sum overflow, mmap-vs-fallback equivalence, and
+/// the direct buffer-to-solver bulk loader.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -70,25 +72,23 @@ void expectSamePbo(const PboProblem& a, const PboProblem& b) {
   }
 }
 
-// ---- Differential fuzz vs the legacy tokenizers --------------------------
+// ---- Writer -> parser round trips ---------------------------------------
+//
+// Each parse is compared with the formula that generated the text, so
+// the oracle depends on no parser.
 
-TEST(FastParse, CnfRoundTripFuzzMatchesLegacy) {
+TEST(FastParse, CnfRoundTripFuzz) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     RandomCnfParams p;
     p.numVars = 5 + static_cast<int>(seed) * 3;
     p.numClauses = 20 + static_cast<int>(seed) * 17;
     p.seed = seed;
     const CnfFormula f = randomKSat(p);
-    const std::string text = toDimacsString(f);
-    std::istringstream in(text);
-    const CnfFormula viaLegacy = readDimacsCnfLegacy(in);
-    const CnfFormula viaFast = parseDimacsCnf(text);
-    expectSameCnf(viaLegacy, viaFast);
-    expectSameCnf(f, viaFast);
+    expectSameCnf(f, parseDimacsCnf(toDimacsString(f)));
   }
 }
 
-TEST(FastParse, WcnfRoundTripFuzzMatchesLegacy) {
+TEST(FastParse, WcnfRoundTripFuzz) {
   std::mt19937_64 rng(7);
   for (int round = 0; round < 10; ++round) {
     WcnfFormula w(8 + round);
@@ -107,25 +107,72 @@ TEST(FastParse, WcnfRoundTripFuzzMatchesLegacy) {
         w.addSoft(c, 1 + static_cast<Weight>(rng() % 9));
       }
     }
-    std::ostringstream os;
-    writeDimacsWcnf(os, w);
-    const std::string text = os.str();
-    std::istringstream in(text);
-    const WcnfFormula viaLegacy = readDimacsWcnfLegacy(in);
-    const WcnfFormula viaFast = parseDimacsWcnf(text);
-    expectSameWcnf(viaLegacy, viaFast);
+    // The old `p wcnf ... top` format: hard clauses carry weight top.
+    expectSameWcnf(w, parseDimacsWcnf(toDimacsString(w)));
   }
 }
 
-TEST(FastParse, OpbFuzzMatchesLegacy) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    BigFileParams p;
-    p.target_bytes = 4000;
-    p.vars = 40;
-    p.seed = seed;
-    const std::string text = makeBigOpbText(p);
-    std::istringstream in(text);
-    expectSamePbo(readOpbLegacy(in), parseOpb(text));
+TEST(FastParse, OpbRoundTripFuzz) {
+  // writeOpb emits `<=` constraints as they are, clauses as `>=`
+  // constraints over positive literals and a complemented objective
+  // literal as a negative coefficient. So the parse must return the
+  // objective and the constraints unchanged, each clause as the `<=`
+  // flip of its `>=` form, and the offset that pays for the
+  // complemented objective literals.
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 8; ++round) {
+    const int vars = 4 + round * 3;
+    Var maxVar = -1;
+    const auto lit = [&](bool positiveOnly) {
+      const Var v = static_cast<Var>(rng() % static_cast<unsigned>(vars));
+      maxVar = std::max(maxVar, v);
+      return positiveOnly || (rng() & 1) != 0 ? posLit(v) : negLit(v);
+    };
+    const auto coeff = [&rng](int range) {
+      return static_cast<Weight>(rng() % static_cast<unsigned>(2 * range + 1)) -
+             range;
+    };
+    PboProblem generated;
+    for (int i = 0; i < 2 + round; ++i) {
+      generated.objective.push_back(
+          {lit(false), 1 + static_cast<Weight>(rng() % 9)});
+    }
+    for (int i = 0; i < 3 + round * 2; ++i) {
+      PbConstraint pc;
+      const int terms = 1 + static_cast<int>(rng() % 4);
+      for (int k = 0; k < terms; ++k) pc.terms.push_back({lit(true), coeff(9)});
+      pc.bound = coeff(20);
+      generated.constraints.push_back(pc);
+    }
+    for (int i = 0; i < 2 + round; ++i) {
+      Clause c;
+      const int len = 1 + static_cast<int>(rng() % 3);
+      for (int k = 0; k < len; ++k) c.push_back(lit(false));
+      generated.clauses.push_back(c);
+    }
+    generated.numVars = maxVar + 1;
+
+    PboProblem expected = generated;
+    expected.clauses.clear();
+    for (const PbTerm& t : generated.objective) {
+      if (t.lit.negative()) expected.objectiveOffset -= t.coeff;
+    }
+    for (const Clause& c : generated.clauses) {
+      // sum(l) >= 1 over x: +1 x for x, -1 x (and bound - 1) for ~x;
+      // flipped to sum(-c*x) <= -b.
+      PbConstraint flipped;
+      Weight bound = 1;
+      for (const Lit p : c) {
+        flipped.terms.push_back({posLit(p.var()), p.negative() ? 1 : -1});
+        if (p.negative()) --bound;
+      }
+      flipped.bound = -bound;
+      expected.constraints.push_back(flipped);
+    }
+
+    std::ostringstream text;
+    writeOpb(text, generated);
+    expectSamePbo(expected, parseOpb(text.str()));
   }
 }
 
@@ -139,13 +186,7 @@ TEST(FastParse, CommentOnlyAtLineStart) {
   EXPECT_EQ(ok.numClauses(), 2);
   // ...but a stray word inside a clause is an error, never a comment.
   EXPECT_THROW(parseDimacsCnf("p cnf 3 1\n1 cat 0\n"), DimacsError);
-  // The legacy tokenizer silently ate "cat ... 0" as a comment-to-EOL —
-  // the fragile heuristic this parser fixes. Pin the old behaviour so
-  // the difference stays documented.
-  std::istringstream in("p cnf 3 1\n1 cat 0\n2 0\n");
-  const CnfFormula legacy = readDimacsCnfLegacy(in);
-  EXPECT_EQ(legacy.numClauses(), 1);  // "1 ... 2 0" fused into one clause
-  EXPECT_EQ(legacy.clause(0), (Clause{posLit(0), posLit(1)}));
+  EXPECT_THROW(parseDimacsCnf("p cnf 3 2\n1 cat 0\n2 0\n"), DimacsError);
 }
 
 TEST(FastParse, PercentTerminatorEndsInput) {
@@ -187,6 +228,33 @@ TEST(FastParse, LiteralRangeAndOverflow) {
                DimacsError);
   EXPECT_THROW(parseDimacsCnf("p cnf 2 1\n1 2\n"), DimacsError);  // no 0
   EXPECT_THROW(parseDimacsCnf("p cnf 2 1\n- 1 0\n"), DimacsError);
+  // INT64_MIN cannot be negated: out of range everywhere, never UB.
+  EXPECT_THROW(parseDimacsCnf("p cnf 2 1\n-9223372036854775808 0\n"),
+               DimacsError);
+  EXPECT_THROW(parseDimacsWcnf("p wcnf 2 1 5\n-9223372036854775808 1 0\n"),
+               DimacsError);
+  EXPECT_THROW(parseDimacsWcnf("p wcnf 2 1 -9223372036854775808\n1 1 0\n"),
+               DimacsError);
+  // 20 digits that wrap uint64 back to a small value.
+  EXPECT_THROW(parseDimacsCnf("p cnf 2 1\n18446744073709551617 0\n"),
+               DimacsError);
+}
+
+TEST(FastParse, ScanIntRange) {
+  std::int64_t v = 0;
+  EXPECT_EQ(scanInt("9223372036854775807", v), IntScan::kOk);
+  EXPECT_EQ(v, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(scanInt("-9223372036854775807", v), IntScan::kOk);
+  EXPECT_EQ(v, -std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(scanInt("+0", v), IntScan::kOk);
+  EXPECT_EQ(v, 0);
+  EXPECT_EQ(scanInt("9223372036854775808", v), IntScan::kOverflow);
+  EXPECT_EQ(scanInt("-9223372036854775808", v), IntScan::kOverflow);
+  EXPECT_EQ(scanInt("18446744073709551617", v), IntScan::kOverflow);
+  EXPECT_EQ(scanInt("99999999999999999999x", v), IntScan::kMalformed);
+  EXPECT_EQ(scanInt("", v), IntScan::kMalformed);
+  EXPECT_EQ(scanInt("-", v), IntScan::kMalformed);
+  EXPECT_EQ(scanInt("1-", v), IntScan::kMalformed);
 }
 
 // ---- WCNF formats --------------------------------------------------------
@@ -207,6 +275,31 @@ TEST(FastParse, Wcnf2022HLineFormat) {
   EXPECT_EQ(w.soft()[0].weight, 3);
   EXPECT_EQ(w.soft()[1].weight, 1);
   EXPECT_THROW(parseDimacsWcnf("h 1 0\n0 2 0\n"), DimacsError);  // w == 0
+}
+
+TEST(FastParse, WcnfSoftWeightsMustSumBelowInt64Max) {
+  // Two softs just under INT64_MAX each: their sum overflows, so both
+  // formats reject them instead of handing the engines a negative
+  // totalSoftWeight().
+  EXPECT_THROW(parseDimacsWcnf("p wcnf 1 2 9223372036854775807\n"
+                               "9223372036854775806 1 0\n"
+                               "9223372036854775806 -1 0\n"),
+               DimacsError);
+  EXPECT_THROW(parseDimacsWcnf("9223372036854775806 1 0\n"
+                               "9223372036854775806 -1 0\n"),
+               DimacsError);
+  // The bound is exact: a total of INT64_MAX - 1 leaves top representable,
+  // INT64_MAX does not. Hard clauses do not count.
+  const WcnfFormula w = parseDimacsWcnf(
+      "h 1 0\n9223372036854775805 1 0\n1 -1 0\n");
+  EXPECT_EQ(w.totalSoftWeight(), std::numeric_limits<Weight>::max() - 1);
+  EXPECT_THROW(parseDimacsWcnf("9223372036854775806 1 0\n1 -1 0\n"),
+               DimacsError);
+  const WcnfFormula old = parseDimacsWcnf(
+      "p wcnf 1 3 9223372036854775807\n9223372036854775807 1 0\n"
+      "9223372036854775806 1 0\n");
+  EXPECT_EQ(old.numHard(), 1);
+  EXPECT_EQ(old.totalSoftWeight(), std::numeric_limits<Weight>::max() - 1);
 }
 
 TEST(FastParse, WcnfHugeTopTakesSlowWeightPath) {

@@ -88,6 +88,19 @@ TEST(OpbParseTest, MalformedInputsThrow) {
   EXPECT_THROW(parseOpb("+1 x1 +2 >= 1 ;"), OpbError);     // orphan coeff
   EXPECT_THROW(parseOpb("+1 x0 >= 1 ;"), OpbError);        // 1-based ids
   EXPECT_NO_THROW(parseOpb(""));                           // empty is fine
+  // Integers must satisfy |v| <= INT64_MAX, so the `>=` flip and the
+  // objective rewrite can negate them: a 20-digit bound that wraps
+  // uint64 to 1 and INT64_MIN both throw.
+  EXPECT_THROW(parseOpb("+1 x1 >= 18446744073709551617 ;"), OpbError);
+  EXPECT_THROW(parseOpb("+1 x1 >= -9223372036854775808 ;"), OpbError);
+  EXPECT_THROW(parseOpb("min: -9223372036854775808 x1 ;"), OpbError);
+  EXPECT_THROW(parseOpb("+1 x18446744073709551617 >= 1 ;"), OpbError);
+  const PboProblem edge = parseOpb(
+      "min: -9223372036854775807 x1 ;\n+1 x1 >= -9223372036854775807 ;");
+  EXPECT_EQ(edge.objectiveOffset, -9223372036854775807LL);
+  EXPECT_EQ(edge.constraints[0].bound, 9223372036854775807LL);
+  // The offset the rewrite accumulates must not overflow either.
+  EXPECT_THROW(parseOpb("min: -9223372036854775807 x1 -2 x2 ;"), OpbError);
 }
 
 TEST(OpbSolveTest, KnapsackOptimum) {

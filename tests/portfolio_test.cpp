@@ -162,7 +162,7 @@ TEST(ClauseSharing, ExportsStayBelowSharedPrefixEvenWithScopes) {
   EXPECT_EQ(s.stats().shared_exported,
             static_cast<std::int64_t>(share.exported.size()));
   for (const auto& clause : share.exported) {
-    EXPECT_LE(static_cast<int>(clause.size()), so.share_max_size);
+    EXPECT_LE(static_cast<int>(clause.size()), Solver::kShareMaxSize);
     for (const Lit p : clause) {
       EXPECT_LT(p.var(), php.numVars())
           << "exported clause leaked a non-original variable";
