@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cnf/formula.h"
-#include "encodings/amo.h"
 #include "encodings/cardinality.h"
 #include "encodings/pb.h"
 #include "encodings/sink.h"
@@ -42,21 +41,13 @@ void BM_AtMost_Bdd(benchmark::State& s) { encodeCard(s, CardEncoding::Bdd); }
 void BM_AtMost_Sorter(benchmark::State& s) {
   encodeCard(s, CardEncoding::Sorter);
 }
-void BM_AtMost_Sequential(benchmark::State& s) {
-  encodeCard(s, CardEncoding::Sequential);
-}
 void BM_AtMost_Totalizer(benchmark::State& s) {
   encodeCard(s, CardEncoding::Totalizer);
-}
-void BM_AtMost_CardNet(benchmark::State& s) {
-  encodeCard(s, CardEncoding::CardNet);
 }
 
 BENCHMARK(BM_AtMost_Bdd)->Apply(args)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AtMost_Sorter)->Apply(args)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AtMost_Sequential)->Apply(args)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AtMost_Totalizer)->Apply(args)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AtMost_CardNet)->Apply(args)->Unit(benchmark::kMicrosecond);
 
 // At-most-one forms: emitted size across n (clauses/aux as counters).
 void encodeAmoBench(benchmark::State& state,
@@ -80,40 +71,10 @@ void encodeAmoBench(benchmark::State& state,
 }
 
 void BM_Amo_Pairwise(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOnePairwise(sink, lits, act);
-  });
+  encodeAmoBench(s, encodeAtMostOnePairwise);
 }
 void BM_Amo_Ladder(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneLadder(sink, lits, act);
-  });
-}
-void BM_Amo_Commander(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneCommander(sink, lits, act);
-  });
-}
-void BM_Amo_Product(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneProduct(sink, lits, act);
-  });
-}
-void BM_Amo_Binary(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneBinary(sink, lits, act);
-  });
-}
-void BM_Amo_Bimander(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneBimander(sink, lits, act);
-  });
+  encodeAmoBench(s, encodeAtMostOneLadder);
 }
 
 void amoArgs(benchmark::internal::Benchmark* b) {
@@ -121,10 +82,6 @@ void amoArgs(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_Amo_Pairwise)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Amo_Ladder)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Commander)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Product)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Binary)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Bimander)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
 
 void BM_PbLeq(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -17,17 +17,10 @@ void IncrementalAtMost::retireCurrent(ClauseSink& sink) {
 const std::vector<Lit>& IncrementalAtMost::cover(ClauseSink& sink,
                                                  const std::vector<Lit>& lits,
                                                  int k) {
-  // Suffix extension requires `lits` to extend `covered_` as a prefix
-  // (callers provide relaxation-ordered literals); fall back to a fresh
-  // structure if the prefix property ever fails.
-  const bool prefixOk =
-      lits.size() >= covered_.size() &&
-      std::equal(covered_.begin(), covered_.end(), lits.begin());
-  if (!prefixOk) {
-    totalizer_.reset();
-    outputs_.clear();
-    covered_.clear();
-  }
+  // Callers pass an append-only list (SoftTracker::blockingLits() or a
+  // fixed one), so `lits` extends `covered_` as a prefix.
+  assert(lits.size() >= covered_.size() &&
+         std::equal(covered_.begin(), covered_.end(), lits.begin()));
   const std::span<const Lit> suffix(lits.data() + covered_.size(),
                                     lits.size() - covered_.size());
   covered_ = lits;
@@ -111,9 +104,9 @@ std::optional<Lit> IncrementalAtMost::assumeAtMost(
     return ~cover(sink, lits, n - 1)[static_cast<std::size_t>(k)];
   }
 
-  // Bound-specific encodings (Bdd/Sequential/...): one scope per
-  // (set, bound); any change retires the predecessor. Enforcement rides
-  // on the auto-assumed activator, so there is nothing extra to assume.
+  // BDD: one scope per (set, bound); any change retires the
+  // predecessor. Enforcement rides on the auto-assumed activator, so
+  // there is nothing extra to assume.
   if (!scope_.defined() || lits != covered_ || k != scope_bound_) {
     retireCurrent(sink);
     scope_ = sink.beginScope();
@@ -154,14 +147,10 @@ std::optional<Lit> AssumableAtMost::boundLit(int k) {
     // assumption handle (assuming it overrides the automatic negative
     // assumption), and retirement is one retireScope away.
     scope = sink_->beginScope();
-    if (enc_ == CardEncoding::Bdd) {
-      // The BDD root is a biconditional for the constraint; asserting
-      // it under the scope guard yields act -> constraint.
-      const Lit root = buildAtMostBdd(*sink_, lits_, k);
-      sink_->addClause({root});
-    } else {
-      encodeAtMost(*sink_, lits_, k, enc_);
-    }
+    // The BDD root is a biconditional for the constraint; asserting it
+    // under the scope guard yields act -> constraint.
+    const Lit root = buildAtMostBdd(*sink_, lits_, k);
+    sink_->addClause({root});
     sink_->endScope(scope);
     sink_->setScopeEnforced(scope, false);
   }

@@ -22,10 +22,10 @@ namespace msu {
 ///
 ///  * assertAtMost — hard, monotonically tightening bounds (msu4's
 ///    Algorithm 1 line 30, linear search). Totalizers and sorting
-///    networks grow in place with permanent bound units; everything
-///    else lives in an encoding scope whose activator the solver
-///    auto-assumes, and a re-encode retires the predecessor scope
-///    (physical deletion + variable recycling) instead of leaking it.
+///    networks grow in place with permanent bound units; a BDD lives
+///    in an encoding scope whose activator the solver auto-assumes,
+///    and a re-encode retires the predecessor scope (physical
+///    deletion + variable recycling) instead of leaking it.
 ///  * assumeAtMost — assumption-enforced bounds that may also loosen
 ///    (msu3's lambda search). Returns the extra literal to assume this
 ///    solve, if any: `~out[k]` of the grown totalizer or sorter; scoped
@@ -81,9 +81,10 @@ class IncrementalAtMost {
   /// Retires the live scope (if any) and forgets its structure.
   void retireCurrent(ClauseSink& sink);
 
-  /// Grows (or rebuilds) the unscoped totalizer or sorter to cover
-  /// `lits` and returns its outputs. A sorter growth step serves bounds
-  /// of `k` or less and keeps no outputs above it.
+  /// Grows the unscoped totalizer or sorter to cover `lits`, which
+  /// must extend the literals covered so far as a prefix, and returns
+  /// its outputs. A sorter growth step serves bounds of `k` or less and
+  /// keeps no outputs above it.
   const std::vector<Lit>& cover(ClauseSink& sink, const std::vector<Lit>& lits,
                                 int k);
 
@@ -105,7 +106,7 @@ class IncrementalAtMost {
 /// assumed — the machinery behind the binary-search engine, which must
 /// both tighten and loosen bounds. The literal set is fixed at
 /// construction. Output-based encodings (Sorter/Totalizer) share one
-/// permanent structure; the others build one disabled scope per bound,
+/// permanent structure; the BDD builds one disabled scope per bound,
 /// whose activator is the assumption handle, and `pruneOutside` retires
 /// scopes whose bound the search can no longer revisit.
 class AssumableAtMost {

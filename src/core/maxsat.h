@@ -110,10 +110,10 @@ struct MaxSatOptions {
 
   /// Grow sorting networks and totalizers in place across iterations
   /// (new blocking variables are sorted or counted alone and merged
-  /// into the existing outputs) instead of re-encoding. The other
-  /// encodings re-encode every bound, as does everything when reuse is
-  /// off: the superseded structure's scope is retired, its clauses
-  /// physically deleted and its auxiliary variables recycled.
+  /// into the existing outputs) instead of re-encoding. The BDD
+  /// re-encodes every bound, as does everything when reuse is off: the
+  /// superseded structure's scope is retired, its clauses physically
+  /// deleted and its auxiliary variables recycled.
   bool reuseEncodings = true;
 
   /// Rounds of core trimming (re-solve under the core and adopt the

@@ -25,9 +25,10 @@ std::string Msu4Solver::name() const {
       return "msu4-v1";
     case CardEncoding::Sorter:
       return "msu4-v2";
-    default:
-      return std::string("msu4-") + toString(opts_.encoding);
+    case CardEncoding::Totalizer:
+      return "msu4-tot";
   }
+  return "msu4";
 }
 
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {

@@ -1,8 +1,5 @@
 #include "encodings/cardinality.h"
 
-#include <cassert>
-
-#include "encodings/cardnet.h"
 #include "encodings/pb.h"
 #include "encodings/totalizer.h"
 
@@ -16,38 +13,6 @@ void addGuarded(ClauseSink& sink, std::vector<Lit> clause,
   sink.addClause(clause);
 }
 
-/// Sinz sequential-counter encoding of `sum(lits) <= k` (k >= 1).
-/// Register definitions are emitted unguarded (they only define fresh
-/// variables); the bound-violation clauses carry the guard.
-void sequentialAtMost(ClauseSink& sink, std::span<const Lit> lits, int k,
-                      std::optional<Lit> act) {
-  const int n = static_cast<int>(lits.size());
-  assert(k >= 1 && k < n);
-  // s[i][j]: among lits[0..i] at least j+1 are true (j < k).
-  std::vector<std::vector<Lit>> s(static_cast<std::size_t>(n - 1));
-  for (auto& row : s) {
-    row.resize(static_cast<std::size_t>(k));
-    for (Lit& p : row) p = posLit(sink.newVar());
-  }
-  // Base: lits[0] -> s[0][0].
-  sink.addClause({~lits[0], s[0][0]});
-  for (int i = 1; i < n - 1; ++i) {
-    // Carry: s[i-1][j] -> s[i][j].
-    for (int j = 0; j < k; ++j) {
-      sink.addClause({~s[i - 1][j], s[i][j]});
-    }
-    // Count: lits[i] -> s[i][0]; lits[i] & s[i-1][j-1] -> s[i][j].
-    sink.addClause({~lits[i], s[i][0]});
-    for (int j = 1; j < k; ++j) {
-      sink.addClause({~lits[i], ~s[i - 1][j - 1], s[i][j]});
-    }
-  }
-  // Violation: lits[i] & s[i-1][k-1] -> false, guarded.
-  for (int i = 1; i < n; ++i) {
-    addGuarded(sink, {~lits[i], ~s[i - 1][k - 1]}, act);
-  }
-}
-
 }  // namespace
 
 const char* toString(CardEncoding enc) {
@@ -56,14 +21,8 @@ const char* toString(CardEncoding enc) {
       return "bdd";
     case CardEncoding::Sorter:
       return "sorter";
-    case CardEncoding::Sequential:
-      return "sequential";
     case CardEncoding::Totalizer:
       return "totalizer";
-    case CardEncoding::Pairwise:
-      return "pairwise";
-    case CardEncoding::CardNet:
-      return "cardnet";
   }
   return "?";
 }
@@ -101,52 +60,13 @@ void encodeAtMost(ClauseSink& sink, std::span<const Lit> lits, int k,
       addGuarded(sink, {~out[static_cast<std::size_t>(k)]}, activator);
       return;
     }
-    case CardEncoding::Sequential:
-      sequentialAtMost(sink, lits, k, activator);
-      return;
     case CardEncoding::Totalizer: {
       Totalizer tot(sink, lits);
       addGuarded(sink, {~tot.outputs()[static_cast<std::size_t>(k)]},
                  activator);
       return;
     }
-    case CardEncoding::Pairwise:
-      if (k == 1) {
-        encodeAtMostOnePairwise(sink, lits, activator);
-      } else {
-        sequentialAtMost(sink, lits, k, activator);
-      }
-      return;
-    case CardEncoding::CardNet: {
-      const std::vector<Lit> out = buildCardinalityNetwork(sink, lits, k);
-      addGuarded(sink, {~out[static_cast<std::size_t>(k)]}, activator);
-      return;
-    }
   }
-}
-
-void encodeAtLeast(ClauseSink& sink, std::span<const Lit> lits, int k,
-                   CardEncoding enc, std::optional<Lit> activator) {
-  const int n = static_cast<int>(lits.size());
-  if (k <= 0) return;  // trivially true
-  if (k > n) {
-    addGuarded(sink, {}, activator);
-    return;
-  }
-  if (k == 1) {
-    addGuarded(sink, std::vector<Lit>(lits.begin(), lits.end()), activator);
-    return;
-  }
-  std::vector<Lit> neg;
-  neg.reserve(lits.size());
-  for (Lit p : lits) neg.push_back(~p);
-  encodeAtMost(sink, neg, n - k, enc, activator);
-}
-
-void encodeExactly(ClauseSink& sink, std::span<const Lit> lits, int k,
-                   CardEncoding enc, std::optional<Lit> activator) {
-  encodeAtMost(sink, lits, k, enc, activator);
-  encodeAtLeast(sink, lits, k, enc, activator);
 }
 
 void encodeAtMostOnePairwise(ClauseSink& sink, std::span<const Lit> lits,
@@ -187,16 +107,6 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
   } else {
     encodeAtMostOneLadder(sink, lits, activator);
   }
-}
-
-EncodingSize measureAtMost(int n, int k, CardEncoding enc) {
-  CnfFormula cnf(n);
-  std::vector<Lit> lits;
-  lits.reserve(static_cast<std::size_t>(n));
-  for (Var v = 0; v < n; ++v) lits.push_back(posLit(v));
-  FormulaSink sink(cnf);
-  encodeAtMost(sink, lits, k, enc);
-  return EncodingSize{cnf.numClauses(), cnf.numVars() - n};
 }
 
 }  // namespace msu

@@ -1,14 +1,14 @@
 /// \file cardinality.h
-/// \brief CNF encodings of cardinality constraints `sum(lits) <= k` (and
-///        friends). The DATE'08 paper's two msu4 variants differ only
-///        here: v1 encodes with BDDs, v2 with Batcher odd-even sorting
-///        networks, both following Eén & Sörensson's minisat+ paper
-///        (our v2 sorts each batch of new blocking variables with
-///        Batcher's network and joins it to the grown sorter by a
-///        direct merge cut at the bound; the paper rebuilds).
-///        Sequential counters (Sinz) and totalizers (Bailleux–Boufkhad)
-///        are provided as ablation encodings, plus pairwise/ladder
-///        special cases for at-most-one.
+/// \brief CNF encodings of cardinality constraints `sum(lits) <= k`.
+///        The DATE'08 paper's two msu4 variants differ only here: v1
+///        encodes with BDDs, v2 with Batcher odd-even sorting networks,
+///        both following Eén & Sörensson's minisat+ paper (our v2 sorts
+///        each batch of new blocking variables with Batcher's network
+///        and joins it to the grown sorter by a direct merge cut at the
+///        bound; the paper rebuilds). The third encoding, the
+///        Bailleux–Boufkhad totalizer (totalizer.h), serves msu3, OLL,
+///        the MCS enumerator and msu4-tot. The pairwise and ladder
+///        at-most-one forms serve encodeExactlyOne (msu1).
 
 #pragma once
 
@@ -23,15 +23,12 @@ namespace msu {
 
 /// Available cardinality encodings.
 enum class CardEncoding {
-  Bdd,         ///< ITE/BDD counter encoding (msu4 v1)
-  Sorter,      ///< Batcher odd-even sorting network (msu4 v2)
-  Sequential,  ///< Sinz sequential counter
-  Totalizer,   ///< Bailleux–Boufkhad totalizer
-  Pairwise,    ///< pairwise (k==1 only; falls back to Sequential otherwise)
-  CardNet,     ///< k-truncated odd-even cardinality network (Asín et al.)
+  Bdd,        ///< ITE/BDD counter encoding (msu4 v1)
+  Sorter,     ///< Batcher odd-even sorting network (msu4 v2)
+  Totalizer,  ///< Bailleux–Boufkhad totalizer
 };
 
-/// Short lowercase name ("bdd", "sorter", ...).
+/// Short lowercase name ("bdd", "sorter", "totalizer").
 [[nodiscard]] const char* toString(CardEncoding enc);
 
 /// Encodes `sum(lits) <= k` into the sink.
@@ -43,16 +40,6 @@ enum class CardEncoding {
 void encodeAtMost(ClauseSink& sink, std::span<const Lit> lits, int k,
                   CardEncoding enc,
                   std::optional<Lit> activator = std::nullopt);
-
-/// Encodes `sum(lits) >= k` (via at-most over complements).
-void encodeAtLeast(ClauseSink& sink, std::span<const Lit> lits, int k,
-                   CardEncoding enc,
-                   std::optional<Lit> activator = std::nullopt);
-
-/// Encodes `sum(lits) == k`.
-void encodeExactly(ClauseSink& sink, std::span<const Lit> lits, int k,
-                   CardEncoding enc,
-                   std::optional<Lit> activator = std::nullopt);
 
 /// Encodes "at most one of lits" with the pairwise encoding (quadratic,
 /// no auxiliary variables).
@@ -74,7 +61,7 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 
 /// Builds a Batcher odd-even sorting network over `lits` (padded with
 /// the constant false to a power of two; the padding outputs are
-/// dropped). Defined in cardnet.cpp, with the other odd-even networks.
+/// dropped). Defined in sorter.cpp, with its growth step.
 ///
 /// Returns |lits| output literals sorted "ones first": at least `i+1`
 /// true inputs force `out[i]` true, so the unit clause or assumption
@@ -117,15 +104,5 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 /// literal equivalent to the constraint (biconditional encoding).
 [[nodiscard]] Lit buildAtMostBdd(ClauseSink& sink, std::span<const Lit> lits,
                                  int k);
-
-/// Statistics helper used by micro-benchmarks: number of clauses/vars an
-/// encoding emits for given (n, k).
-struct EncodingSize {
-  std::int64_t clauses = 0;
-  std::int64_t auxVars = 0;
-};
-
-/// Measures the emitted size of `encodeAtMost` for (n, k).
-[[nodiscard]] EncodingSize measureAtMost(int n, int k, CardEncoding enc);
 
 }  // namespace msu

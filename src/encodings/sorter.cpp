@@ -1,11 +1,10 @@
-#include "encodings/cardnet.h"
+#include "encodings/cardinality.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <utility>
 
-#include "encodings/cardinality.h"
 #include "encodings/totalizer.h"
 
 namespace msu {
@@ -41,57 +40,30 @@ std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   return out;
 }
 
-/// Pads two ones-first sequences at the tail with the constant false to
-/// a common power-of-two length. False padding at the tail of a
-/// ones-first sequence is exact, not an approximation.
-void padToCommonPowerOfTwo(std::vector<Lit>& a, std::vector<Lit>& b,
-                           Lit tru) {
-  std::size_t padded = 1;
-  while (padded < std::max(a.size(), b.size())) padded *= 2;
-  a.resize(padded, ~tru);
-  b.resize(padded, ~tru);
-}
-
-/// Truncated odd-even merge: `a` and `b` are sorted ones-first, equal
-/// power-of-two length n; returns the first `min(2n, m)` merged outputs.
-/// Kept output positions only ever read sub-merge positions below
-/// `m/2 + 1`, which is what makes the truncation sound. With m >= 2n
-/// this is Batcher's full odd-even merge.
-std::vector<Lit> truncatedMerge(ClauseSink& sink, const std::vector<Lit>& a,
-                                const std::vector<Lit>& b, int m, Lit tru) {
+/// Batcher's odd-even merge: `a` and `b` are sorted ones-first, of
+/// equal power-of-two length n; returns their 2n merged outputs.
+std::vector<Lit> oddEvenMerge(ClauseSink& sink, const std::vector<Lit>& a,
+                              const std::vector<Lit>& b, Lit tru) {
   assert(a.size() == b.size());
-  const int n = static_cast<int>(a.size());
-  if (m <= 0) return {};
+  const std::size_t n = a.size();
   if (n == 1) {
     auto [hi, lo] = comparator(sink, a[0], b[0], tru);
-    std::vector<Lit> out{hi, lo};
-    out.resize(static_cast<std::size_t>(std::min(2, m)));
-    return out;
+    return {hi, lo};
   }
-  const int subM = std::min(n, m / 2 + 1);
-  const std::vector<Lit> d =
-      truncatedMerge(sink, evensOf(a), evensOf(b), subM, tru);
-  const std::vector<Lit> e =
-      truncatedMerge(sink, oddsOf(a), oddsOf(b), subM, tru);
-
-  const int length = std::min(2 * n, m);
-  std::vector<Lit> out(static_cast<std::size_t>(length));
+  const std::vector<Lit> d = oddEvenMerge(sink, evensOf(a), evensOf(b), tru);
+  const std::vector<Lit> e = oddEvenMerge(sink, oddsOf(a), oddsOf(b), tru);
+  std::vector<Lit> out(2 * n);
   out[0] = d[0];
-  for (int pos = 1; pos < length; pos += 2) {
-    if (pos == 2 * n - 1) {
-      out[static_cast<std::size_t>(pos)] = e[static_cast<std::size_t>(n - 1)];
-      break;
-    }
-    const int i = (pos - 1) / 2;
-    auto [hi, lo] = comparator(sink, d[static_cast<std::size_t>(i + 1)],
-                               e[static_cast<std::size_t>(i)], tru);
-    out[static_cast<std::size_t>(pos)] = hi;
-    if (pos + 1 < length) out[static_cast<std::size_t>(pos + 1)] = lo;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    auto [hi, lo] = comparator(sink, d[i + 1], e[i], tru);
+    out[2 * i + 1] = hi;
+    out[2 * i + 2] = lo;
   }
+  out[2 * n - 1] = e[n - 1];
   return out;
 }
 
-/// Comparators that emit clauses when truncatedMerge fully merges two
+/// Comparators that emit clauses when oddEvenMerge merges two
 /// vectors padded to the power of two `n` whose first `p` and `q`
 /// positions are not constants. A comparator emits only when neither
 /// input is the constant false, and by the 0-1 principle each
@@ -114,20 +86,6 @@ std::int64_t directMergeClauses(int p, int q, int k) {
   return clauses;
 }
 
-/// Recursive cardinality network: returns the first `min(|v|, m)` sorted
-/// outputs over `v`.
-std::vector<Lit> cardRec(ClauseSink& sink, std::span<const Lit> v, int m,
-                         Lit tru) {
-  if (m <= 0) return {};
-  if (v.size() <= 1) return {v.begin(), v.end()};
-  const std::size_t half = v.size() / 2;
-  std::vector<Lit> left = cardRec(sink, v.subspan(0, half), m, tru);
-  std::vector<Lit> right = cardRec(sink, v.subspan(half), m, tru);
-  padToCommonPowerOfTwo(left, right, tru);
-  return truncatedMerge(sink, left, right,
-                        std::min<int>(m, static_cast<int>(v.size())), tru);
-}
-
 /// Batcher's odd-even mergesort over a power-of-two sized input. The
 /// upper half is sorted first, so the emitted clauses do not depend on
 /// the compiler's order of evaluating function arguments.
@@ -137,17 +95,10 @@ std::vector<Lit> oddEvenSort(ClauseSink& sink, std::span<const Lit> v,
   const std::size_t half = v.size() / 2;
   const std::vector<Lit> hi = oddEvenSort(sink, v.subspan(half), tru);
   const std::vector<Lit> lo = oddEvenSort(sink, v.subspan(0, half), tru);
-  return truncatedMerge(sink, lo, hi, static_cast<int>(v.size()), tru);
+  return oddEvenMerge(sink, lo, hi, tru);
 }
 
 }  // namespace
-
-std::vector<Lit> buildCardinalityNetwork(ClauseSink& sink,
-                                         std::span<const Lit> lits, int k) {
-  if (lits.empty() || k < 0) return {};
-  const Lit tru = sink.trueLit();
-  return cardRec(sink, lits, k + 1, tru);
-}
 
 std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
                                      std::span<const Lit> lits) {
@@ -166,12 +117,15 @@ std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,
                              std::span<const Lit> b) {
   if (a.empty()) return {b.begin(), b.end()};
   if (b.empty()) return {a.begin(), a.end()};
+  // Both sides are padded at the tail with the constant false to a
+  // common power of two, which is exact for ones-first sequences.
   const Lit tru = sink.trueLit();
+  const std::size_t padded = std::bit_ceil(std::max(a.size(), b.size()));
   std::vector<Lit> left(a.begin(), a.end());
   std::vector<Lit> right(b.begin(), b.end());
-  padToCommonPowerOfTwo(left, right, tru);
-  std::vector<Lit> out = truncatedMerge(
-      sink, left, right, static_cast<int>(2 * left.size()), tru);
+  left.resize(padded, ~tru);
+  right.resize(padded, ~tru);
+  std::vector<Lit> out = oddEvenMerge(sink, left, right, tru);
   out.resize(a.size() + b.size());  // drop the padding positions
   return out;
 }

@@ -1,8 +1,8 @@
 /// \file totalizer.h
 /// \brief Bailleux–Boufkhad totalizer with incremental input extension —
-///        the cardinality substrate used by the incremental variants of
-///        msu3/msu4 (and as an ablation encoding inside msu4 itself) —
-///        and its merge, which also joins msu4 v2's sorted batches.
+///        the cardinality substrate of msu3, OLL, the MCS enumerator and
+///        msu4-tot — and its merge, which also joins msu4 v2's sorted
+///        batches.
 
 #pragma once
 

@@ -15,9 +15,9 @@
 namespace msu {
 
 std::vector<std::string> solverNames() {
-  return {"msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot",  "msu4-cnet",
-          "msu3",    "msu1",    "oll",      "bmo",       "linear",
-          "binary",  "pbo",     "maxsatz",  "portfolio", "portfolio4"};
+  return {"msu4-v1", "msu4-v2",   "msu4-tot",   "msu3",   "msu1",
+          "oll",     "bmo",       "linear",     "binary", "pbo",
+          "maxsatz", "portfolio", "portfolio4"};
 }
 
 std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
@@ -31,16 +31,8 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
     o.encoding = CardEncoding::Sorter;
     return std::make_unique<Msu4Solver>(o);
   }
-  if (name == "msu4-seq") {
-    o.encoding = CardEncoding::Sequential;
-    return std::make_unique<Msu4Solver>(o);
-  }
   if (name == "msu4-tot") {
     o.encoding = CardEncoding::Totalizer;
-    return std::make_unique<Msu4Solver>(o);
-  }
-  if (name == "msu4-cnet") {
-    o.encoding = CardEncoding::CardNet;
     return std::make_unique<Msu4Solver>(o);
   }
   if (name == "msu3") {

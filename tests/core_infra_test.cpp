@@ -80,8 +80,7 @@ bool growsInPlace(CardEncoding enc) {
 
 TEST(IncrementalAtMost, GrowingSetWithTighteningBounds) {
   for (CardEncoding enc :
-       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Sequential,
-        CardEncoding::Totalizer, CardEncoding::CardNet}) {
+       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Totalizer}) {
     for (bool reuse : {true, false}) {
       Solver s;
       SolverSink sink(s);
@@ -348,8 +347,7 @@ TEST(IncrementalAtMost, AssumedBoundsFollowGrowthAndLoosening) {
   const Step steps[] = {{2, 0}, {4, 1}, {4, 2}, {6, 3},
                         {6, 6}, {6, 3}, {6, 4}};
   for (CardEncoding enc :
-       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Sequential,
-        CardEncoding::Totalizer, CardEncoding::CardNet}) {
+       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Totalizer}) {
     Solver s;
     SolverSink sink(s);
     std::vector<Lit> lits;
@@ -397,36 +395,9 @@ TEST(SoftTracker, BlockingLitsFollowRelaxationOrder) {
   EXPECT_EQ(second[1], t.selector(0));
 }
 
-TEST(IncrementalAtMost, TotalizerSurvivesNonPrefixGrowth) {
-  // Even if a caller hands over literals that do NOT extend the previous
-  // set as a prefix, the constraint must stay correct (fallback path).
-  Solver s;
-  SolverSink sink(s);
-  std::vector<Lit> lits;
-  for (int i = 0; i < 4; ++i) lits.push_back(posLit(s.newVar()));
-  IncrementalAtMost inc(CardEncoding::Totalizer, /*reuse=*/true);
-  const std::vector<Lit> firstSet{lits[2], lits[3]};
-  inc.assertAtMost(sink, firstSet, 1);
-  const std::vector<Lit> secondSet{lits[0], lits[2], lits[3]};  // no prefix
-  inc.assertAtMost(sink, secondSet, 1);
-  for (std::uint32_t mask = 0; mask < 16; ++mask) {
-    std::vector<Lit> assumps;
-    for (int i = 0; i < 4; ++i) {
-      assumps.push_back(((mask >> i) & 1u) != 0 ? lits[i] : ~lits[i]);
-    }
-    const bool okFirst =
-        ((mask >> 2) & 1u) + ((mask >> 3) & 1u) <= 1;
-    const bool okSecond =
-        (mask & 1u) + ((mask >> 2) & 1u) + ((mask >> 3) & 1u) <= 1;
-    EXPECT_EQ(s.solve(assumps) == lbool::True, okFirst && okSecond)
-        << "mask " << mask;
-  }
-}
-
 TEST(AssumableAtMost, BoundLitsEnforceWhenAssumed) {
   for (CardEncoding enc :
-       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Sequential,
-        CardEncoding::Totalizer}) {
+       {CardEncoding::Bdd, CardEncoding::Sorter, CardEncoding::Totalizer}) {
     Solver s;
     SolverSink sink(s);
     std::vector<Lit> lits;

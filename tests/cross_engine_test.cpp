@@ -78,15 +78,12 @@ std::vector<std::pair<std::string, WcnfFormula>> structuredInstances() {
 
 TEST(CrossEngine, AllFinishersAgree) {
   const auto instances = structuredInstances();
-  // "portfolio4" races four diversified workers (base msu4-v2) with
-  // clause sharing: its optimum must agree with every sequential
-  // engine's on the whole corpus.
-  const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu3",      "msu1",
-      "linear",  "binary",  "pbo",      "maxsatz",  "portfolio4"};
+  // Every factory engine, the portfolios included (diversified workers
+  // racing with clause sharing): their optima must agree on the whole
+  // corpus.
   for (const auto& [name, wcnf] : instances) {
     std::map<std::string, Weight> optima;
-    for (const std::string& engine : engines) {
+    for (const std::string& engine : solverNames()) {
       MaxSatOptions o;
       o.budget = Budget::wallClock(5.0);
       auto solver = makeSolver(engine, o);

@@ -38,9 +38,7 @@ WcnfFormula mediumPartial(std::uint64_t seed) {
 }
 
 TEST(FuzzCrossEngine, MediumPartialInstancesAllEnginesAgree) {
-  const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu4-cnet",
-                                         "msu3",    "msu1",    "oll",
-                                         "linear",  "binary"};
+  const std::vector<std::string> engines = solverNames();
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const WcnfFormula w = mediumPartial(seed * 1313);
     Weight expected = -1;

@@ -301,7 +301,7 @@ TEST(Inprocess, SolverScopeFuzzWithInprocessMatchesOracle) {
               Lit(static_cast<Var>(rng() % kVars), (rng() & 1) != 0));
         }
         sc.k = static_cast<int>(rng() % static_cast<std::uint64_t>(width));
-        const CardEncoding enc = static_cast<CardEncoding>(rng() % 6);
+        const CardEncoding enc = static_cast<CardEncoding>(rng() % 3);
         sc.act = sink.beginScope();
         encodeAtMost(sink, sc.lits, sc.k, enc);
         sink.endScope(sc.act);
@@ -328,9 +328,8 @@ TEST(Inprocess, SolverScopeFuzzWithInprocessMatchesOracle) {
 }
 
 TEST(Inprocess, EngineFuzzWithInprocessAgreesWithOracle) {
-  const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",
-      "msu1",    "oll",     "linear",   "binary"};
+  const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu3",   "msu1",
+                                         "oll",     "linear",  "binary"};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const CnfFormula f = randomKSat({.numVars = 8,
                                      .numClauses = 44,
@@ -388,18 +387,17 @@ TEST(Inprocess, WeightedEngineFuzzWithInprocessAgreesWithOracle) {
 }
 
 TEST(Inprocess, SessionRetirementTriggersAPass) {
-  // msu4 with the sequential encoding re-encodes (and retires) its
-  // bound structure on every improvement; with at least two retirements
+  // msu4 with the BDD encoding re-encodes (and retires) its bound
+  // structure on every improvement; with at least two retirements
   // at least one is followed by another oracle call, which must run the
   // requested pass even though the interval alone would not fire.
   const CnfFormula f = randomKSat(
       {.numVars = 12, .numClauses = 70, .clauseLen = 3, .seed = 77});
   const WcnfFormula w = WcnfFormula::allSoft(f);
   MaxSatOptions o;
-  o.encoding = CardEncoding::Sequential;
   o.sat.inprocess = true;
   o.sat.inprocess_interval = 1'000'000'000;  // only retirement triggers
-  std::unique_ptr<MaxSatSolver> solver = makeSolver("msu4-seq", o);
+  std::unique_ptr<MaxSatSolver> solver = makeSolver("msu4-v1", o);
   ASSERT_NE(solver, nullptr);
   const MaxSatResult r = solver->solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);

@@ -1,12 +1,11 @@
 /// Integration & property tests for every MaxSAT engine: agreement with
-/// the exhaustive oracle on randomized plain and partial instances,
-/// paper examples, pigeonhole optima, hard-unsat detection, budget
-/// behaviour and weighted handling.
+/// the exhaustive oracle on randomized plain, partial and weighted
+/// instances, paper examples, pigeonhole optima, hard-unsat detection,
+/// budget behaviour and weighted handling.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <random>
 
 #include "cnf/oracle.h"
 #include "core/binary_search.h"
@@ -17,6 +16,7 @@
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
+#include "random_weighted.h"
 
 namespace msu {
 namespace {
@@ -132,6 +132,16 @@ TEST_P(EveryEngine, RandomPartialAgreesWithOracle) {
   }
 }
 
+TEST_P(EveryEngine, RandomWeightedAgreesWithOracle) {
+  // msu4, msu3, binary and maxsatz duplicate weighted soft clauses.
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    const WcnfFormula w = randomWeighted(seed * 101, 9);
+    auto solver = make();
+    expectSolvesTo(*solver, w,
+                   GetParam() + " weighted seed=" + std::to_string(seed));
+  }
+}
+
 TEST_P(EveryEngine, UnsatisfiableHardDetected) {
   WcnfFormula w(2);
   w.addHard({posLit(0)});
@@ -207,34 +217,12 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EveryEngine,
                            return n;
                          });
 
-// ---- Weighted instances (handled via duplication or natively) ----------
-
-TEST(WeightedMaxSat, SmallWeightedAgreesWithOracle) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed * 17);
-    const CnfFormula f = randomKSat(
-        {.numVars = 7, .numClauses = 24, .clauseLen = 3, .seed = rng()});
-    WcnfFormula w(f.numVars());
-    for (const Clause& c : f.clauses()) {
-      w.addSoft(c, 1 + static_cast<Weight>(rng() % 3));
-    }
-    const OracleResult truth = oracleMaxSat(w);
-    ASSERT_TRUE(truth.optimumCost.has_value());
-    for (const std::string& name :
-         {std::string("msu4-v2"), std::string("pbo"), std::string("maxsatz")}) {
-      auto solver = makeSolver(name);
-      const MaxSatResult r = solver->solve(w);
-      ASSERT_EQ(r.status, MaxSatStatus::Optimum) << name;
-      EXPECT_EQ(r.cost, *truth.optimumCost) << name << " seed " << seed;
-    }
-  }
-}
-
 // ---- msu4-specific behaviour -------------------------------------------
 
 TEST(Msu4, VariantNames) {
   EXPECT_EQ(Msu4Solver::v1().name(), "msu4-v1");
   EXPECT_EQ(Msu4Solver::v2().name(), "msu4-v2");
+  EXPECT_EQ(makeSolver("msu4-tot")->name(), "msu4-tot");
 }
 
 TEST(Msu4, OptionalAtLeastOneOffStillCorrect) {
@@ -285,7 +273,8 @@ TEST(Factory, KnowsAllNamesAndRejectsUnknown) {
     EXPECT_NE(makeSolver(name), nullptr) << name;
   }
   for (const char* name : {"no-such-solver", "cubes", "cubes4", "wlinear",
-                           "wlinear-adder", "pbo-adder", "wmsu1"}) {
+                           "wlinear-adder", "pbo-adder", "wmsu1", "msu4-seq",
+                           "msu4-cnet"}) {
     EXPECT_EQ(makeSolver(name), nullptr) << name;
   }
 }

@@ -120,9 +120,7 @@ std::vector<OptionCombo> optionCombos() {
       }
     }
   }
-  for (CardEncoding enc :
-       {CardEncoding::Bdd, CardEncoding::Sequential, CardEncoding::Totalizer,
-        CardEncoding::Pairwise}) {
+  for (CardEncoding enc : {CardEncoding::Bdd, CardEncoding::Totalizer}) {
     out.push_back(OptionCombo{true, true, true, 0, enc});
   }
   out.push_back(OptionCombo{true, true, true, 3, CardEncoding::Sorter});

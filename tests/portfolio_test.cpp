@@ -154,7 +154,7 @@ TEST(ClauseSharing, ExportsStayBelowSharedPrefixEvenWithScopes) {
   std::vector<Lit> firstVars;
   for (Var v = 0; v < 6; ++v) firstVars.push_back(posLit(v));
   const ScopeHandle sc = sink.beginScope();
-  encodeAtMost(sink, firstVars, 2, CardEncoding::Sequential);
+  encodeAtMost(sink, firstVars, 2, CardEncoding::Bdd);
   sink.endScope(sc);
 
   EXPECT_EQ(s.solve(), lbool::False);
@@ -217,7 +217,7 @@ TEST(CrossScopeChecker, AbortsOnReferenceToClosedScope) {
     std::vector<Lit> xs;
     for (int i = 0; i < 4; ++i) xs.push_back(posLit(s.newVar()));
     const ScopeHandle sc = sink.beginScope();
-    encodeAtMost(sink, xs, 1, CardEncoding::Sequential);
+    encodeAtMost(sink, xs, 1, CardEncoding::Bdd);
     sink.endScope(sc);
     // The scope's auxiliary variables must not be referenced by later
     // clauses; the checker fails fast naming the owning scope.

@@ -121,7 +121,7 @@ TEST(Reconstruction, SurvivesScopeRetirementAndVariableRecycling) {
   const std::vector<Lit> bound{posLit(0), posLit(1), posLit(3)};
   for (int cycle = 0; cycle < 2; ++cycle) {
     const ScopeHandle sc = sink.beginScope();
-    encodeAtMost(sink, bound, 1, CardEncoding::Sequential);
+    encodeAtMost(sink, bound, 1, CardEncoding::Bdd);
     sink.endScope(sc);
     ASSERT_EQ(s.solve(), lbool::True) << "cycle " << cycle;
     for (const Clause& c : original) EXPECT_TRUE(modelSat(s, c));
@@ -216,7 +216,7 @@ TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
               Lit(static_cast<Var>(rng() % kVars), (rng() & 1) != 0));
         }
         sc.k = static_cast<int>(rng() % static_cast<std::uint64_t>(width));
-        const CardEncoding enc = static_cast<CardEncoding>(rng() % 6);
+        const CardEncoding enc = static_cast<CardEncoding>(rng() % 3);
         sc.act = sink.beginScope();
         encodeAtMost(sink, sc.lits, sc.k, enc);
         sink.endScope(sc.act);

@@ -28,10 +28,10 @@ TEST(ScopeRetirement, PhysicalDeletionAndRecycling) {
   const int varsBefore = s.numVars();
   const int clausesBefore = s.numClauses();
 
-  // Scoped constraint: at most one of xs (sequential counter: aux vars
-  // plus long and binary clauses, all guarded and tagged).
+  // Scoped constraint: at most one of xs (BDD: aux vars plus long and
+  // binary clauses, all guarded and tagged).
   const ScopeHandle act = sink.beginScope();
-  encodeAtMost(sink, xs, 1, CardEncoding::Sequential);
+  encodeAtMost(sink, xs, 1, CardEncoding::Bdd);
   sink.endScope(act);
   ASSERT_GT(s.numVars(), varsBefore);
   ASSERT_GT(s.numClauses(), clausesBefore);
@@ -70,7 +70,7 @@ TEST(ScopeRetirement, PhysicalDeletionAndRecycling) {
   // variables instead of growing the variable space.
   const int varsAfterRetire = s.numVars();
   const ScopeHandle act2 = sink.beginScope();
-  encodeAtMost(sink, xs, 1, CardEncoding::Sequential);
+  encodeAtMost(sink, xs, 1, CardEncoding::Bdd);
   sink.endScope(act2);
   EXPECT_EQ(s.numVars(), varsAfterRetire);
   EXPECT_EQ(s.solve(all), lbool::False);
@@ -196,7 +196,7 @@ TEST(ScopeRetirement, SolverScopeFuzzMatchesOracle) {
         }
         sc.k = static_cast<int>(rng() % static_cast<std::uint64_t>(width));
         const CardEncoding enc = static_cast<CardEncoding>(
-            rng() % 6);  // every encoding, Bdd..CardNet
+            rng() % 3);  // every encoding, Bdd..Totalizer
         sc.act = sink.beginScope();
         encodeAtMost(sink, sc.lits, sc.k, enc);
         sink.endScope(sc.act);
@@ -227,9 +227,8 @@ TEST(ScopeRetirement, EngineFuzzInterleavedRetirementAgreesWithOracle) {
   // retire scopes (re-encoding bound managers, Fu-Malik version scopes,
   // OLL totalizer scopes, binary-search bound pruning): every optimum
   // must match the exhaustive oracle.
-  const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",
-      "msu1",    "oll",     "linear",   "binary"};
+  const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu3",   "msu1",
+                                         "oll",     "linear",  "binary"};
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const CnfFormula f = randomKSat({.numVars = 8,
                                      .numClauses = 44,
@@ -252,14 +251,12 @@ TEST(ScopeRetirement, EngineFuzzInterleavedRetirementAgreesWithOracle) {
 }
 
 TEST(ScopeRetirement, ReencodingEngineReportsLifecycleStats) {
-  // A sequential-encoded msu4 re-encodes its bound after every model
+  // A BDD-encoded msu4 re-encodes its bound after every model
   // improvement: the lifecycle counters must show actual retirement.
   const CnfFormula f = randomKSat(
       {.numVars = 12, .numClauses = 70, .clauseLen = 3, .seed = 77});
   const WcnfFormula w = WcnfFormula::allSoft(f);
-  MaxSatOptions o;
-  o.encoding = CardEncoding::Sequential;
-  std::unique_ptr<MaxSatSolver> solver = makeSolver("msu4-seq", o);
+  std::unique_ptr<MaxSatSolver> solver = makeSolver("msu4-v1");
   ASSERT_NE(solver, nullptr);
   const MaxSatResult r = solver->solve(w);
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);

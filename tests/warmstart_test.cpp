@@ -325,9 +325,8 @@ TEST(SoftTrackerContract, AssumptionsAreCanonicallyVarOrdered) {
 }
 
 TEST(WarmStart, EngineFuzzAgreesWithOracleUnderBothKnobs) {
-  const std::vector<std::string> engines{
-      "msu4-v1", "msu4-v2", "msu4-seq", "msu4-cnet", "msu3",
-      "msu1",    "oll",     "linear",   "binary"};
+  const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu3",   "msu1",
+                                         "oll",     "linear",  "binary"};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const CnfFormula f = randomKSat({.numVars = 8,
                                      .numClauses = 44,

@@ -1,8 +1,7 @@
 /// Tests for the weighted-native MaxSAT engines (oll, linear, pbo, msu1):
-///  * oracle cross-checks on randomized weighted partial instances —
-///    the safety net for OLL's core-charging and lazy bound extension;
 ///  * agreement between all weighted engines and with duplication-based
-///    unweighted reductions;
+///    unweighted reductions (every engine's oracle cross-check on
+///    random weighted instances is in maxsat_solvers_test);
 ///  * weighted edge cases: huge weight spreads, equal weights, empty and
 ///    unit soft clauses, hard-unsat detection, budget behaviour;
 ///  * OLL-specific behaviour: first SAT answer is the optimum, lower
@@ -19,37 +18,10 @@
 #include "gen/graphs.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
+#include "random_weighted.h"
 
 namespace msu {
 namespace {
-
-/// Random weighted partial MaxSAT instance small enough for the oracle.
-WcnfFormula randomWeighted(std::uint64_t seed, Weight maxWeight,
-                           bool withHards = true) {
-  std::mt19937_64 rng(seed);
-  const int numVars = 5 + static_cast<int>(rng() % 5);
-  WcnfFormula w(numVars);
-  const int numHard = withHards ? 2 + static_cast<int>(rng() % 5) : 0;
-  const int numSoft = 10 + static_cast<int>(rng() % 18);
-  auto randClause = [&](int len) {
-    Clause c;
-    for (int k = 0; k < len; ++k) {
-      const Var v =
-          static_cast<Var>(rng() % static_cast<std::uint64_t>(numVars));
-      c.push_back(mkLit(v, (rng() & 1) != 0));
-    }
-    return c;
-  };
-  for (int i = 0; i < numHard; ++i) {
-    w.addHard(randClause(2 + static_cast<int>(rng() % 2)));
-  }
-  for (int i = 0; i < numSoft; ++i) {
-    const Weight weight =
-        1 + static_cast<Weight>(rng() % static_cast<std::uint64_t>(maxWeight));
-    w.addSoft(randClause(1 + static_cast<int>(rng() % 3)), weight);
-  }
-  return w;
-}
 
 /// Test-name suffix for an engine name ("msu4-v2" -> "msu4_v2").
 std::string engineParamName(const ::testing::TestParamInfo<std::string>& i) {
@@ -68,32 +40,6 @@ class WeightedEngine : public ::testing::TestWithParam<std::string> {
     return s;
   }
 };
-
-/// Solves 25 random weighted instances with `engine` and checks each
-/// optimum and its model's cost against the brute-force oracle.
-void expectAgreesWithOracle(const std::string& engine) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    const WcnfFormula w = randomWeighted(seed * 101, 9);
-    const OracleResult oracle = oracleMaxSat(w);
-    auto solver = makeSolver(engine);
-    ASSERT_NE(solver, nullptr) << engine;
-    const MaxSatResult r = solver->solve(w);
-    if (!oracle.optimumCost) {
-      EXPECT_EQ(r.status, MaxSatStatus::UnsatisfiableHard) << "seed " << seed;
-      continue;
-    }
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum) << "seed " << seed;
-    EXPECT_EQ(r.cost, *oracle.optimumCost) << "seed " << seed;
-    // The witness model must achieve the claimed cost.
-    const std::optional<Weight> modelCost = w.cost(r.model);
-    ASSERT_TRUE(modelCost.has_value()) << "seed " << seed;
-    EXPECT_EQ(*modelCost, r.cost) << "seed " << seed;
-  }
-}
-
-TEST_P(WeightedEngine, RandomWeightedAgreesWithOracle) {
-  expectAgreesWithOracle(GetParam());
-}
 
 TEST_P(WeightedEngine, LargeWeightSpread) {
   // Weights spanning six orders of magnitude: duplication would need
@@ -171,19 +117,6 @@ TEST_P(WeightedEngine, AgreesWithDuplicationReduction) {
 
 INSTANTIATE_TEST_SUITE_P(AllWeightedEngines, WeightedEngine,
                          ::testing::Values("oll", "linear", "pbo", "msu1"),
-                         engineParamName);
-
-/// msu4 meets weighted input by duplicating each soft clause, which is
-/// where its sorter grows most. Duplication gives up above 1,000,000
-/// clauses by design, so these engines stay out of LargeWeightSpread.
-class DuplicatingEngine : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(DuplicatingEngine, RandomWeightedAgreesWithOracle) {
-  expectAgreesWithOracle(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Msu4, DuplicatingEngine,
-                         ::testing::Values("msu4-v2", "msu4-tot"),
                          engineParamName);
 
 // ---------------------------------------------------------------------
