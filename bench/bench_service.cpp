@@ -19,9 +19,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -46,12 +49,113 @@ std::vector<WcnfFormula> buildJobs(int n, int baseVars) {
   return jobs;
 }
 
+using Clock = std::chrono::steady_clock;
+
+double msSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+      .count();
+}
+
+/// One run of a calibration probe: the batch solved by direct msu4-v2
+/// calls on `threads` threads at once, each thread the whole batch.
+/// nullopt if a job misses its optimum.
+std::optional<benchjson::BenchRecord> runDirect(
+    const std::vector<WcnfFormula>& jobs, int threads) {
+  std::vector<MaxSatResult> results(jobs.size() * threads);
+  const auto loop = [&](int t) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      auto engine = makeSolver("msu4-v2", MaxSatOptions{});
+      results[t * jobs.size() + j] = engine->solve(jobs[j]);
+    }
+  };
+  const auto t0 = Clock::now();
+  std::vector<std::thread> pool;
+  for (int t = 1; t < threads; ++t) pool.emplace_back(loop, t);
+  loop(0);
+  for (std::thread& th : pool) th.join();
+  benchjson::BenchRecord rec;
+  rec.wallMs = msSince(t0);
+  std::int64_t propagations = 0;
+  std::int64_t conflicts = 0;
+  for (const MaxSatResult& r : results) {
+    if (r.status != MaxSatStatus::Optimum) return std::nullopt;
+    propagations += r.satStats.propagations;
+    conflicts += r.satStats.conflicts;
+  }
+  rec.counters.emplace_back("jobs",
+                            static_cast<std::int64_t>(results.size()));
+  rec.counters.emplace_back("propagations", propagations);
+  rec.counters.emplace_back("conflicts", conflicts);
+  return rec;
+}
+
 struct Scenario {
   std::string name;
   int workers = 1;
   JobLimits limits;          // applied to every job
   bool deadline_set = false; // use the larger deadline batch
 };
+
+/// One run of a service scenario on a fresh service: the batch submitted
+/// up front and awaited. nullopt on a refused submit, or on a job
+/// without a deadline that ends without an optimum.
+std::optional<benchjson::BenchRecord> runService(
+    const Scenario& sc, const std::vector<WcnfFormula>& batch) {
+  SolveServiceOptions so;
+  so.workers = sc.workers;
+  so.max_queue_depth = batch.size() + 1;
+  SolveService service(so);
+
+  const auto t0 = Clock::now();
+  std::vector<JobId> ids;
+  ids.reserve(batch.size());
+  for (const WcnfFormula& w : batch) {
+    const auto sub = service.submit(w, sc.limits);
+    if (sub.status != SolveService::SubmitStatus::kAccepted) {
+      return std::nullopt;
+    }
+    ids.push_back(sub.id);
+  }
+  std::vector<double> latencyMs;
+  latencyMs.reserve(ids.size());
+  std::int64_t aborted = 0;
+  for (const JobId id : ids) {
+    const JobOutcome out = service.await(id);
+    latencyMs.push_back((out.queue_seconds + out.solve_seconds) * 1e3);
+    if (out.abort != AbortReason::kNone) ++aborted;
+    if (!sc.limits.wall_seconds &&
+        out.result.status != MaxSatStatus::Optimum) {
+      return std::nullopt;
+    }
+  }
+  benchjson::BenchRecord rec;
+  rec.wallMs = msSince(t0);
+  std::sort(latencyMs.begin(), latencyMs.end());
+  const auto pctUs = [&](double p) {
+    const auto idx = static_cast<std::size_t>(
+        p * static_cast<double>(latencyMs.size() - 1));
+    return static_cast<std::int64_t>(latencyMs[idx] * 1e3);
+  };
+  const double jobsPerSec = 1e3 * static_cast<double>(latencyMs.size()) /
+                            std::max(rec.wallMs, 1e-6);
+  rec.counters.emplace_back("jobs",
+                            static_cast<std::int64_t>(latencyMs.size()));
+  rec.counters.emplace_back("workers", sc.workers);
+  rec.counters.emplace_back("jobs_per_sec_milli",
+                            static_cast<std::int64_t>(jobsPerSec * 1e3));
+  rec.counters.emplace_back("p50_latency_us", pctUs(0.50));
+  rec.counters.emplace_back("p99_latency_us", pctUs(0.99));
+  rec.counters.emplace_back("aborted", aborted);
+  return rec;
+}
+
+std::int64_t counterOf(const benchjson::BenchRecord& rec,
+                       const std::string& key) {
+  for (const auto& [name, value] : rec.counters) {
+    if (name == key) return value;
+  }
+  return 0;
+}
 
 }  // namespace
 
@@ -92,49 +196,23 @@ int main(int argc, char** argv) {
   // to optimality, so a 2 ms cap aborts essentially every one.
   const std::vector<WcnfFormula> deadlineJobs =
       buildJobs(std::max(numJobs / 2, 1), 30);
-  std::vector<benchjson::BenchRecord> records;
 
-  // Machine-speed probe: the same batch solved by a plain sequential
-  // loop of direct engine calls — no service, no threads. Its wall time
-  // tracks the machine, its counters are deterministic for identical
-  // code, so check_regression.py can use it to calibrate the service
+  // Machine-speed probes: the same batch solved by plain loops of direct
+  // engine calls — no service. seq-direct runs one loop; seq-direct4
+  // runs it on four threads at once, so it slows down, as svc-w4 does,
+  // when the machine's cores are busy with other work. Their wall times
+  // track the machine, their counters are deterministic for identical
+  // code, so check_regression.py can use them to calibrate the service
   // scenarios' wall times across machines (--calibration-prefix seq-).
-  {
-    double bestMs = 0.0;
-    std::int64_t propagations = 0;
-    std::int64_t conflicts = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      propagations = 0;
-      conflicts = 0;
-      for (const WcnfFormula& w : jobs) {
-        auto engine = makeSolver("msu4-v2", MaxSatOptions{});
-        const MaxSatResult r = engine->solve(w);
-        if (r.status != MaxSatStatus::Optimum) {
-          std::cerr << "seq-direct: job finished without an optimum\n";
-          return 1;
-        }
-        propagations += r.satStats.propagations;
-        conflicts += r.satStats.conflicts;
-      }
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      if (rep == 0 || ms < bestMs) bestMs = ms;
-    }
-    std::cout << "seq-direct (calibration probe): " << std::fixed
-              << std::setprecision(1) << bestMs << " ms\n";
-    benchjson::BenchRecord rec;
-    rec.name = "seq-direct";
-    rec.wallMs = bestMs;
-    rec.reps = reps;
-    rec.counters.emplace_back("jobs",
-                              static_cast<std::int64_t>(jobs.size()));
-    rec.counters.emplace_back("propagations", propagations);
-    rec.counters.emplace_back("conflicts", conflicts);
-    records.push_back(std::move(rec));
+  struct Case {
+    std::string name;
+    std::function<std::optional<benchjson::BenchRecord>()> run;
+  };
+  std::vector<Case> cases;
+  for (const int threads : {1, 4}) {
+    cases.push_back({threads == 1 ? "seq-direct" : "seq-direct4",
+                     [&jobs, threads] { return runDirect(jobs, threads); }});
   }
-
   std::vector<Scenario> scenarios;
   for (const int w : {1, 2, 4}) {
     scenarios.push_back({"svc-w" + std::to_string(w), w, JobLimits{}});
@@ -150,91 +228,52 @@ int main(int argc, char** argv) {
     s.deadline_set = true;
     scenarios.push_back(s);
   }
-
-  std::cout << std::left << std::setw(18) << "scenario" << std::right
-            << std::setw(10) << "wall ms" << std::setw(10) << "jobs/s"
-            << std::setw(10) << "p50 ms" << std::setw(10) << "p99 ms"
-            << std::setw(9) << "aborted" << "\n";
-
   for (const Scenario& sc : scenarios) {
     const std::vector<WcnfFormula>& batch =
         sc.deadline_set ? deadlineJobs : jobs;
+    cases.push_back({sc.name, [&sc, &batch] { return runService(sc, batch); }});
+  }
 
-    // Best-of-reps: a fresh service per rep, keep the fastest batch
-    // (same policy as bench_portfolio — thread-scheduling noise on a
-    // loaded machine only ever slows a run down).
-    double wallMs = 0.0;
-    std::vector<double> latencyMs;
-    std::int64_t aborted = 0;
-    for (int rep = 0; rep < reps; ++rep) {
-      SolveServiceOptions so;
-      so.workers = sc.workers;
-      so.max_queue_depth = batch.size() + 1;
-      SolveService service(so);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<JobId> ids;
-      ids.reserve(batch.size());
-      for (const WcnfFormula& w : batch) {
-        const auto sub = service.submit(w, sc.limits);
-        if (sub.status != SolveService::SubmitStatus::kAccepted) {
-          std::cerr << sc.name << ": unexpected submit rejection\n";
-          return 1;
-        }
-        ids.push_back(sub.id);
+  // Best-of-reps, the reps of all records interleaved: the probes and
+  // the scenarios sample the same stretch of time, so a burst of load
+  // from elsewhere on the machine that slows one record's every rep
+  // slows the probes too. Thread-scheduling noise only ever slows a run
+  // down, so each record keeps its fastest rep (as bench_portfolio).
+  std::vector<benchjson::BenchRecord> records(cases.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      std::optional<benchjson::BenchRecord> rec = cases[i].run();
+      if (!rec) {
+        std::cerr << cases[i].name
+                  << ": a job was refused or missed its optimum\n";
+        return 1;
       }
-      std::vector<double> repLatencyMs;
-      repLatencyMs.reserve(ids.size());
-      std::int64_t repAborted = 0;
-      for (const JobId id : ids) {
-        const JobOutcome out = service.await(id);
-        repLatencyMs.push_back((out.queue_seconds + out.solve_seconds) * 1e3);
-        if (out.abort != AbortReason::kNone) ++repAborted;
-        if (!sc.limits.wall_seconds &&
-            out.result.status != MaxSatStatus::Optimum) {
-          std::cerr << sc.name << ": job finished without an optimum\n";
-          return 1;
-        }
-      }
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      if (rep == 0 || ms < wallMs) {
-        wallMs = ms;
-        latencyMs = std::move(repLatencyMs);
-        aborted = repAborted;
+      if (rep == 0 || rec->wallMs < records[i].wallMs) {
+        records[i] = std::move(*rec);
       }
     }
-    std::sort(latencyMs.begin(), latencyMs.end());
-    const auto pct = [&](double p) {
-      const auto idx = static_cast<std::size_t>(
-          p * static_cast<double>(latencyMs.size() - 1));
-      return latencyMs[idx];
-    };
-    const double jobsPerSec =
-        1e3 * static_cast<double>(latencyMs.size()) / std::max(wallMs, 1e-6);
+  }
 
-    std::cout << std::left << std::setw(18) << sc.name << std::right
-              << std::fixed << std::setprecision(1) << std::setw(10)
-              << wallMs << std::setw(10) << jobsPerSec << std::setw(10)
-              << std::setprecision(2) << pct(0.50) << std::setw(10)
-              << pct(0.99) << std::setw(9) << aborted << "\n";
-
-    benchjson::BenchRecord rec;
-    rec.name = sc.name;
-    rec.wallMs = wallMs;
+  std::cout << std::left << std::setw(18) << "record" << std::right
+            << std::setw(10) << "wall ms" << std::setw(10) << "jobs/s"
+            << std::setw(10) << "p50 ms" << std::setw(10) << "p99 ms"
+            << std::setw(9) << "aborted" << "\n";
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    benchjson::BenchRecord& rec = records[i];
+    rec.name = cases[i].name;
     rec.reps = reps;
-    rec.counters.emplace_back("jobs",
-                              static_cast<std::int64_t>(latencyMs.size()));
-    rec.counters.emplace_back("workers", sc.workers);
-    rec.counters.emplace_back("jobs_per_sec_milli",
-                              static_cast<std::int64_t>(jobsPerSec * 1e3));
-    rec.counters.emplace_back("p50_latency_us",
-                              static_cast<std::int64_t>(pct(0.50) * 1e3));
-    rec.counters.emplace_back("p99_latency_us",
-                              static_cast<std::int64_t>(pct(0.99) * 1e3));
-    rec.counters.emplace_back("aborted", aborted);
-    records.push_back(std::move(rec));
+    std::cout << std::left << std::setw(18) << rec.name << std::right
+              << std::fixed << std::setprecision(1) << std::setw(10)
+              << rec.wallMs;
+    if (rec.name.starts_with("seq-")) {
+      std::cout << "  (calibration probe)\n";
+      continue;
+    }
+    std::cout << std::setw(10) << counterOf(rec, "jobs_per_sec_milli") / 1e3
+              << std::setprecision(2) << std::setw(10)
+              << counterOf(rec, "p50_latency_us") / 1e3 << std::setw(10)
+              << counterOf(rec, "p99_latency_us") / 1e3 << std::setw(9)
+              << counterOf(rec, "aborted") << "\n";
   }
 
   if (writeJson && !benchjson::writeJsonFile(jsonPath, "service", records)) {

@@ -16,7 +16,7 @@ std::int64_t CnfFormula::memBytesEstimate() const {
   std::int64_t bytes =
       static_cast<std::int64_t>(clauses_.capacity() * sizeof(Clause));
   for (const Clause& c : clauses_) {
-    bytes += static_cast<std::int64_t>(c.capacity() * sizeof(Lit));
+    bytes += static_cast<std::int64_t>(c.heapBytes());
   }
   return bytes;
 }

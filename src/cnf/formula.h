@@ -1,6 +1,7 @@
 /// \file formula.h
-/// \brief Plain CNF formulas: a clause container plus light structural
-///        utilities (normalization, evaluation, statistics).
+/// \brief Plain CNF formulas: a container of `Clause`s (cnf/clause.h,
+///        up to four literals inline) plus light structural utilities
+///        (normalization, evaluation, statistics).
 
 #pragma once
 
@@ -9,14 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "cnf/clause.h"
 #include "cnf/literal.h"
 
 namespace msu {
-
-/// A clause is an ordered list of literals. Empty clauses are permitted
-/// (they denote falsum) so parsers and transformations can represent
-/// degenerate inputs faithfully.
-using Clause = std::vector<Lit>;
 
 /// A complete truth assignment: `assignment[v]` is the value of variable v.
 using Assignment = std::vector<lbool>;
@@ -60,7 +57,8 @@ class CnfFormula {
     }
   }
 
-  /// Heap bytes held by the clause storage (capacities, not sizes) —
+  /// Heap bytes held by the clause storage (capacities, not sizes; a
+  /// clause short enough to stay inline adds nothing beyond its slot) —
   /// the formula's contribution to an end-to-end memory budget.
   [[nodiscard]] std::int64_t memBytesEstimate() const;
 

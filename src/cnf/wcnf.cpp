@@ -97,10 +97,10 @@ std::int64_t WcnfFormula::memBytesEstimate() const {
       static_cast<std::int64_t>(hard_.capacity() * sizeof(Clause)) +
       static_cast<std::int64_t>(soft_.capacity() * sizeof(SoftClause));
   for (const Clause& h : hard_) {
-    bytes += static_cast<std::int64_t>(h.capacity() * sizeof(Lit));
+    bytes += static_cast<std::int64_t>(h.heapBytes());
   }
   for (const SoftClause& s : soft_) {
-    bytes += static_cast<std::int64_t>(s.lits.capacity() * sizeof(Lit));
+    bytes += static_cast<std::int64_t>(s.lits.heapBytes());
   }
   return bytes;
 }

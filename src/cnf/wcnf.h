@@ -103,7 +103,8 @@ class WcnfFormula {
   /// clause is violated.
   [[nodiscard]] std::optional<int> numSoftSatisfied(const Assignment& a) const;
 
-  /// Heap bytes held by the clause storage (capacities, not sizes) —
+  /// Heap bytes held by the clause storage (capacities, not sizes; a
+  /// clause short enough to stay inline adds nothing beyond its slot) —
   /// the formula's contribution to an end-to-end memory budget (see
   /// Solver::Options::external_mem_bytes).
   [[nodiscard]] std::int64_t memBytesEstimate() const;

@@ -11,6 +11,24 @@
 
 namespace msu {
 
+namespace {
+
+/// Adds one level's CDCL counters. The levels run one after another, so
+/// the memory gauges keep the largest level's reading, not the sum.
+void addLevelStats(SolverStats& total, const SolverStats& level) {
+  const SolverStats before = total;
+  total += level;
+  total.mem_bytes = std::max(before.mem_bytes, level.mem_bytes);
+  total.mem_arena_bytes =
+      std::max(before.mem_arena_bytes, level.mem_arena_bytes);
+  total.mem_watch_bytes =
+      std::max(before.mem_watch_bytes, level.mem_watch_bytes);
+  total.mem_external_bytes =
+      std::max(before.mem_external_bytes, level.mem_external_bytes);
+}
+
+}  // namespace
+
 std::vector<Weight> bmoStrata(const WcnfFormula& formula) {
   std::map<Weight, Weight> totalByWeight;  // weight -> total at that weight
   for (const SoftClause& sc : formula.soft()) {
@@ -77,6 +95,7 @@ MaxSatResult BmoSolver::solve(const WcnfFormula& formula) {
     result.iterations += levelResult.iterations;
     result.coresFound += levelResult.coresFound;
     result.satCalls += levelResult.satCalls;
+    addLevelStats(result.satStats, levelResult.satStats);
     if (levelResult.status == MaxSatStatus::UnsatisfiableHard) {
       result.status = MaxSatStatus::UnsatisfiableHard;
       return result;

@@ -138,15 +138,8 @@ class OracleSession {
     sink_.setScopeEnforced(scope, on);
   }
 
-  /// Retirement also schedules an inprocessing pass at the solver's
-  /// next solve/restart boundary (no-op unless Options::inprocess): the
-  /// database just shed a structure, so satisfied and subsumed leftovers
-  /// are likely. The pass itself never runs here — retirement may be
-  /// called mid-protocol, and the boundary is the known-safe point.
-  void retire(ScopeHandle scope) {
-    sink_.retireScope(scope);
-    sat_.requestInprocess();
-  }
+  /// Retirement also schedules an inprocessing pass (Solver::retire).
+  void retire(ScopeHandle scope) { sink_.retireScope(scope); }
 
   /// Batch retirement: one database sweep for many scopes.
   void retireAll(std::span<const ScopeHandle> scopes) {
@@ -154,7 +147,6 @@ class OracleSession {
     acts_buf_.reserve(scopes.size());
     for (const ScopeHandle sc : scopes) acts_buf_.push_back(sc.activator());
     sat_.retireAll(acts_buf_);
-    if (!scopes.empty()) sat_.requestInprocess();
   }
 
   // ---- Solving ---------------------------------------------------------

@@ -158,6 +158,7 @@ void Solver::retireAll(std::span<const Lit> activators) {
     scopes_.pop_back();
   }
   if (!any) return;
+  inproc_pending_ = true;
 
   // Reconstruction contract: BVE never touches scope or activator
   // variables, so the witness stack cannot dangle across retirement

@@ -343,9 +343,8 @@ class Solver {
     /// has not yet bought back its pass cost (decision record in
     /// bench/README.md, numbers in bench/ablation_inprocess.cpp).
     bool inprocess = false;
-    /// Propagations between two inprocessing passes. A retirement
-    /// notification (requestInprocess) forces a pass at the next
-    /// boundary regardless of this budget.
+    /// Propagations between two inprocessing passes. Retiring a scope
+    /// forces a pass at the next boundary regardless of this budget.
     std::int64_t inprocess_interval = 400'000;
     /// Skip a clause's subsumption attempt when the occurrence list it
     /// would scan exceeds this many candidates (cost ceiling per
@@ -541,7 +540,11 @@ class Solver {
   /// called outside search with the scope closed; a warm reused trail
   /// (Options::reuse_trail) is explicitly invalidated — retirement
   /// cancels to level 0 before sweeping. The freed arena words are
-  /// reclaimed at the next GC.
+  /// reclaimed at the next GC. Retiring a live scope also schedules an
+  /// inprocessing pass at the next solve/restart boundary, whatever the
+  /// propagation budget (no-op unless Options::inprocess): the database
+  /// just shed a structure, so satisfied and subsumed leftovers are
+  /// likely. The pass never runs here; the boundary is the safe point.
   void retire(Lit activator) { retireAll({&activator, 1}); }
 
   /// Batch retirement: one database sweep for many scopes.
@@ -556,13 +559,6 @@ class Solver {
   void setFrozen(Var v, bool frozen) {
     frozen_[v] = frozen ? 1 : 0;
   }
-
-  /// Asks for an inprocessing pass at the next solve/restart boundary,
-  /// regardless of the propagation budget (the oracle-session layer
-  /// calls this after scope retirement, when the database just shed a
-  /// structure and redundancy is likely). No-op unless
-  /// Options::inprocess is set.
-  void requestInprocess() { inproc_pending_ = true; }
 
   /// Runs one inprocessing pass immediately. Must be called outside
   /// search (decision level 0). Returns okay(); ignores the interval
@@ -933,7 +929,7 @@ class Solver {
   // Inprocessing state.
   std::int64_t inproc_last_props_ = 0;  // stats_.propagations at last pass
   int inproc_db_assigns_ = -1;          // trail size at last strip sweep
-  bool inproc_pending_ = false;         // pass forced by requestInprocess()
+  bool inproc_pending_ = false;         // pass forced by a retirement
 
   // Eliminated-variable state (BVE; elimination.cpp). eliminated_[v]:
   // 0 = live, 1 = eliminated and was a decision var, 2 = eliminated

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <random>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "cnf/dimacs.h"
 #include "cnf/formula.h"
@@ -89,6 +93,172 @@ TEST(CnfFormula, EmptyClauseAllowed) {
   f.addClause(std::initializer_list<Lit>{});
   EXPECT_EQ(f.numClauses(), 1);
   EXPECT_FALSE(f.satisfies(Assignment{}));
+}
+
+// ---- Clause: four literals inline, longer clauses on the heap ------------
+
+static_assert(sizeof(Clause) == sizeof(std::vector<Lit>));
+
+/// The literals 0..n-1 with alternating signs, as the reference vector.
+std::vector<Lit> litsOf(int n) {
+  std::vector<Lit> v;
+  for (int i = 0; i < n; ++i) v.push_back(mkLit(i, i % 2 == 1));
+  return v;
+}
+
+Clause clauseOf(const std::vector<Lit>& v) {
+  Clause c;
+  for (const Lit p : v) c.push_back(p);
+  return c;
+}
+
+bool same(const Clause& c, const std::vector<Lit>& v) {
+  return std::equal(c.begin(), c.end(), v.begin(), v.end());
+}
+
+TEST(Clause, HeapBytesOnlyPastTheInlineCapacity) {
+  for (const int n : {0, 4, 5, 1000}) {
+    const Clause c = clauseOf(litsOf(n));
+    EXPECT_TRUE(same(c, litsOf(n))) << n;
+    EXPECT_EQ(c.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(c.empty(), n == 0);
+    if (n <= 4) {
+      EXPECT_EQ(c.capacity(), Clause::kInline) << n;
+      EXPECT_EQ(c.heapBytes(), 0u) << n;
+    } else {
+      EXPECT_GE(c.capacity(), static_cast<std::size_t>(n)) << n;
+      EXPECT_EQ(c.heapBytes(), c.capacity() * sizeof(Lit)) << n;
+    }
+    // A copy holds exactly what it needs: inline up to four literals.
+    const Clause copy(c);
+    EXPECT_EQ(copy.heapBytes(), n <= 4 ? 0u : n * sizeof(Lit)) << n;
+  }
+}
+
+TEST(Clause, CopyMoveAndSelfAssignmentAcrossTheBoundary) {
+  for (const int a : {0, 4, 5, 1000}) {
+    for (const int b : {0, 4, 5, 1000}) {
+      const std::vector<Lit> va = litsOf(a);
+      const std::vector<Lit> vb = litsOf(b);
+
+      Clause copy = clauseOf(va);
+      Clause src = clauseOf(vb);
+      copy = src;  // copy assignment keeps the source
+      EXPECT_TRUE(same(copy, vb)) << a << " <- " << b;
+      EXPECT_TRUE(same(src, vb)) << a << " <- " << b;
+      if (!copy.empty()) copy[0] = ~copy[0];  // copies are independent
+      EXPECT_TRUE(same(src, vb)) << a << " <- " << b;
+
+      Clause moved = clauseOf(va);
+      moved = std::move(src);  // leaves the source empty and inline
+      EXPECT_TRUE(same(moved, vb)) << a << " <- " << b;
+      EXPECT_TRUE(src.empty()) << a << " <- " << b;
+      EXPECT_EQ(src.heapBytes(), 0u);
+      src.push_back(posLit(7));  // and usable
+      EXPECT_EQ(src.size(), 1u);
+    }
+    Clause c = clauseOf(litsOf(a));
+    const Clause& alias = c;
+    c = alias;
+    EXPECT_TRUE(same(c, litsOf(a))) << a;
+    Clause& self = c;
+    c = std::move(self);
+    EXPECT_TRUE(same(c, litsOf(a))) << a;
+    Clause built(std::move(c));
+    EXPECT_TRUE(same(built, litsOf(a))) << a;
+    EXPECT_TRUE(c.empty()) << a;
+  }
+}
+
+TEST(Clause, ClearKeepsCapacityAndRegrows) {
+  for (const int n : {0, 4, 5, 1000}) {
+    Clause c = clauseOf(litsOf(n));
+    const std::size_t cap = c.capacity();
+    c.clear();
+    EXPECT_TRUE(c.empty());
+    EXPECT_EQ(c.capacity(), cap);
+    for (const int m : {3, 5, n}) {
+      c.clear();
+      for (const Lit p : litsOf(m)) c.push_back(p);
+      EXPECT_TRUE(same(c, litsOf(m))) << n << " then " << m;
+    }
+  }
+}
+
+TEST(Clause, InsertAndEraseMatchVector) {
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 50; ++round) {
+    Clause c;
+    std::vector<Lit> v;
+    for (int step = 0; step < 40; ++step) {
+      const auto pos = static_cast<std::ptrdiff_t>(rng() % (v.size() + 1));
+      const Lit p = mkLit(static_cast<Var>(rng() % 50), (rng() & 1) != 0);
+      if (v.empty() || rng() % 3 != 0) {
+        const auto it = c.insert(c.begin() + pos, p);
+        v.insert(v.begin() + pos, p);
+        EXPECT_EQ(it - c.begin(), pos);
+      } else if (rng() % 2 == 0) {
+        const auto at = pos == static_cast<std::ptrdiff_t>(v.size()) ? 0 : pos;
+        const auto it = c.erase(c.begin() + at);
+        v.erase(v.begin() + at);
+        EXPECT_EQ(it - c.begin(), at);
+      } else {
+        const auto len = rng() % (v.size() - pos + 1);
+        const auto last = pos + static_cast<std::ptrdiff_t>(len);
+        c.erase(c.begin() + pos, c.begin() + last);
+        v.erase(v.begin() + pos, v.begin() + last);
+      }
+      ASSERT_TRUE(same(c, v)) << "round " << round << " step " << step;
+    }
+    c.insert(c.begin(), c.back());  // an element of the clause itself
+    v.insert(v.begin(), v.back());
+    EXPECT_TRUE(same(c, v)) << "round " << round;
+  }
+}
+
+TEST(Clause, OrderAndEqualityMatchVector) {
+  std::mt19937_64 rng(5);
+  std::set<Clause> clauses;
+  std::set<std::vector<Lit>> vectors;
+  const auto draw = [&] {
+    std::vector<Lit> v(rng() % 7);
+    for (Lit& p : v) p = mkLit(static_cast<Var>(rng() % 3), (rng() & 1) != 0);
+    return v;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<Lit> va = draw();
+    const std::vector<Lit> vb = draw();
+    const Clause a(va.begin(), va.end());
+    const Clause b(vb.begin(), vb.end());
+    EXPECT_EQ(a == b, va == vb);
+    EXPECT_EQ(a < b, va < vb);
+    EXPECT_EQ(b < a, vb < va);
+    clauses.insert(a);
+    vectors.insert(va);
+  }
+  ASSERT_EQ(clauses.size(), vectors.size());
+  auto v = vectors.begin();
+  for (const Clause& c : clauses) EXPECT_TRUE(same(c, *v++));
+}
+
+TEST(Clause, MemEstimateCountsOnlyHeapClauses) {
+  CnfFormula f;
+  WcnfFormula w;
+  std::size_t heap = 0;  // literal bytes of the clauses past four
+  for (const int n : {1, 2, 3, 4, 5, 4, 1000, 0}) {
+    f.addClause(litsOf(n));
+    w.addHard(litsOf(n));
+    w.addSoft(litsOf(n), 2);
+    if (n > 4) heap += n * sizeof(Lit);  // a copied clause fits exactly
+    const std::size_t slotsF = f.clauses().capacity() * sizeof(Clause);
+    EXPECT_EQ(f.memBytesEstimate(), static_cast<std::int64_t>(slotsF + heap))
+        << n;
+    const std::size_t slotsW = w.hard().capacity() * sizeof(Clause) +
+                               w.soft().capacity() * sizeof(SoftClause);
+    EXPECT_EQ(w.memBytesEstimate(),
+              static_cast<std::int64_t>(slotsW + 2 * heap))
+        << n;
+  }
 }
 
 TEST(Wcnf, AllSoftLiftsEveryClause) {

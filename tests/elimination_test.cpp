@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "cnf/oracle.h"
@@ -33,7 +34,7 @@ void addVars(Solver& s, int n) {
 }
 
 /// True iff the solver's current model satisfies the clause.
-bool modelSat(const Solver& s, const std::vector<Lit>& c) {
+bool modelSat(const Solver& s, std::span<const Lit> c) {
   for (const Lit p : c) {
     if (s.modelValue(p) == lbool::True) return true;
   }
@@ -122,7 +123,7 @@ TEST(Elimination, AddClauseRestoresAnEliminatedVariable) {
 
   ASSERT_EQ(s.solve(), lbool::True);
   for (const auto& c : original) EXPECT_TRUE(modelSat(s, c));
-  EXPECT_TRUE(modelSat(s, {negLit(2), posLit(0)}));
+  EXPECT_TRUE(modelSat(s, std::vector<Lit>{negLit(2), posLit(0)}));
 }
 
 TEST(Elimination, AssumptionRestoresAnEliminatedVariable) {

@@ -132,7 +132,6 @@ TEST(Reconstruction, SurvivesScopeRetirementAndVariableRecycling) {
     EXPECT_LE(pop, 1) << "cycle " << cycle;
 
     sink.retireScope(sc);
-    s.requestInprocess();
     ASSERT_EQ(s.solve(), lbool::True) << "cycle " << cycle;
     for (const Clause& c : original) EXPECT_TRUE(modelSat(s, c));
   }
@@ -224,7 +223,6 @@ TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
       } else if (action == 1) {
         const std::size_t i = rng() % scopes.size();
         sink.retireScope(scopes[i].act);
-        s.requestInprocess();
         scopes.erase(scopes.begin() + static_cast<std::ptrdiff_t>(i));
       } else if (action == 2) {
         const std::size_t i = rng() % scopes.size();

@@ -16,6 +16,7 @@
 #include "core/linear_search.h"
 #include "core/oll.h"
 #include "gen/graphs.h"
+#include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "random_weighted.h"
@@ -371,6 +372,19 @@ TEST(BmoTest, HardUnsat) {
   w.addSoft({posLit(0)}, 5);
   BmoSolver solver;
   EXPECT_EQ(solver.solve(w).status, MaxSatStatus::UnsatisfiableHard);
+}
+
+TEST(BmoTest, ReportsItsLevelsSatWork) {
+  // All-soft PHP(6,5) is one level, run by msu4: its solver's counters
+  // must reach the result, one solve per SAT call.
+  BmoSolver solver;
+  const MaxSatResult r =
+      solver.solve(WcnfFormula::allSoft(pigeonhole(6, 5)));
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(solver.lastStrata(), 1);
+  EXPECT_GT(r.satCalls, 0);
+  EXPECT_EQ(r.satStats.solves, r.satCalls);
+  EXPECT_GT(r.satStats.propagations, 0);
 }
 
 TEST(BmoTest, AgreesWithOllOnBmoInstances) {
