@@ -23,7 +23,7 @@ MaxSatResult BinarySearchSolver::solve(const WcnfFormula& input) {
   const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
-  OracleSession session(opts_);
+  OracleSession session(opts_, expanded);
   SoftTracker& tracker = session.trackSofts(formula);
   for (int i = 0; i < tracker.numSoft(); ++i) tracker.relax(i);
 

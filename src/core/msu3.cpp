@@ -22,7 +22,7 @@ MaxSatResult Msu3Solver::solve(const WcnfFormula& input) {
   const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
-  OracleSession session(opts_);
+  OracleSession session(opts_, expanded);
   SoftTracker& tracker = session.trackSofts(formula);
 
   if (!session.okay()) {

@@ -43,7 +43,7 @@ MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   const WcnfFormula& formula = *unit;
   const Weight m = formula.numSoft();
 
-  OracleSession session(opts_);
+  OracleSession session(opts_, expanded);
   SoftTracker& tracker = session.trackSofts(formula);
   IncrementalAtMost card(opts_.encoding, opts_.reuseEncodings);
 

@@ -70,9 +70,19 @@ namespace msu {
 /// + budget + SAT-call accounting.
 class OracleSession {
  public:
-  explicit OracleSession(const MaxSatOptions& opts)
-      : sat_(opts.sat),
-        sink_(sat_),
+  /// `expansion`: the unit-weight copy of a weighted input
+  /// (WcnfFormula::unitWeight) the engine runs on, if it made one. It
+  /// lives as long as the session, so its bytes are charged to the
+  /// memory cap on top of opts.sat.external_mem_bytes. And the sink
+  /// then leaves the sorter's wires undecided (SolverSink): on the
+  /// weighted suites that cuts msu4-v2's search, on the unweighted
+  /// Table 1 suite it adds to it (bench/README.md, "Decision record:
+  /// sorter wires are undecided on weighted input").
+  explicit OracleSession(
+      const MaxSatOptions& opts,
+      const std::optional<WcnfFormula>& expansion = std::nullopt)
+      : sat_(charged(opts.sat, expansion)),
+        sink_(sat_, /*undecidedUpward=*/expansion.has_value()),
         progress_(opts.progress),
         trace_(opts.sat.trace) {
     sat_.setBudget(opts.budget);
@@ -208,6 +218,12 @@ class OracleSession {
   }
 
  private:
+  [[nodiscard]] static Solver::Options charged(
+      Solver::Options o, const std::optional<WcnfFormula>& expansion) {
+    if (expansion) o.external_mem_bytes += expansion->memBytesEstimate();
+    return o;
+  }
+
   /// Streams the deltas since the last sync into the live-progress
   /// sink (no-op without one). Deltas — not totals — so the multiple
   /// sessions of one job (portfolio workers) aggregate instead of

@@ -70,7 +70,10 @@ void encodeExactlyOne(ClauseSink& sink, std::span<const Lit> lits,
 /// unit propagation complete for `sum <= k`; the outputs do not give
 /// `sum >= k`. One network serves every bound, which is what lets msu4
 /// v2 reuse it across successively tighter bounds; it grows by
-/// joinSorted.
+/// joinSorted. Every clause's one positive literal is a wire the call
+/// created, so the wires are upward variables (ClauseSink::
+/// newUpwardVar), which a solver sink may leave undecided; callers
+/// must name them only negatively.
 [[nodiscard]] std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
                                                    std::span<const Lit> lits);
 

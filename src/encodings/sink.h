@@ -84,6 +84,17 @@ class ClauseSink {
   /// the sink supports ownership).
   virtual Var newVar() = 0;
 
+  /// Creates a fresh variable the oracle need not branch on, like
+  /// newVar otherwise. The caller promises that each clause mentioning
+  /// it positively has no other positive literal over such variables:
+  /// the sorter's clauses only lift inputs to outputs. Unassigned ones
+  /// can then be set false once everything else is assigned and
+  /// propagated, which satisfies those clauses. A solver sink built to
+  /// leave them undecided creates a non-decision variable (see
+  /// "Non-decision variables" in solver.h); other sinks an ordinary
+  /// one.
+  virtual Var newUpwardVar() { return newVar(); }
+
   /// Adds a clause over existing variables. Inside an open scope the
   /// scope's guard literal is appended automatically.
   void addClause(std::span<const Lit> lits) {
@@ -182,11 +193,19 @@ class ClauseSink {
 /// retirement machinery (Solver::newActivator / retire).
 class SolverSink final : public ClauseSink {
  public:
-  explicit SolverSink(Solver& solver) : solver_(&solver) {}
+  /// With `undecidedUpward`, newUpwardVar creates non-decision
+  /// variables, which search never branches on; OracleSession asks for
+  /// it on weighted input only.
+  explicit SolverSink(Solver& solver, bool undecidedUpward = false)
+      : solver_(&solver), undecided_upward_(undecidedUpward) {}
 
   using ClauseSink::addClause;
 
   Var newVar() override { return solver_->newVar(); }
+
+  Var newUpwardVar() override {
+    return solver_->newVar(/*decisionVar=*/!undecided_upward_);
+  }
 
   [[nodiscard]] ScopeHandle beginScope() override {
     const Lit act = solver_->newActivator();
@@ -227,6 +246,7 @@ class SolverSink final : public ClauseSink {
 
  private:
   Solver* solver_;
+  bool undecided_upward_;
 };
 
 /// Sink that appends to a CnfFormula.

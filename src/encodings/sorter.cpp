@@ -12,16 +12,18 @@ namespace msu {
 namespace {
 
 /// Forward-only comparator: hi = a|b, lo = a&b, with just the
-/// input->output clauses upper-bound constraints need. Constants
-/// short-circuit without emitting anything.
+/// input->output clauses upper-bound constraints need. Each clause's
+/// one positive literal is an output, so the outputs are upward
+/// variables (ClauseSink::newUpwardVar). Constants short-circuit
+/// without emitting anything.
 std::pair<Lit, Lit> comparator(ClauseSink& sink, Lit a, Lit b, Lit tru) {
   const Lit fls = ~tru;
   if (a == fls) return {b, fls};
   if (b == fls) return {a, fls};
   if (a == tru) return {tru, b};
   if (b == tru) return {tru, a};
-  const Lit hi = posLit(sink.newVar());
-  const Lit lo = posLit(sink.newVar());
+  const Lit hi = posLit(sink.newUpwardVar());
+  const Lit lo = posLit(sink.newUpwardVar());
   sink.addClause({~a, hi});
   sink.addClause({~b, hi});
   sink.addClause({~a, ~b, lo});
@@ -141,7 +143,7 @@ std::vector<Lit> joinSorted(ClauseSink& sink, std::span<const Lit> a,
   if (directMergeClauses(p, q, k) > 3 * mergeComparators(padded, p, q)) {
     return mergeSorted(sink, a, b);
   }
-  return directMerge(sink, a, b, k);
+  return directMerge(sink, a, b, k, /*upwardOutputs=*/true);
 }
 
 }  // namespace msu

@@ -34,7 +34,8 @@ std::vector<Lit> Totalizer::merge(const std::vector<Lit>& left,
                                   const std::vector<Lit>& right) {
   const int p = static_cast<int>(left.size());
   const int q = static_cast<int>(right.size());
-  std::vector<Lit> out = directMerge(*sink_, left, right, p + q - 1);
+  std::vector<Lit> out =
+      directMerge(*sink_, left, right, p + q - 1, /*upwardOutputs=*/false);
   if (both_) {
     // Reverse: out>=i+j+1 implies left>=i+1 or right>=j+1.
     for (int i = 0; i <= p; ++i) {
@@ -52,12 +53,15 @@ std::vector<Lit> Totalizer::merge(const std::vector<Lit>& left,
 }
 
 std::vector<Lit> directMerge(ClauseSink& sink, std::span<const Lit> a,
-                             std::span<const Lit> b, int k) {
+                             std::span<const Lit> b, int k,
+                             bool upwardOutputs) {
   const int p = static_cast<int>(a.size());
   const int q = static_cast<int>(b.size());
   const int m = std::min(p + q, k + 1);
   std::vector<Lit> out(static_cast<std::size_t>(std::max(m, 0)));
-  for (Lit& r : out) r = posLit(sink.newVar());
+  for (Lit& r : out) {
+    r = posLit(upwardOutputs ? sink.newUpwardVar() : sink.newVar());
+  }
 
   // Forward: a>=i and b>=j imply out>=i+j.
   std::vector<Lit> clause;

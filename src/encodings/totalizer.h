@@ -23,10 +23,14 @@ namespace msu {
 /// follows in one propagation step. Outputs above `k` are not emitted:
 /// `~out[k']` enforces `sum <= k'` for every k' <= k. msu4 v2's grown
 /// sorter joins each sorted batch this way (joinSorted in
-/// cardinality.h).
+/// cardinality.h), with `upwardOutputs`: the outputs are then upward
+/// variables (ClauseSink::newUpwardVar), which holds only while no
+/// other clause names them positively. The totalizer's reverse clauses
+/// do, so it merges with ordinary outputs.
 [[nodiscard]] std::vector<Lit> directMerge(ClauseSink& sink,
                                            std::span<const Lit> a,
-                                           std::span<const Lit> b, int k);
+                                           std::span<const Lit> b, int k,
+                                           bool upwardOutputs);
 
 /// A totalizer over a growing set of input literals.
 ///

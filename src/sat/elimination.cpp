@@ -32,6 +32,12 @@
 /// not imply them, and a stale learnt could force-assign the eliminated
 /// variable. Deleting learnt clauses is always sound.
 ///
+/// A variable is also kept when one of its resolvents would hold two
+/// positive literals over non-decision variables: the sorter's clauses
+/// each have one, and false completes the wires search leaves
+/// unassigned only while no clause has two ("Non-decision variables"
+/// in solver.h).
+///
 /// Resolvent variables are banned for the remainder of the pass — the
 /// occurrence lists were built once and do not see the new clauses, and
 /// resolving on a variable with an incomplete occurrence set would drop
@@ -118,6 +124,7 @@ bool Solver::addClauseInternal(std::vector<Lit> ps, Var tag) {
     }
   }
   ps.resize(j);
+  assert(nonDecisionPositives(ps) <= 1);  // "Non-decision variables"
 
   if (ps.empty()) {
     if (decisionLevel() > 0) cancelUntil(0);
@@ -140,19 +147,6 @@ bool Solver::addClauseInternal(std::vector<Lit> ps, Var tag) {
   clauses_.push_back(ref);
   attachClause(ref);
   return true;
-}
-
-void Solver::reconstructModel() {
-  // Eliminated variables are unassigned by search; give them a definite
-  // default so witness replay evaluates every clause, then let the
-  // stack flip whatever the removed clauses require.
-  for (Var v = 0; v < numVars(); ++v) {
-    if (eliminated_[v] != 0 &&
-        model_[static_cast<std::size_t>(v)] == lbool::Undef) {
-      model_[static_cast<std::size_t>(v)] = lbool::False;
-    }
-  }
-  witness_.extend(model_);
 }
 
 bool Solver::inprocEliminate() {
@@ -265,9 +259,11 @@ bool Solver::inprocEliminate() {
     if (posCount + negCount == 0) continue;  // unused variable
 
     // Build the non-tautological resolvents; bail out as soon as the
-    // growth allowance is exceeded.
+    // growth allowance is exceeded, or a resolvent would hold two
+    // positive literals over non-decision variables, which model
+    // completion needs absent (solver.h).
     resolvents.clear();
-    bool tooMany = false;
+    bool reject = false;
     const int allow = posCount + negCount + kBveGrowth;
     for (const auto& cp : posCls) {
       for (const auto& cn : negCls) {
@@ -295,15 +291,19 @@ bool Solver::inprocEliminate() {
           inResolvent[static_cast<std::size_t>(p.index())] = 0;
         }
         if (taut) continue;
+        if (nonDecisionPositives(scratch) > 1) {
+          reject = true;
+          break;
+        }
         resolvents.push_back(scratch);
         if (static_cast<int>(resolvents.size()) > allow) {
-          tooMany = true;
+          reject = true;
           break;
         }
       }
-      if (tooMany) break;
+      if (reject) break;
     }
-    if (tooMany) continue;
+    if (reject) continue;
 
     // Commit. Witness entries first (the clauses are about to go):
     // positive occurrences with witness v, then negative with ¬v. At

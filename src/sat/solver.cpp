@@ -346,6 +346,7 @@ bool Solver::addClause(std::span<const Lit> lits) {
     }
   }
   ps.resize(j);
+  assert(nonDecisionPositives(ps) <= 1);  // "Non-decision variables"
 
   // Level-0 strengthening is itself a unit-propagation consequence;
   // record it so the checker's database matches the solver's.
@@ -1502,11 +1503,16 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   }
 
   if (status == lbool::True) {
+    // Search assigned every decision variable; false completes the rest
+    // (non-decision variables, solver.h). Replaying the witness stack
+    // then flips eliminated variables as their removed clauses require,
+    // so callers never observe removal (reconstruction contract).
     model_.resize(static_cast<std::size_t>(numVars()));
-    for (Var v = 0; v < numVars(); ++v) model_[v] = assigns_[v];
-    // Extend the assignment over eliminated variables so callers never
-    // observe removal (reconstruction contract).
-    if (has_removed_vars_) reconstructModel();
+    for (Var v = 0; v < numVars(); ++v) {
+      model_[v] = assigns_[v] == lbool::Undef ? lbool::False : assigns_[v];
+    }
+    if (has_removed_vars_) witness_.extend(model_);
+    assert(modelSatisfiesDatabase());
   } else if (status == lbool::False && core_.empty()) {
     // Unsatisfiable independently of the assumptions.
     ok_ = false;
@@ -1519,6 +1525,30 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   refreshMemStats();
   solveSpan.arg("conflicts", stats_.conflicts - traceConflicts0);
   return status;
+}
+
+bool Solver::modelSatisfiesDatabase() const {
+  const auto holds = [&](Lit p) { return modelValue(p) == lbool::True; };
+  for (const CRef ref : clauses_) {
+    const ClauseRefView c = arena_[ref];
+    if (!c.deleted() && std::none_of(c.lits().begin(), c.lits().end(), holds)) {
+      return false;
+    }
+  }
+  // The binary (~p | q) sits in binList(p) as the implied literal q.
+  for (int idx = 0; idx < watches_.numLits(); ++idx) {
+    const Lit p = Lit::fromIndex(idx);
+    for (const BinWatch bw : watches_.binList(p)) {
+      if (!bw.learnt() && !holds(~p) && !holds(bw.implied())) return false;
+    }
+  }
+  return true;
+}
+
+int Solver::nonDecisionPositives(std::span<const Lit> ps) const {
+  return static_cast<int>(std::count_if(ps.begin(), ps.end(), [&](Lit p) {
+    return p.positive() && decision_[p.var()] == 0;
+  }));
 }
 
 void Solver::maybeSwitchMode() {

@@ -132,6 +132,31 @@
 ///    restrict removal to variables outside the export prefix, so
 ///    exported clauses keep their meaning across workers.
 ///
+/// ## Non-decision variables
+///
+/// Search branches only on decision variables. A variable created with
+/// `newVar(false)` is assigned by propagation or as an assumption, or
+/// not at all: when every decision variable is assigned without
+/// conflict, solve() reports SAT and sets each variable still
+/// unassigned to false in `model()`, before reconstruction. So a model
+/// is total, and it satisfies the database as long as no irredundant
+/// clause has two positive literals over non-decision variables: an
+/// unsatisfied clause with two or more unassigned literals then holds
+/// a negative one, which false satisfies. Who keeps to that:
+///
+///  * activators are assumed on every solve, and free (recycled) and
+///    eliminated variables occur in no live clause;
+///  * the sorter's wires, when a SolverSink leaves them undecided
+///    (ClauseSink::newUpwardVar in encodings/sink.h): each of its
+///    clauses has one positive literal, a wire, and the engines name
+///    wires only negatively, as bound units or assumptions;
+///  * inprocessing: strengthening only drops literals, a promoted
+///    learnt subsumes an original, and BVE skips a variable whose
+///    resolvents would break the rule.
+///
+/// Builds with asserts on check the rule on each clause added and
+/// every SAT model against every irredundant clause.
+///
 /// ## Warm-started oracle calls (assumption-prefix trail reuse)
 ///
 /// The MaxSAT engines drive one solver through thousands of solve calls
@@ -411,7 +436,10 @@ class Solver {
 
   /// Creates a variable and returns it, recycling one retired with a
   /// scope when available. While a scope is open the variable is owned
-  /// by it (recycled at retire) unless `scoped` is false.
+  /// by it (recycled at retire) unless `scoped` is false. Search never
+  /// branches on a variable created with `decisionVar` false; see
+  /// "Non-decision variables" in the file comment for what its
+  /// clauses must keep to.
   Var newVar(bool decisionVar = true, bool scoped = true);
 
   /// Number of variable slots created (recycled or not).
@@ -573,7 +601,8 @@ class Solver {
   [[nodiscard]] lbool solve() { return solve({}); }
 
   /// Solves under assumptions.
-  ///  * True: `model()` holds a complete satisfying assignment.
+  ///  * True: `model()` holds a complete satisfying assignment; the
+  ///    non-decision variables search left unassigned read false.
   ///  * False: if caused by the assumptions, `core()` holds a subset of
   ///    them that is jointly inconsistent with the clause database
   ///    (possibly empty when the database itself is unsatisfiable).
@@ -743,8 +772,12 @@ class Solver {
   /// addClause body shared with restoration and BVE resolvents: no
   /// cross-scope check, no axiom trace, explicit scope tag.
   bool addClauseInternal(std::vector<Lit> ps, Var tag);
-  /// Extends model_ over eliminated variables by witness-stack replay.
-  void reconstructModel();
+  /// True iff model_ satisfies every irredundant clause (the asserted
+  /// check on each SAT answer; see "Non-decision variables").
+  [[nodiscard]] bool modelSatisfiesDatabase() const;
+  /// Positive literals of `ps` over non-decision variables: at most one
+  /// in an irredundant clause ("Non-decision variables").
+  [[nodiscard]] int nonDecisionPositives(std::span<const Lit> ps) const;
 
   // Clause-sharing helpers (no-ops without Options::share).
   [[nodiscard]] bool sharing() const {

@@ -150,7 +150,7 @@ std::int64_t clausesOf(Build build, int p, int q, int k = 0) {
       static_cast<void>(mergeSorted(sink, a, b));
       break;
     case Build::Direct:
-      static_cast<void>(directMerge(sink, a, b, k));
+      static_cast<void>(directMerge(sink, a, b, k, /*upwardOutputs=*/true));
       break;
     case Build::Join:
       static_cast<void>(joinSorted(sink, a, b, k));

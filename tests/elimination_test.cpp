@@ -72,6 +72,27 @@ TEST(Elimination, EliminatesAVariableAndReconstructsTheModel) {
   EXPECT_NE(s.modelValue(posLit(2)), lbool::Undef);
 }
 
+TEST(Elimination, KeepsTwoNonDecisionPositivesOutOfAResolvent) {
+  // w1 and w2 are non-decision variables (like sorter wires), each the
+  // one such positive literal of its clause. Eliminating x0 would leave
+  // (w1 | w2), which model completion sets false on both: the model
+  // would then break an original clause whatever x0's witness says.
+  Solver s(bveOpts());
+  addVars(s, 1);
+  const Lit w1 = posLit(s.newVar(/*decisionVar=*/false));
+  const Lit w2 = posLit(s.newVar(/*decisionVar=*/false));
+  s.setFrozen(w1.var(), true);
+  s.setFrozen(w2.var(), true);
+  const std::vector<std::vector<Lit>> original{{posLit(0), w1},
+                                               {negLit(0), w2}};
+  for (const auto& c : original) ASSERT_TRUE(s.addClause(c));
+
+  ASSERT_TRUE(s.inprocessNow());
+  EXPECT_EQ(s.stats().inproc_bve_eliminated, 0);
+  ASSERT_EQ(s.solve(), lbool::True);
+  for (const auto& c : original) EXPECT_TRUE(modelSat(s, c));
+}
+
 TEST(Elimination, FrozenVariablesAreNeverEliminated) {
   Solver s(bveOpts());
   addVars(s, 5);

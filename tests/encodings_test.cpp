@@ -226,6 +226,72 @@ TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
   }
 }
 
+/// The sorter's three builders.
+enum class SorterCall { Build, Merge, Join };
+
+/// Runs `call` into a formula over fresh literals, `p` and `q` of them
+/// (Build sorts all p + q; Join cuts at `k`), and checks what model
+/// completion rests on ("Non-decision variables" in solver.h): every
+/// clause emitted has at most one positive literal, over a variable
+/// the call created, never an input or the constant.
+void expectUpwardClauses(SorterCall call, int p, int q, int k) {
+  CnfFormula cnf;
+  FormulaSink sink(cnf);
+  const Var constant = sink.trueLit().var();
+  std::vector<Lit> a;
+  std::vector<Lit> b;
+  for (int i = 0; i < p; ++i) a.push_back(posLit(cnf.newVar()));
+  for (int i = 0; i < q; ++i) b.push_back(posLit(cnf.newVar()));
+  const Var firstCreated = cnf.numVars();
+  const int firstClause = cnf.numClauses();
+  switch (call) {
+    case SorterCall::Build: {
+      std::vector<Lit> all = a;
+      all.insert(all.end(), b.begin(), b.end());
+      static_cast<void>(buildSortingNetwork(sink, all));
+      break;
+    }
+    case SorterCall::Merge:
+      static_cast<void>(mergeSorted(sink, a, b));
+      break;
+    case SorterCall::Join:
+      static_cast<void>(joinSorted(sink, a, b, k));
+      break;
+  }
+  for (int c = firstClause; c < cnf.numClauses(); ++c) {
+    int positives = 0;
+    for (const Lit l : cnf.clause(c)) {
+      if (!l.positive()) continue;
+      ++positives;
+      if (l.var() < firstCreated || l.var() == constant) {
+        ADD_FAILURE() << "call " << static_cast<int>(call) << " p=" << p
+                      << " q=" << q << " k=" << k << " clause " << c
+                      << ": positive literal over variable " << l.var()
+                      << ", which the call did not create";
+        return;
+      }
+    }
+    if (positives > 1) {
+      ADD_FAILURE() << "call " << static_cast<int>(call) << " p=" << p
+                    << " q=" << q << " k=" << k << " clause " << c << " has "
+                    << positives << " positive literals";
+      return;
+    }
+  }
+}
+
+TEST(SortingNetwork, EveryClauseLiftsInputsToOneCreatedOutput) {
+  for (int n = 1; n <= 48; ++n) expectUpwardClauses(SorterCall::Build, n, 0, 0);
+  for (int p = 1; p <= 24; ++p) {
+    for (int q = 1; q <= 24; ++q) {
+      expectUpwardClauses(SorterCall::Merge, p, q, 0);
+      for (int k = 0; k < p + q; ++k) {
+        expectUpwardClauses(SorterCall::Join, p, q, k);
+      }
+    }
+  }
+}
+
 TEST(BddAtMost, RootIsBiconditional) {
   for (int n : {3, 5}) {
     for (int k : {1, 2}) {

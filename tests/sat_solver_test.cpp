@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 
 #include "cnf/formula.h"
 #include "cnf/oracle.h"
+#include "encodings/cardinality.h"
+#include "encodings/sink.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "sat/solver.h"
@@ -89,6 +93,63 @@ TEST(SatSolver, ModelSatisfiesFormula) {
       a[v] = s.model()[v] == lbool::Undef ? lbool::False : s.model()[v];
     }
     EXPECT_TRUE(f.satisfies(a));
+  }
+}
+
+TEST(SatSolver, ModelCompletesUndecidedSorterWires) {
+  // Here the sorter's wires are non-decision variables: search assigns
+  // only those a true input lifts, and solve() sets the rest false. The
+  // same network and join built into a formula record the clauses
+  // added.
+  constexpr int kInputs = 12;
+  constexpr int kBound = 3;
+  Solver s;
+  SolverSink sink(s, /*undecidedUpward=*/true);
+  CnfFormula added;
+  FormulaSink recorder(added);
+  std::vector<Lit> inputs;
+  for (int i = 0; i < kInputs; ++i) {
+    inputs.push_back(posLit(s.newVar()));
+    static_cast<void>(added.newVar());
+  }
+  const std::span<const Lit> all(inputs);
+  const auto grow = [&](ClauseSink& to) {
+    const std::vector<Lit> low = buildSortingNetwork(to, all.subspan(0, 8));
+    return joinSorted(to, low, buildSortingNetwork(to, all.subspan(8)), kBound);
+  };
+  const std::vector<Lit> out = grow(sink);
+  ASSERT_EQ(grow(recorder), out);
+  ASSERT_EQ(added.numVars(), s.numVars());
+  const Lit bound = ~out[kBound];
+  ASSERT_TRUE(s.addClause({bound}));
+  added.addClause({bound});
+
+  std::mt19937 rng(5);
+  for (int round = 0; round < 40; ++round) {
+    // Some inputs true (at most the bound, so SAT), some false, the
+    // rest left to search.
+    std::vector<Lit> assumps;
+    int ones = 0;
+    for (const Lit x : inputs) {
+      const unsigned r = rng() % 3;
+      if (r == 0 && ones < kBound) {
+        assumps.push_back(x);
+        ++ones;
+      } else if (r == 1) {
+        assumps.push_back(~x);
+      }
+    }
+    ASSERT_EQ(s.solve(assumps), lbool::True) << "round " << round;
+    const std::vector<lbool>& model = s.model();
+    ASSERT_EQ(model.size(), static_cast<std::size_t>(s.numVars()));
+    for (Var v = 0; v < s.numVars(); ++v) {
+      ASSERT_NE(model[v], lbool::Undef) << "round " << round << " var " << v;
+    }
+    for (const Clause& c : added.clauses()) {
+      EXPECT_TRUE(std::any_of(c.begin(), c.end(), [&](Lit p) {
+        return s.modelValue(p) == lbool::True;
+      })) << "round " << round;
+    }
   }
 }
 

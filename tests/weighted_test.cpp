@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
 #include <random>
 
 #include "cnf/oracle.h"
 #include "core/bmo.h"
 #include "core/linear_search.h"
 #include "core/oll.h"
+#include "core/oracle_session.h"
 #include "gen/graphs.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
@@ -385,6 +388,69 @@ TEST(BmoTest, ReportsItsLevelsSatWork) {
   EXPECT_GT(r.satCalls, 0);
   EXPECT_EQ(r.satStats.solves, r.satCalls);
   EXPECT_GT(r.satStats.propagations, 0);
+}
+
+TEST(UnitWeightExpansion, CountsAgainstTheMemoryCap) {
+  // msu4, msu3 and binary run a weighted input on its unit-weight
+  // expansion: a copy of the hard clauses plus `weight` copies of each
+  // soft, held for the whole run. Here that copy alone fills the cap,
+  // while the solver, which drops every hard clause the unit x0
+  // satisfies, stays far below it.
+  constexpr int kVars = 40;
+  WcnfFormula w(kVars);
+  w.addHard({posLit(0)});
+  for (int i = 0; i < 6000; ++i) {
+    Clause c{posLit(0)};
+    for (Var v = 1; v < kVars; ++v) {
+      c.push_back(mkLit(v, ((i >> (v % 8)) & 1) != 0));
+    }
+    w.addHard(c);
+  }
+  w.addSoft({negLit(1)}, 2);
+  w.addSoft({posLit(1)}, 3);
+  std::optional<WcnfFormula> expanded;
+  ASSERT_NE(w.unitWeight(expanded), &w);
+  const std::int64_t cap = expanded->memBytesEstimate();
+
+  for (const char* name : {"msu4-v2", "msu3", "binary"}) {
+    const MaxSatResult uncapped = makeSolver(name)->solve(w);
+    ASSERT_EQ(uncapped.status, MaxSatStatus::Optimum) << name;
+    EXPECT_EQ(uncapped.cost, 2) << name;
+    EXPECT_EQ(uncapped.satStats.mem_external_bytes, cap) << name;
+    EXPECT_LT(uncapped.satStats.mem_bytes -
+                  uncapped.satStats.mem_external_bytes,
+              cap / 4)
+        << name;
+
+    std::atomic<int> reason{static_cast<int>(AbortReason::kNone)};
+    MaxSatOptions o;
+    o.budget.setMaxMemory(cap);
+    o.budget.setAbortSink(&reason);
+    const MaxSatResult capped = makeSolver(name, o)->solve(w);
+    EXPECT_EQ(capped.status, MaxSatStatus::Unknown) << name;
+    EXPECT_EQ(static_cast<AbortReason>(reason.load()), AbortReason::kMemory)
+        << name;
+  }
+}
+
+TEST(UnitWeightExpansion, LeavesTheSessionsUpwardVarsUndecided) {
+  // An engine that runs on a unit-weight expansion hands it to its
+  // OracleSession, whose sink then creates the sorter's wires as
+  // non-decision variables; on unit-weight input they stay decision
+  // variables. Solving over a lone fresh wire branches on it only when
+  // it is a decision variable.
+  std::vector<std::int64_t> decisions;
+  for (const Weight weight : {1, 2}) {
+    WcnfFormula w(1);
+    w.addSoft({posLit(0)}, weight);
+    std::optional<WcnfFormula> expanded;
+    ASSERT_EQ(w.unitWeight(expanded) == &w, weight == 1);
+    OracleSession session(MaxSatOptions{}, expanded);
+    static_cast<void>(session.sink().newUpwardVar());
+    ASSERT_EQ(session.sat().solve(), lbool::True);
+    decisions.push_back(session.sat().stats().decisions);
+  }
+  EXPECT_EQ(decisions[0], decisions[1] + 1);
 }
 
 TEST(BmoTest, AgreesWithOllOnBmoInstances) {
