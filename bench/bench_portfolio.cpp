@@ -1,9 +1,9 @@
 /// \file bench_portfolio.cpp
 /// \brief Wall-clock benchmark of the parallel portfolio (src/par):
 ///        each instance is solved by the same portfolio configuration
-///        (base engine msu4-v2 plus the default diversified cycle,
-///        clause sharing on) at 1, 2 and 4 workers, and the driver
-///        reports per-instance speedups plus the 1→4-thread geomean.
+///        (base engine msu4-v2 plus the default diversified cycle) at
+///        1, 2 and 4 workers, and the driver reports per-instance
+///        speedups plus the 1→4-thread geomean.
 ///
 /// Usage: bench_portfolio [--reps N] [--json [path]] [--trace FILE]
 ///
@@ -11,10 +11,10 @@
 ///            regression gate compares minima, and on shared CI
 ///            runners a single sample is mostly scheduler noise)
 ///   --json   write bench/BENCH_portfolio.json (per-(instance,threads)
-///            wall time, winner worker/engine and sharing counters)
+///            wall time, cost, SAT calls and winner worker)
 ///   --trace  instead of the sweep, run ONE 4-worker portfolio solve of
-///            the first clause-sharing case with the obs tracer enabled
-///            and write the Chrome trace_event JSON to FILE (the
+///            the last hard-rich case with the obs tracer enabled and
+///            write the Chrome trace_event JSON to FILE (the
 ///            nightly-CI sample artifact; open it in Perfetto — see
 ///            bench/README.md "Reading a trace")
 ///
@@ -94,15 +94,11 @@ std::vector<Case> buildCases() {
                                    {.bits = 8, .steps = 16}))});
   cases.push_back({"bmc-7-14", WcnfFormula::allSoft(bmcCounterInstance(
                                    {.bits = 7, .steps = 14}))});
-  // Hard-rich instances: everything above is all-soft, and an all-soft
-  // instance has NO legally shareable clauses (only consequences of the
-  // shared hard part may cross workers — see par/clause_pool.h), so the
-  // sharing counters of those records are structurally zero. These two
-  // cases keep the clause-sharing path measured: a below-threshold hard
-  // random 3-SAT skeleton (satisfiable; the driver aborts on
-  // non-Optimum, so a regression here is loud) carrying a soft 3-clause
-  // load. The optimizer's refutations inside the hard skeleton learn
-  // prefix-pure clauses, which are the only legally exportable kind.
+  // Hard-rich controls: everything above is all-soft, so nothing else
+  // makes a worker refute hard clauses. A below-threshold hard random
+  // 3-SAT skeleton (satisfiable; the driver aborts on non-Optimum, so a
+  // regression here is loud) carries a soft 3-clause load. They also
+  // belong to the seq-direct probe.
   for (const auto& [vars, hardN, softN, seed] :
        {std::array<int, 4>{48, 160, 120, 12},
         std::array<int, 4>{40, 136, 110, 21}}) {
@@ -153,10 +149,11 @@ int main(int argc, char** argv) {
   const std::vector<Case> cases = buildCases();
 
   if (!tracePath.empty()) {
-    // Trace-sample mode: one 4-worker portfolio run of the first
-    // hard-rich (clause-sharing) case, exported as Chrome trace JSON.
-    // Not a measurement — the point is a real multi-worker trace with
-    // solve/restart/import-drain spans across four timelines.
+    // Trace-sample mode: one 4-worker portfolio run of the last
+    // hard-rich case (the workers refute hard clauses as well as
+    // extract cores there), exported as Chrome trace JSON. Not a
+    // measurement — the point is a real multi-worker trace with
+    // solve/restart spans across four timelines.
     const Case* traced = nullptr;
     for (const Case& c : cases) {
       if (c.name.rfind("mix3sat-", 0) == 0) traced = &c;
@@ -189,7 +186,7 @@ int main(int argc, char** argv) {
   std::vector<double> speedups;  // t1 / t4 per instance
 
   // Machine-speed probe: the cases where the base engine is the right
-  // tool, solved by plain sequential calls — no threads, no sharing.
+  // tool, solved by plain sequential calls — no threads.
   // Wall time tracks the runner; the counters are deterministic for
   // identical code and guard the probe against silent drift.
   {
@@ -283,16 +280,6 @@ int main(int argc, char** argv) {
       rec.counters.emplace_back("cost", cost);
       rec.counters.emplace_back("sat_calls", r.satCalls);
       rec.counters.emplace_back("winner", solver.lastWinner());
-      rec.counters.emplace_back("shared_exported",
-                                r.satStats.shared_exported);
-      rec.counters.emplace_back("shared_imported",
-                                r.satStats.shared_imported);
-      rec.counters.emplace_back("shared_export_drops",
-                                r.satStats.shared_export_drops);
-      rec.counters.emplace_back("shared_import_drains",
-                                r.satStats.shared_import_drains);
-      rec.counters.emplace_back("shared_import_scanned",
-                                r.satStats.shared_import_scanned);
       records.push_back(std::move(rec));
     }
     // Clamp sub-resolution timings so a 0 ms sample cannot drive the

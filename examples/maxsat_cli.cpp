@@ -10,8 +10,8 @@
 ///                       pbo, msu4-v1 and msu4-v2, or any other name
 ///                       from --list (msu1, linear, oll, ...)
 ///     --threads N       parallel portfolio of N workers racing the
-///                       chosen engine plus diversified alternatives,
-///                       with learnt-clause sharing (default 1)
+///                       chosen engine plus diversified alternatives
+///                       (default 1)
 ///     --timeout SECONDS wall-clock budget (default: none)
 ///     --mem-mb N        cooperative memory cap in MiB: the solver
 ///                       tracks its own clause-storage footprint
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
   }
   if (threads > 1 && algo.rfind("portfolio", 0) != 0) {
     // Race the requested engine (worker 0, base configuration) against
-    // diversified alternatives, sharing learnt clauses. Validate the
-    // name here: PortfolioSolver silently drops unbuildable engines.
+    // diversified alternatives. Validate the name here:
+    // PortfolioSolver silently drops unbuildable engines.
     bool known = false;
     for (const std::string& name : solverNames()) known |= (name == algo);
     if (!known) {

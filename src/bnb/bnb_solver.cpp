@@ -455,7 +455,12 @@ MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   std::optional<WcnfFormula> expanded;
   const WcnfFormula* unit = input.unitWeight(expanded);
-  if (unit == nullptr) {
+  // A weighted input is searched on its unit-weight copy, held for the
+  // whole run: it counts against the memory cap like the solvers'
+  // clause storage.
+  if (unit == nullptr ||
+      (expanded &&
+       opts_.budget.memoryExhausted(expanded->memBytesEstimate()))) {
     result.upperBound = input.totalSoftWeight();
     return result;
   }

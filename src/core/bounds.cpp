@@ -4,6 +4,19 @@
 
 namespace msu {
 
+namespace {
+
+/// Options of a solver over a unit-weight formula: `expanded`, the
+/// copy made of a weighted input, counts against the memory cap for as
+/// long as the solver lives.
+Solver::Options chargedFor(const std::optional<WcnfFormula>& expanded) {
+  Solver::Options o;
+  if (expanded) o.external_mem_bytes = expanded->memBytesEstimate();
+  return o;
+}
+
+}  // namespace
+
 DisjointCoresResult disjointCores(const WcnfFormula& input,
                                   const Budget& budget) {
   DisjointCoresResult result;
@@ -12,7 +25,7 @@ DisjointCoresResult disjointCores(const WcnfFormula& input,
   if (unit == nullptr) return result;
   const WcnfFormula& formula = *unit;
 
-  Solver sat;
+  Solver sat(chargedFor(expanded));
   sat.setBudget(budget);
   SoftTracker tracker(sat, formula);
   if (!sat.okay()) {
@@ -49,7 +62,7 @@ std::optional<BlockingBoundResult> blockingUpperBound(
   if (unit == nullptr) return std::nullopt;
   const WcnfFormula& formula = *unit;
 
-  Solver sat;
+  Solver sat(chargedFor(expanded));
   sat.setBudget(budget);
   SoftTracker tracker(sat, formula);
   for (int i = 0; i < tracker.numSoft(); ++i) tracker.relax(i);

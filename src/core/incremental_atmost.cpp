@@ -48,13 +48,11 @@ void IncrementalAtMost::assertAtMost(ClauseSink& sink,
 
   if (reuse_ && growsInPlace()) {
     // Permanent incremental structure; the monotone bound units live in
-    // a permanent scope of their own rather than as raw units. The
-    // scope is never retired and stays enforced, so the bounds behave
-    // as before — but being guarded, the units are restrictions the
-    // solver can tell apart from hard-clause consequences, which keeps
-    // learnt-clause sharing sound (see sat/share.h). The literal set
-    // only grows and the bound never loosens, so every earlier unit
-    // stays implied, and the sorter keeps no outputs above the tightest
+    // a permanent scope of their own rather than as raw units (which
+    // would change the search). The scope is never retired and stays
+    // enforced, so every unit holds from then on. The literal set only
+    // grows and the bound never loosens, so every earlier unit stays
+    // implied, and the sorter keeps no outputs above the tightest
     // bound: a looser one is left to the earlier unit.
     if (k > tightest_) return;
     tightest_ = k;

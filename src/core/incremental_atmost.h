@@ -53,10 +53,7 @@ class IncrementalAtMost {
   ///
   /// Bound restrictions are never emitted as raw (unguarded) clauses:
   /// even the incremental totalizer's and sorter's monotone bound units
-  /// live in a scope of their own (permanent, always enforced). This
-  /// keeps every non-consequence clause guarded, which is what makes
-  /// the parallel portfolio's learnt-clause export filter sound — see
-  /// sat/share.h.
+  /// live in a scope of their own (permanent, always enforced).
   void assertAtMost(ClauseSink& sink, const std::vector<Lit>& lits, int k);
 
   /// Makes `sum(lits) <= k` hold for the next solve(s): grows the

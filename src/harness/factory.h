@@ -23,11 +23,11 @@ namespace msu {
 /// Names: "msu4-v1", "msu4-v2", "msu4-tot", "msu3", "msu1", "oll",
 /// "bmo", "linear", "binary", "pbo", "maxsatz", plus the parallel
 /// portfolio as "portfolio" (default thread count) or "portfolioN"
-/// (e.g. "portfolio4": N racing workers with clause sharing). msu4-v1
-/// bounds with a BDD and msu4-v2 with a sorting network, as in the
-/// paper; msu4-tot is msu4 over the totalizer that msu3 grows. "pbo"
-/// is "linear" with BDD encodings and the paper's blocking-variable
-/// bound (`tightenWithModelCost = false`). `options.budget` applies to
+/// (e.g. "portfolio4": N racing workers). msu4-v1 bounds with a BDD
+/// and msu4-v2 with a sorting network, as in the paper; msu4-tot is
+/// msu4 over the totalizer that msu3 grows. "pbo" is "linear" with BDD
+/// encodings and the paper's blocking-variable bound
+/// (`tightenWithModelCost = false`). `options.budget` applies to
 /// every engine; the cardinality-encoding option is overridden by
 /// names that pin one (msu4-*, msu3, pbo).
 [[nodiscard]] std::unique_ptr<MaxSatSolver> makeSolver(

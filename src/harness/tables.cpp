@@ -209,12 +209,6 @@ void printSatStatsRows(std::ostream& out, const SolverStats& stats,
   row("  bve eliminated", stats.inproc_bve_eliminated);
   row("  bve resolvents", stats.inproc_bve_resolvents);
   row("  bve restored", stats.inproc_bve_restored);
-  row("shared exported", stats.shared_exported);
-  row("  export drops (exchange)", stats.shared_export_drops);
-  row("shared imported", stats.shared_imported);
-  row("  dropped as satisfied", stats.shared_import_drops);
-  row("shared import drains", stats.shared_import_drains);
-  row("  publications scanned", stats.shared_import_scanned);
 }
 
 }  // namespace

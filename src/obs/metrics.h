@@ -16,7 +16,7 @@
 ///  * histograms use power-of-two bucket upper bounds (1, 2, 4, ...,
 ///    +Inf) — cheap to index (one bit-scan), wide dynamic range, and
 ///    units are whatever the caller observes (we use microseconds for
-///    latencies, counts for drain sizes; the metric name says which).
+///    latencies; the metric name says which).
 ///
 /// The registry hands out stable references: metrics are never removed,
 /// so a `Counter&` captured once may be bumped forever without

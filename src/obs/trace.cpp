@@ -35,8 +35,6 @@ const char* traceCatName(TraceCat cat) {
       return "inproc";
     case TraceCat::kRestart:
       return "restart";
-    case TraceCat::kShare:
-      return "share";
     case TraceCat::kJob:
       return "job";
     case TraceCat::kWorker:

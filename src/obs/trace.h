@@ -5,10 +5,10 @@
 /// The tracer answers the question the end-of-run SolverStats tallies
 /// cannot: *when* did the time go? Every instrumented seam (oracle
 /// solve() calls, core trimming, inprocess passes, restart segments,
-/// shared-clause import drains, portfolio workers, service job
-/// lifecycle) emits spans or instants into a fixed-capacity ring buffer
-/// owned by the emitting thread. Exported files open directly in
-/// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+/// portfolio workers, service job lifecycle) emits spans or instants
+/// into a fixed-capacity ring buffer owned by the emitting thread.
+/// Exported files open directly in Perfetto (https://ui.perfetto.dev)
+/// or chrome://tracing.
 ///
 /// ## Concurrency model (single-writer rings)
 ///
@@ -61,18 +61,17 @@ namespace msu {
 namespace obs {
 
 /// Event category; becomes the "cat" field in the exported JSON so
-/// Perfetto can filter (e.g. show only "share" events).
+/// Perfetto can filter (e.g. show only "worker" events).
 enum class TraceCat : std::uint8_t {
   kOracle,   ///< SAT oracle solve() calls.
   kCore,     ///< Core extraction / trimming / minimization.
   kInproc,   ///< Inprocessing passes.
   kRestart,  ///< Restart segments inside one solve() call.
-  kShare,    ///< Shared-clause import drains / exchange traffic.
   kJob,      ///< Service job lifecycle (submit/queue/run/done).
   kWorker,   ///< Portfolio worker lifetimes.
 };
 
-/// Returns the stable string for a category ("oracle", "share", ...).
+/// Returns the stable string for a category ("oracle", "worker", ...).
 const char* traceCatName(TraceCat cat);
 
 /// One ring slot. `dur_us < 0` marks an instant event ("ph":"i"),

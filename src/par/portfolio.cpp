@@ -1,14 +1,11 @@
 #include "par/portfolio.h"
 
 #include <atomic>
-#include <cassert>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "harness/factory.h"
 #include "obs/trace.h"
-#include "par/clause_pool.h"
 
 namespace msu {
 
@@ -57,15 +54,6 @@ const std::vector<std::string>& PortfolioSolver::defaultEngines() {
   static const std::vector<std::string> kEngines{
       "msu4-v2", "msu3", "oll", "maxsatz", "linear", "msu4-v1", "binary"};
   return kEngines;
-}
-
-bool PortfolioSolver::engineSharesSafely(const std::string& name) {
-  // Every SAT-based engine loads the instance's hard clauses verbatim
-  // and keeps each restriction scope-guarded or above the
-  // original-variable prefix (see par/clause_pool.h). Excluded: "bmo"
-  // (solves derived per-stratum instances whose hard clauses embed
-  // frozen bounds) and "maxsatz" (no CDCL oracle to wire up).
-  return name != "bmo" && name != "maxsatz";
 }
 
 std::string PortfolioSolver::name() const {
@@ -133,7 +121,7 @@ MaxSatResult PortfolioSolver::solve(const WcnfFormula& formula) {
 
   if (opts_.threads == 1) {
     // Deterministic single-thread mode: run the base configuration in
-    // place, with no pool, stop flag or extra thread anywhere near it.
+    // place, with no stop flag or extra thread anywhere near it.
     std::unique_ptr<MaxSatSolver> solver =
         makeSolver(configs[0].engine, configs[0].opts);
     if (solver == nullptr) return MaxSatResult{};  // ctor validated; belt
@@ -146,18 +134,9 @@ MaxSatResult PortfolioSolver::solve(const WcnfFormula& formula) {
   }
 
   const int n = opts_.threads;
-  SharedClausePool pool(n, formula.numVars());
   std::atomic<bool> stop{false};
   std::vector<MaxSatResult> results(static_cast<std::size_t>(n));
-
-  for (int w = 0; w < n; ++w) {
-    WorkerConfig& cfg = configs[static_cast<std::size_t>(w)];
-    cfg.opts.budget.setInterrupt(&stop);
-    if (engineSharesSafely(cfg.engine)) {
-      cfg.opts.sat.share = pool.endpoint(w);
-      cfg.opts.sat.share_num_vars = formula.numVars();
-    }
-  }
+  for (WorkerConfig& cfg : configs) cfg.opts.budget.setInterrupt(&stop);
 
   {
     std::vector<std::thread> workers;
@@ -188,8 +167,8 @@ MaxSatResult PortfolioSolver::solve(const WcnfFormula& formula) {
 
   // Merge: any decisive result is the answer (they agree); pick the
   // lowest worker index for reproducible diagnostics. Statistics are
-  // summed across every worker so shared/imported counters and the
-  // total work performed are visible to the harness.
+  // summed across every worker so the total work performed is visible
+  // to the harness.
   MaxSatResult merged;
   int winner = -1;
   for (int w = 0; w < n; ++w) {

@@ -1,8 +1,7 @@
 /// \file portfolio.h
 /// \brief Parallel MaxSAT portfolio: race N diversified engine
 ///        configurations on the same instance across a thread pool,
-///        with first-finisher-wins cancellation and inter-oracle
-///        learnt-clause sharing.
+///        with first-finisher-wins cancellation.
 ///
 /// The msu3/msu4 family spends essentially all of its time inside
 /// sequential SAT-oracle calls; a portfolio is the classic way to buy
@@ -10,27 +9,21 @@
 /// themselves. Each worker runs a complete engine (msu3, msu4 variants,
 /// oll, linear search, ...) built by the harness factory, on a solver
 /// configuration perturbed per worker (restart policy and pacing,
-/// phase saving, VSIDS decay). Workers cooperate two ways:
-///
-///  * **Cancellation.** Every worker's Budget carries the portfolio's
-///    shared stop flag (Budget::setInterrupt); the first worker to
-///    reach a decisive result (Optimum / UnsatisfiableHard) raises it
-///    and everyone else unwinds at the next budget poll. Decisive
-///    workers agree by construction — every engine is answer-correct —
-///    so which one wins only affects diagnostics, never the result.
-///
-///  * **Clause sharing.** Workers whose engines obey the sharing
-///    discipline (see par/clause_pool.h) export short, low-LBD learnt
-///    clauses over the original variables into a SharedClausePool
-///    (lock-free per-worker segments) and import the other workers'
-///    clauses in budgeted drains on a conflict cadence — at forced
-///    level-0 backtracks inside search, not just at restart
-///    boundaries (Solver::kShareImportInterval).
+/// phase saving, VSIDS decay). Workers cooperate one way only,
+/// through cancellation: every worker's Budget carries the portfolio's
+/// stop flag (Budget::setInterrupt); the first worker to reach a
+/// decisive result (Optimum / UnsatisfiableHard) raises it and everyone
+/// else unwinds at the next budget poll. Decisive workers agree by
+/// construction — every engine is answer-correct — so which one wins
+/// only affects diagnostics, never the result. Workers exchange no
+/// learnt clauses: on hard-rich instances, where an exchange does move
+/// clauses, the portfolio was no slower without it (bench/README.md,
+/// "portfolio workers exchange no clauses").
 ///
 /// With `threads == 1` the portfolio degenerates to running the base
-/// configuration synchronously — no pool, no stop flag, no extra
-/// threads — and is therefore bit-for-bit deterministic, identical to
-/// invoking the base engine directly.
+/// configuration synchronously — no stop flag, no extra threads — and
+/// is therefore bit-for-bit deterministic, identical to invoking the
+/// base engine directly.
 
 #pragma once
 
@@ -71,12 +64,6 @@ class PortfolioSolver final : public MaxSatSolver {
 
   /// Engine cycle used when PortfolioOptions::engines is empty.
   [[nodiscard]] static const std::vector<std::string>& defaultEngines();
-
-  /// True iff the named engine keeps every non-consequence clause it
-  /// adds either scope-guarded or outside the original-variable prefix,
-  /// making it safe to wire into the shared clause pool (see
-  /// par/clause_pool.h for the argument).
-  [[nodiscard]] static bool engineSharesSafely(const std::string& name);
 
   /// One human-readable description per worker ("msu4-v2",
   /// "msu3 luby=0 rb=150", ...), in worker order.

@@ -19,13 +19,13 @@
 ///
 /// A candidate variable must be a plain auxiliary: unassigned, not
 /// frozen, not an activator, not scope-owned, not currently assumed,
-/// not below the sharing prefix, not already eliminated, and not occurring
-/// in any tagged clause, any clause touching a scope or activator
-/// variable, or any oversize clause (those occurrences ban the
-/// variable). Binary clauses carry no arena tag, so a binary partner in
-/// a scope identifies a scope binary and disqualifies the candidate the
-/// same way. Consequently no witness clause ever references a scope
-/// variable and retirement never invalidates the stack.
+/// not already eliminated, and not occurring in any tagged clause, any
+/// clause touching a scope or activator variable, or any oversize
+/// clause (those occurrences ban the variable). Binary clauses carry no
+/// arena tag, so a binary partner in a scope identifies a scope binary
+/// and disqualifies the candidate the same way. Consequently no witness
+/// clause ever references a scope variable and retirement never
+/// invalidates the stack.
 ///
 /// Learnt clauses do not participate in resolution but every learnt
 /// clause over v is deleted with it: the post-elimination database need
@@ -216,9 +216,6 @@ bool Solver::inprocEliminate() {
     if (banned[v] != 0 || frozen_[v] != 0 || is_activator_[v] != 0) continue;
     if (assumed[v] != 0 || var_owner_[v] != kUndefVar) continue;
     if (eliminated_[v] != 0) continue;
-    // Exported clauses must keep their meaning across workers: the
-    // sharing prefix is off limits.
-    if (sharing() && v < opts_.share_num_vars) continue;
 
     const Lit pv = posLit(v);
     const Lit nvl = negLit(v);

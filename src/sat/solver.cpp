@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sat/share.h"
-
 namespace msu {
 
 namespace {
@@ -880,19 +878,16 @@ void Solver::recordLearnt(std::span<const Lit> learntClause) {
   if (learntClause.size() == 1) {
     last_learnt_lbd_ = 1;
     uncheckedEnqueue(learntClause[0]);
-    maybeExportLearnt(learntClause, 1);
   } else if (learntClause.size() == 2) {
     last_learnt_lbd_ = 2;
     attachBinary(learntClause[0], learntClause[1], /*learnt=*/true);
     uncheckedEnqueue(learntClause[0], Reason::binary(learntClause[1]));
-    maybeExportLearnt(learntClause, 2);
   } else {
     const Var tag = scopes_.empty() ? kUndefVar : learntTagFor(learntClause);
     noteAllocFault();
     const CRef ref = arena_.alloc(learntClause, /*learnt=*/true, tag);
     const std::uint32_t lbd = computeLbd(learntClause);
     last_learnt_lbd_ = lbd;
-    maybeExportLearnt(learntClause, lbd);
     learnts_.push_back(ref);
     attachClause(ref);
     claBumpActivity(arena_[ref]);
@@ -1054,117 +1049,6 @@ void Solver::relocAll(ClauseArena& to) {
   watches_.compact();
 }
 
-void Solver::maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd) {
-  if (!sharing() || !ok_) return;
-  if (static_cast<int>(lits.size()) > share_size_cur_) return;
-  if (lits.size() > 2 && lbd > static_cast<std::uint32_t>(share_lbd_cur_)) {
-    return;
-  }
-  // Only clauses over the shareable variable prefix are consequences of
-  // the shared (hard) part of the problem; anything touching a
-  // selector, activator or encoding auxiliary stays private. See
-  // sat/share.h.
-  for (const Lit p : lits) {
-    if (p.var() >= opts_.share_num_vars) return;
-  }
-  if (opts_.share->exportClause(lits, static_cast<int>(lbd))) {
-    ++stats_.shared_exported;
-  } else {
-    ++stats_.shared_export_drops;
-  }
-}
-
-void Solver::importSharedClauses(int maxClauses) {
-  // Precondition: decision level 0 with a fully propagated trail.
-  // Imported clauses are attached with plain watch setup — units are
-  // enqueued and propagated at the root, longer clauses get arbitrary
-  // watches — which is only sound when no literal can already be
-  // falsified at a positive level. All three call sites guarantee it:
-  // solve() entry and its restart loop drain after backtracking to the
-  // root, and search()'s conflict-cadence site forces cancelUntil(0)
-  // first. A future caller draining mid-trail would attach over a
-  // non-root assignment and corrupt watch invariants; the assert keeps
-  // that from slipping in silently.
-  if (!sharing() || !ok_) return;
-  assert(decisionLevel() == 0);
-  assert(qhead_ == static_cast<int>(trail_.size()));
-  obs::TraceSpan drainSpan(opts_.trace, obs::TraceCat::kShare,
-                           "import-drain");
-  ++stats_.shared_import_drains;
-  std::vector<Lit> ps;
-  const int scanned = opts_.share->importClauses(
-      [&](std::span<const Lit> lits) {
-    if (!ok_) return;
-    ps.clear();
-    bool satisfied = false;
-    for (const Lit p : lits) {
-      assert(p.var() < opts_.share_num_vars &&
-             opts_.share_num_vars <= numVars());
-      // Under sharing, BVE never touches prefix variables, so an import
-      // never needs a restoration.
-      assert(eliminated_[p.var()] == 0);
-      const lbool v = value(p);
-      if (v == lbool::True) {
-        satisfied = true;
-        break;
-      }
-      if (v == lbool::Undef) ps.push_back(p);
-    }
-    if (satisfied) {
-      ++stats_.shared_import_drops;
-      ++share_win_misses_;
-      return;
-    }
-    // Imported clauses are consequences of the shared hard clauses, not
-    // of this solver's database: they enter a proof trace as axioms
-    // (sharing and refutation proofs don't meaningfully mix).
-    traceAxiom(ps);
-    ++stats_.shared_imported;
-    ++share_win_hits_;
-    if (ps.empty()) {
-      ok_ = false;
-      return;
-    }
-    if (ps.size() == 1) {
-      uncheckedEnqueue(ps[0]);
-      ok_ = propagate().isNone();
-      return;
-    }
-    if (ps.size() == 2) {
-      attachBinary(ps[0], ps[1], /*learnt=*/true);
-      return;
-    }
-    noteAllocFault();
-    const CRef ref = arena_.alloc(ps, /*learnt=*/true, kUndefVar);
-    learnts_.push_back(ref);
-    attachClause(ref);
-  },
-      maxClauses);
-  stats_.shared_import_scanned += scanned;
-  drainSpan.arg("scanned", scanned);
-  if (opts_.drain_size_hist != nullptr) opts_.drain_size_hist->observe(scanned);
-  // Dynamic export ceilings: per full window of imported clauses, move
-  // this worker's *export* filter one notch. A low attach rate means
-  // the traffic it receives is mostly stale (everyone learns the same
-  // facts), so the whole pool is likely over-sharing — tighten what we
-  // contribute. A high attach rate means sharing is pulling its weight
-  // — relax back toward the maxima. One notch per window keeps the
-  // feedback loop stable against bursty drains.
-  if (share_win_hits_ + share_win_misses_ >= kShareWindow) {
-    if (share_win_hits_ * 2 < share_win_misses_) {
-      // Under a 1-in-3 attach rate: tighten.
-      share_size_cur_ = std::max(kShareMinSize, share_size_cur_ - 1);
-      share_lbd_cur_ = std::max(kShareMinLbd, share_lbd_cur_ - 1);
-    } else if (share_win_hits_ > share_win_misses_) {
-      // Over half attached: relax.
-      share_size_cur_ = std::min(kShareMaxSize, share_size_cur_ + 1);
-      share_lbd_cur_ = std::min(kShareMaxLbd, share_lbd_cur_ + 1);
-    }
-    share_win_hits_ = 0;
-    share_win_misses_ = 0;
-  }
-}
-
 bool Solver::withinBudget() const {
   if (budget_.conflictsExhausted(stats_.conflicts)) return false;
   // Wall-clock checks are amortized by the caller (search loop).
@@ -1308,26 +1192,6 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       }
     } else {
       // No conflict.
-      // Conflict-cadence import: a forced mini-restart. When the
-      // cadence is due and the exchange has traffic, backtrack to the
-      // root — exactly what a restart would do — run one budgeted
-      // drain, and continue this search segment. Compared to waiting
-      // for a natural restart boundary, this bounds clause staleness on
-      // long stable plateaus (Luby tails, EMA-blocked stretches). The
-      // level-0 precondition of importSharedClauses() is established by
-      // the cancelUntil(0) here; see its definition for why it matters.
-      if (sharing() && stats_.conflicts >= next_share_import_) {
-        next_share_import_ = stats_.conflicts + kShareImportInterval;
-        if (opts_.share->hasPending()) {
-          cancelUntil(0);
-          importSharedClauses(kShareImportBudget);
-          warm_solves_since_import_ = 0;
-          if (!ok_) {
-            traceLemma({});
-            return lbool::False;
-          }
-        }
-      }
       const bool restartNow =
           conflictsBeforeRestart >= 0
               ? conflictC >= conflictsBeforeRestart
@@ -1363,12 +1227,12 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       }
 
       if (next == kUndefLit) {
-        ++stats_.decisions;
         next = pickBranchLit();
         if (next == kUndefLit) {
           // All variables assigned: model found.
           return lbool::True;
         }
+        ++stats_.decisions;
       }
 
       newDecisionLevel();
@@ -1419,14 +1283,7 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   if (decisionLevel() > 0) {
     assert(opts_.reuse_trail);
     int keep = 0;
-    // A due inprocessing pass needs the root. So do shared-clause
-    // imports (they attach at level 0 only): a stream of short warm
-    // solves might otherwise never reach a restart boundary, deferring
-    // the portfolio's clause exchange indefinitely — a sharing solver
-    // therefore takes a periodic cold start.
-    const bool importOverdue =
-        sharing() && ++warm_solves_since_import_ >= kWarmImportPeriod;
-    if (!inprocessDue() && !importOverdue) {
+    if (!inprocessDue()) {
       const int bound = std::min(
           {static_cast<int>(prev_assumptions_.size()),
            static_cast<int>(assumptions_.size()), decisionLevel()});
@@ -1462,17 +1319,12 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   lbool status = lbool::Undef;
   for (int restarts = 0; status == lbool::Undef; ++restarts) {
     if (pollAborted() || !withinBudget()) break;
-    // Restart boundary: adopt foreign clauses while the trail holds
-    // level-0 facts only (attaching is trivially sound here), and give
-    // inprocessing its periodic shot at the database. A warm first
-    // segment skips both — they run at the next genuine restart.
-    if (decisionLevel() == 0) {
-      importSharedClauses(kShareImportBudget);
-      warm_solves_since_import_ = 0;
-      if (!ok_ || !maybeInprocess()) {
-        status = lbool::False;
-        break;
-      }
+    // Restart boundary: give inprocessing its periodic shot at the
+    // database. A warm first segment skips it — it runs at the next
+    // genuine restart.
+    if (decisionLevel() == 0 && !maybeInprocess()) {
+      status = lbool::False;
+      break;
     }
     std::int64_t pace;
     if (opts_.ema_restarts) {

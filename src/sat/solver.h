@@ -70,15 +70,13 @@
 /// used in the paper. Cores may name auto-assumed activators; engines
 /// map cores through selector tables and ignore the rest.
 ///
-/// ## Clause sharing (parallel portfolio)
+/// ## Learnt clauses stay in their solver
 ///
-/// With Options::share attached, the solver exports learnt clauses that
-/// are short, low-LBD and lie entirely below the shareable variable
-/// prefix `share_num_vars` (which excludes every selector, activator
-/// and encoding auxiliary — in particular no clause touching an
-/// activator-tagged scope variable is ever exported), and imports
-/// foreign clauses as learnt clauses at restart boundaries. See
-/// sat/share.h for the soundness contract.
+/// Learnt clauses are kept across one solver's incremental solves, as
+/// the paper's msu4 keeps them between iterations, and never leave it.
+/// The parallel portfolio (par/portfolio.h) races independent solvers
+/// that exchange no clauses: importing them made it no faster
+/// (bench/README.md, "portfolio workers exchange no clauses").
 ///
 /// ## Scope-aware inprocessing
 ///
@@ -95,10 +93,10 @@
 /// tagged clause is never strengthened against a strictly younger
 /// scope's clauses, and frozen variables (soft-clause selectors,
 /// assumption handles; see setFrozen) keep their literals — so physical
-/// retirement and the portfolio's export filter stay sound. See
-/// inprocess.cpp for the pass structure and the soundness argument.
-/// Elimination removes variables from the search, which forces a
-/// *model-reconstruction stack* (sat/reconstruct.h).
+/// retirement stays sound. See inprocess.cpp for the pass structure and
+/// the soundness argument. Elimination removes variables from the
+/// search, which forces a *model-reconstruction stack*
+/// (sat/reconstruct.h).
 ///
 /// ## Reconstruction contract
 ///
@@ -111,12 +109,11 @@
 ///
 ///  * **Who may be removed.** Only plain auxiliary variables: never
 ///    frozen variables, scope activators, scope-owned variables,
-///    variables currently assumed, variables below the sharing prefix,
-///    or variables occurring in any scope-tagged clause. A witness
-///    clause therefore never references a scope or activator variable,
-///    so `retire()`/`retireAll()` NEVER invalidate the stack —
-///    retirement and reconstruction commute, and
-///    `OracleSession::retire()` needs no special handling.
+///    variables currently assumed, or variables occurring in any
+///    scope-tagged clause. A witness clause therefore never references
+///    a scope or activator variable, so `retire()`/`retireAll()` NEVER
+///    invalidate the stack — retirement and reconstruction commute,
+///    and `OracleSession::retire()` needs no special handling.
 ///  * **What restores a variable.** Naming an eliminated variable in
 ///    `addClause()` or in a solve() assumption transparently restores
 ///    it: its witness clauses re-enter the database and the stack
@@ -128,9 +125,7 @@
 ///  * **What disables removal.** An attached ProofTracer gates BVE off
 ///    entirely (clause restoration is not expressible in the
 ///    incremental RUP trace); subsumption and strengthening stay on —
-///    a strengthened clause is an ordinary RUP lemma. Sharing solvers
-///    restrict removal to variables outside the export prefix, so
-///    exported clauses keep their meaning across workers.
+///    a strengthened clause is an ordinary RUP lemma.
 ///
 /// ## Non-decision variables
 ///
@@ -213,7 +208,6 @@
 #include <vector>
 
 #include "cnf/literal.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sat/arena.h"
 #include "sat/budget.h"
@@ -225,8 +219,6 @@
 #include "sat/watches.h"
 
 namespace msu {
-
-class ClauseShare;
 
 /// Exponential moving average seeded by its first sample (no bias
 /// correction needed: the first update assigns, later ones blend).
@@ -328,31 +320,14 @@ class Solver {
     /// See sat/fault.h; used by the SolveService stress suite.
     FaultInjector* fault = nullptr;
 
-    /// Optional learnt-clause exchange (non-owning; must outlive the
-    /// solver). Sharing is active only when this is set AND
-    /// share_num_vars > 0. Refutation proofs and sharing are mutually
-    /// exclusive: imported clauses enter the trace as axioms. The
-    /// export ceilings, the import cadence and the drain budget are
-    /// fixed (kShareMaxSize and the constants beside it).
-    ClauseShare* share = nullptr;
-    Var share_num_vars = 0;  ///< only clauses over vars < this qualify
-
     /// Optional execution tracer (non-owning; must outlive the solver).
     /// When set and enabled, the solver emits spans for solve() calls,
-    /// restart segments, inprocess passes and shared-clause import
-    /// drains into the per-thread rings (obs/trace.h). Off (nullptr)
-    /// by default — every instrumented seam then costs one pointer
-    /// test and search behaviour is bit-for-bit identical (tracing is
-    /// purely observational; see tests/obs_test.cpp gating test).
+    /// restart segments and inprocess passes into the per-thread rings
+    /// (obs/trace.h). Off (nullptr) by default — every instrumented
+    /// seam then costs one pointer test and search behaviour is
+    /// bit-for-bit identical (tracing is purely observational; see
+    /// tests/obs_test.cpp gating test).
     obs::Tracer* trace = nullptr;
-
-    /// Optional histogram receiving the size (clauses scanned) of each
-    /// shared-clause import drain (non-owning; must outlive the
-    /// solver). Wired by the SolveService from its metrics registry;
-    /// null = no observation. Drains run at restart boundaries or the
-    /// conflict cadence, so one relaxed-atomic observe per drain is
-    /// noise.
-    obs::Histogram* drain_size_hist = nullptr;
 
     /// Scope-aware inprocessing: at solve/restart boundaries (budgeted
     /// by propagations since the last pass), remove top-level-satisfied
@@ -404,27 +379,6 @@ class Solver {
     bool check_cross_scope = true;
 #endif
   };
-
-  /// Learnt-clause sharing (see Options::share). Exports are clauses
-  /// of at most kShareMaxSize literals and, above two literals, LBD at
-  /// most kShareMaxLbd. Per kShareWindow imported clauses, the ceilings
-  /// move one notch by the window's attach rate: down toward
-  /// kShareMinSize/kShareMinLbd when most imports were dropped as
-  /// satisfied, back up when most attached. Every kShareImportInterval
-  /// conflicts a sharing solver at a no-conflict point backtracks to
-  /// level 0 (a forced mini-restart) and drains at most
-  /// kShareImportBudget foreign clauses, instead of waiting for a
-  /// natural restart, which on long stable plateaus can starve the
-  /// exchange; the budget keeps a drain's level-0 work amortized
-  /// against that cadence. Decision record: bench/README.md
-  /// "conflict-cadence clause import + dynamic export ceilings".
-  static constexpr int kShareMaxSize = 8;
-  static constexpr int kShareMaxLbd = 4;
-  static constexpr int kShareMinSize = 3;
-  static constexpr int kShareMinLbd = 2;
-  static constexpr std::int64_t kShareWindow = 64;
-  static constexpr std::int64_t kShareImportInterval = 256;
-  static constexpr int kShareImportBudget = 128;
 
   Solver() : Solver(Options{}) {}
   explicit Solver(const Options& opts);
@@ -779,15 +733,6 @@ class Solver {
   /// in an irredundant clause ("Non-decision variables").
   [[nodiscard]] int nonDecisionPositives(std::span<const Lit> ps) const;
 
-  // Clause-sharing helpers (no-ops without Options::share).
-  [[nodiscard]] bool sharing() const {
-    return opts_.share != nullptr && opts_.share_num_vars > 0;
-  }
-  void maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd);
-  /// Budgeted level-0 drain; see the definition for the full
-  /// precondition contract. `maxClauses` < 0 = unbounded.
-  void importSharedClauses(int maxClauses);
-
   [[nodiscard]] bool locked(CRef ref) const;
   [[nodiscard]] int level(Var v) const { return vardata_[v].level; }
   [[nodiscard]] Reason reason(Var v) const { return vardata_[v].reason; }
@@ -899,22 +844,7 @@ class Solver {
   // Warm-start state: the previous solve's full assumption sequence
   // (user assumptions + auto-appended scope activators). While the
   // trail is warm, kept level i corresponds to prev_assumptions_[i-1].
-  // A sharing solver additionally counts consecutive warm starts and
-  // forces a cold one every kWarmImportPeriod solves, so shared-clause
-  // imports (level-0 only) are never deferred indefinitely.
   std::vector<Lit> prev_assumptions_;
-  static constexpr std::int64_t kWarmImportPeriod = 16;
-  std::int64_t warm_solves_since_import_ = 0;
-
-  // Conflict-cadence import + dynamic export ceilings (sharing only).
-  // The ceilings start at their maxima and move one notch per
-  // kShareWindow imported clauses according to the window's attach
-  // rate; see importSharedClauses().
-  std::int64_t next_share_import_ = 0;  // stats_.conflicts threshold
-  int share_size_cur_ = kShareMaxSize;  // current dynamic size ceiling
-  int share_lbd_cur_ = kShareMaxLbd;    // current dynamic LBD ceiling
-  std::int64_t share_win_hits_ = 0;     // window: imports attached
-  std::int64_t share_win_misses_ = 0;   // window: imports dropped
 
   // Adaptive-restart state (Options::ema_restarts).
   RestartEma restart_ema_;

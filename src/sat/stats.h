@@ -30,12 +30,6 @@ namespace msu {
   X(retired_clauses)               \
   X(reclaimed_bytes)               \
   X(recycled_vars)                 \
-  X(shared_exported)               \
-  X(shared_export_drops)           \
-  X(shared_imported)               \
-  X(shared_import_drops)           \
-  X(shared_import_drains)          \
-  X(shared_import_scanned)         \
   X(inproc_passes)                 \
   X(inproc_removed_sat)            \
   X(inproc_subsumed)               \
@@ -78,14 +72,6 @@ struct SolverStats {
   std::int64_t retired_clauses = 0;  ///< clauses deleted by retirement
   std::int64_t reclaimed_bytes = 0;  ///< clause-storage bytes freed by retire
   std::int64_t recycled_vars = 0;    ///< variables returned to the free list
-
-  // Inter-solver clause sharing (portfolio; Solver::Options::share).
-  std::int64_t shared_exported = 0;  ///< learnt clauses published to the pool
-  std::int64_t shared_export_drops = 0;  ///< exports refused by the exchange
-  std::int64_t shared_imported = 0;      ///< foreign clauses attached
-  std::int64_t shared_import_drops = 0;  ///< foreign clauses already sat/void
-  std::int64_t shared_import_drains = 0;   ///< level-0 import drains executed
-  std::int64_t shared_import_scanned = 0;  ///< publications scanned in drains
 
   // In-solver inprocessing (Solver::Options::inprocess).
   std::int64_t inproc_passes = 0;       ///< inprocessing passes executed

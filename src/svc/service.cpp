@@ -408,11 +408,7 @@ void SolveService::runJob(const std::shared_ptr<Job>& job) {
     if (chained) chained(lower, upper);
   };
   opts.sat.trace = opts_.trace;
-  if (opts_.metrics != nullptr) {
-    opts.metrics = opts_.metrics;
-    opts.sat.drain_size_hist = &opts_.metrics->histogram(
-        "msu_share_drain_scanned", "Clauses scanned per import drain");
-  }
+  if (opts_.metrics != nullptr) opts.metrics = opts_.metrics;
 
   // A per-job engine override (validated at submit()) wins over the
   // service-wide default (validated at construction).

@@ -118,7 +118,7 @@ struct SolveServiceOptions {
   /// `msu_svc_mem_bytes` gauge aggregated across running jobs (the
   /// shedding input when max_service_mem_bytes is set), the process
   /// `msu_svc_peak_rss_bytes` high-water gauge, the
-  /// per-oracle-call latency and drain-size histograms, and mirrors
+  /// per-oracle-call latency histogram, and mirrors
   /// every completed job's SolverStats into `msu_solver_*_total`
   /// counters (harness/tables exportStatsToMetrics). Null = no metrics.
   obs::MetricsRegistry* metrics = nullptr;

@@ -79,8 +79,7 @@ std::vector<std::pair<std::string, WcnfFormula>> structuredInstances() {
 TEST(CrossEngine, AllFinishersAgree) {
   const auto instances = structuredInstances();
   // Every factory engine, the portfolios included (diversified workers
-  // racing with clause sharing): their optima must agree on the whole
-  // corpus.
+  // racing): their optima must agree on the whole corpus.
   for (const auto& [name, wcnf] : instances) {
     std::map<std::string, Weight> optima;
     for (const std::string& engine : solverNames()) {

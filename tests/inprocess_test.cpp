@@ -406,8 +406,8 @@ TEST(Inprocess, SessionRetirementTriggersAPass) {
 }
 
 TEST(Inprocess, PortfolioFuzzWithInprocessAgreesWithOracle) {
-  // 4 diversified workers racing with clause sharing, every engine
-  // inprocessing aggressively — optimum must match the oracle.
+  // 4 diversified workers racing, every engine inprocessing
+  // aggressively — optimum must match the oracle.
   std::mt19937_64 rng(31337);
   for (int round = 0; round < 3; ++round) {
     WcnfFormula w(8);

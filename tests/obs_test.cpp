@@ -269,7 +269,7 @@ TEST(Tracer, MultiThreadEmitStressExactCounters) {
     threads.emplace_back([&tracer, t] {
       for (int i = 0; i < kEmits; ++i) {
         if ((i & 1) == 0) {
-          tracer.instant(obs::TraceCat::kShare, "emit", "thread", t);
+          tracer.instant(obs::TraceCat::kRestart, "emit", "thread", t);
         } else {
           tracer.span(obs::TraceCat::kWorker, "work", i, i + 1, "thread", t);
         }
@@ -371,7 +371,7 @@ TEST(Tracer, PortfolioRunExportsValidChromeTrace) {
   ASSERT_FALSE(events.array.empty());
 
   const std::set<std::string> knownCats{"oracle", "core", "inproc", "restart",
-                                        "share",  "job",  "worker"};
+                                        "job",    "worker"};
   std::set<double> tids;
   std::set<std::string> names;
   double lastTs = -1.0;

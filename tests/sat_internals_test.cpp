@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 
 #include "cnf/oracle.h"
 #include "proof/checker.h"
 #include "proof/drup.h"
+#include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "sat/arena.h"
 #include "sat/watches.h"
@@ -192,6 +194,25 @@ TEST(Budget, NodeLimit) {
   b.setMaxNodes(10);
   EXPECT_FALSE(b.nodesExhausted(9));
   EXPECT_TRUE(b.nodesExhausted(10));
+}
+
+TEST(Budget, InterruptStopsTheSolver) {
+  std::atomic<bool> stop{false};
+  Budget b;
+  b.setInterrupt(&stop);
+  EXPECT_FALSE(b.isUnlimited());
+  EXPECT_FALSE(b.timeExpired());
+  stop.store(true);
+  EXPECT_TRUE(b.interrupted());
+  EXPECT_TRUE(b.timeExpired());
+
+  // A pre-raised flag makes solve return Undef immediately.
+  const CnfFormula php = pigeonhole(7, 6);
+  Solver s;
+  while (s.numVars() < php.numVars()) static_cast<void>(s.newVar());
+  for (const Clause& c : php.clauses()) ASSERT_TRUE(s.addClause(c));
+  s.setBudget(b);
+  EXPECT_EQ(s.solve(), lbool::Undef);
 }
 
 // ---- stress through the public interface ---------------------------------

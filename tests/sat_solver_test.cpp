@@ -260,6 +260,20 @@ TEST(SatSolver, StatsAreMonotone) {
   EXPECT_GT(st.propagations, 0);
 }
 
+TEST(SatSolver, CountsOnlyDecisionsMade) {
+  // A SAT answer ends when nothing is left to branch on; finding that
+  // out is not a decision.
+  Solver undecided;
+  static_cast<void>(undecided.newVar(/*decisionVar=*/false));
+  ASSERT_EQ(undecided.solve(), lbool::True);
+  EXPECT_EQ(undecided.stats().decisions, 0);
+
+  Solver decided;
+  static_cast<void>(decided.newVar());
+  ASSERT_EQ(decided.solve(), lbool::True);
+  EXPECT_EQ(decided.stats().decisions, 1);
+}
+
 // ---- Randomized cross-checks against the oracle -------------------------
 
 struct RandomSatCase {

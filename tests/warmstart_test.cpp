@@ -395,7 +395,7 @@ TEST(WarmStart, WeightedEngineFuzzAgreesWithOracle) {
 
 TEST(WarmStart, PortfolioFuzzAgreesWithOracle) {
   // 4 diversified workers (some on the EMA trajectory via the factory
-  // perturbation), clause sharing on, warm starts at their default.
+  // perturbation), warm starts at their default.
   std::mt19937_64 rng(2718);
   for (int round = 0; round < 3; ++round) {
     WcnfFormula w(8);

@@ -15,6 +15,7 @@
 
 #include "cnf/oracle.h"
 #include "core/bmo.h"
+#include "core/bounds.h"
 #include "core/linear_search.h"
 #include "core/oll.h"
 #include "core/oracle_session.h"
@@ -391,11 +392,11 @@ TEST(BmoTest, ReportsItsLevelsSatWork) {
 }
 
 TEST(UnitWeightExpansion, CountsAgainstTheMemoryCap) {
-  // msu4, msu3 and binary run a weighted input on its unit-weight
-  // expansion: a copy of the hard clauses plus `weight` copies of each
-  // soft, held for the whole run. Here that copy alone fills the cap,
-  // while the solver, which drops every hard clause the unit x0
-  // satisfies, stays far below it.
+  // msu4, msu3, binary, maxsatz and the two bounds of core/bounds.h run
+  // a weighted input on its unit-weight expansion: a copy of the hard
+  // clauses plus `weight` copies of each soft, held for the whole run.
+  // Here that copy alone fills the cap, while the solver, which drops
+  // every hard clause the unit x0 satisfies, stays far below it.
   constexpr int kVars = 40;
   WcnfFormula w(kVars);
   w.addHard({posLit(0)});
@@ -431,6 +432,36 @@ TEST(UnitWeightExpansion, CountsAgainstTheMemoryCap) {
     EXPECT_EQ(static_cast<AbortReason>(reason.load()), AbortReason::kMemory)
         << name;
   }
+
+  // maxsatz searches without a SAT solver: it checks the copy against
+  // the cap before it starts.
+  const MaxSatResult uncapped = makeSolver("maxsatz")->solve(w);
+  ASSERT_EQ(uncapped.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(uncapped.cost, 2);
+  const DisjointCoresResult cores = disjointCores(w);
+  EXPECT_TRUE(cores.complete);
+  EXPECT_GE(cores.costLowerBound(), 1);
+  EXPECT_LE(cores.costLowerBound(), 2);
+  const std::optional<BlockingBoundResult> bound = blockingUpperBound(w);
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_GE(bound->costUpperBound, 2);
+
+  // The sink keeps only the first reason recorded: read and reset it
+  // after each run.
+  std::atomic<int> reason{static_cast<int>(AbortReason::kNone)};
+  const auto abortedOnMemory = [&reason] {
+    const int r = reason.exchange(static_cast<int>(AbortReason::kNone));
+    return static_cast<AbortReason>(r) == AbortReason::kMemory;
+  };
+  MaxSatOptions o;
+  o.budget.setMaxMemory(cap);
+  o.budget.setAbortSink(&reason);
+  EXPECT_EQ(makeSolver("maxsatz", o)->solve(w).status, MaxSatStatus::Unknown);
+  EXPECT_TRUE(abortedOnMemory()) << "maxsatz";
+  EXPECT_FALSE(disjointCores(w, o.budget).complete);
+  EXPECT_TRUE(abortedOnMemory()) << "disjointCores";
+  EXPECT_FALSE(blockingUpperBound(w, o.budget).has_value());
+  EXPECT_TRUE(abortedOnMemory()) << "blockingUpperBound";
 }
 
 TEST(UnitWeightExpansion, LeavesTheSessionsUpwardVarsUndecided) {
