@@ -521,13 +521,6 @@ bool Solver::locked(CRef ref) const {
   return value(p) == lbool::True && reason(p.var()) == Reason::clause(ref);
 }
 
-void Solver::uncheckedEnqueue(Lit p, Reason from) {
-  assert(value(p) == lbool::Undef);
-  assigns_[p.var()] = toLbool(p.positive());
-  vardata_[p.var()] = VarData{from, decisionLevel()};
-  trail_.push_back(p);
-}
-
 Reason Solver::propagate() {
   Reason confl = Reason::none();
   int bhead = qhead_;  // binary-phase head; always >= qhead_
@@ -876,18 +869,14 @@ Var Solver::learntTagFor(std::span<const Lit> lits) const {
 
 void Solver::recordLearnt(std::span<const Lit> learntClause) {
   if (learntClause.size() == 1) {
-    last_learnt_lbd_ = 1;
     uncheckedEnqueue(learntClause[0]);
   } else if (learntClause.size() == 2) {
-    last_learnt_lbd_ = 2;
     attachBinary(learntClause[0], learntClause[1], /*learnt=*/true);
     uncheckedEnqueue(learntClause[0], Reason::binary(learntClause[1]));
   } else {
     const Var tag = scopes_.empty() ? kUndefVar : learntTagFor(learntClause);
     noteAllocFault();
     const CRef ref = arena_.alloc(learntClause, /*learnt=*/true, tag);
-    const std::uint32_t lbd = computeLbd(learntClause);
-    last_learnt_lbd_ = lbd;
     learnts_.push_back(ref);
     attachClause(ref);
     claBumpActivity(arena_[ref]);
@@ -1164,6 +1153,9 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       int backtrackLevel = 0;
       analyze(confl, learnt_scratch_, backtrackLevel);
       traceLemma(learnt_scratch_);
+      // Only the adaptive segment's restart trigger reads the LBD.
+      const std::uint32_t lbd =
+          conflictsBeforeRestart < 0 ? computeLbd(learnt_scratch_) : 0;
       cancelUntil(backtrackLevel);
       recordLearnt(learnt_scratch_);
 
@@ -1175,7 +1167,7 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
         // restarts while the assignment is unusually deep (glucose's
         // trail heuristic — the solver looks close to a model, let it
         // dig).
-        restart_ema_.update(static_cast<double>(last_learnt_lbd_));
+        restart_ema_.update(static_cast<double>(lbd));
         trail_ema_.update(static_cast<double>(confTrail),
                           opts_.ema_trail_alpha);
         if (conflictC >= opts_.ema_min_conflicts &&

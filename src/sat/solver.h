@@ -202,6 +202,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -650,7 +651,16 @@ class Solver {
   [[nodiscard]] int trailSize() const {
     return static_cast<int>(trail_.size());
   }
-  void uncheckedEnqueue(Lit p, Reason from = Reason::none());
+  /// Assigns `p` at the current level. Forced inline: propagate() calls
+  /// it at every implication, and GCC leaves the long-clause site out
+  /// of line otherwise.
+  [[gnu::always_inline]] void uncheckedEnqueue(Lit p,
+                                               Reason from = Reason::none()) {
+    assert(value(p) == lbool::Undef);
+    assigns_[p.var()] = toLbool(p.positive());
+    vardata_[p.var()] = VarData{from, decisionLevel()};
+    trail_.push_back(p);
+  }
   [[nodiscard]] Reason propagate();
   void cancelUntil(int level);
   [[nodiscard]] Lit pickBranchLit();
@@ -855,7 +865,6 @@ class Solver {
   int stable_luby_idx_ = 0;            // Luby index of stable restarts
   std::vector<char> best_phase_;       // polarity of the deepest trail
   int best_trail_ = 0;                 // deepest trail this focused phase
-  std::uint32_t last_learnt_lbd_ = 0;  // LBD of the latest learnt clause
 
   // Analyze scratch (reserved once per solve, reused across conflicts).
   std::vector<Lit> analyze_toclear_;
