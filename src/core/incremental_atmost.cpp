@@ -32,9 +32,11 @@ const std::vector<Lit>& IncrementalAtMost::cover(ClauseSink& sink,
     }
     return totalizer_->outputs();
   }
-  // Sorter: sort only the new literals and join them to the outputs.
+  // Sorter: sort only the new literals and join them to the outputs,
+  // both for bounds of k or less.
   if (!suffix.empty()) {
-    outputs_ = joinSorted(sink, outputs_, buildSortingNetwork(sink, suffix), k);
+    outputs_ =
+        joinSorted(sink, outputs_, buildSortingNetwork(sink, suffix, k), k);
   }
   return outputs_;
 }
@@ -124,7 +126,9 @@ AssumableAtMost::AssumableAtMost(ClauseSink& sink, std::vector<Lit> lits,
                                  CardEncoding enc)
     : sink_(&sink), lits_(std::move(lits)), enc_(enc) {
   if (enc_ == CardEncoding::Sorter) {
-    outputs_ = buildSortingNetwork(sink, lits_);
+    // Every output is kept: the search may assume any bound.
+    outputs_ =
+        buildSortingNetwork(sink, lits_, static_cast<int>(lits_.size()) - 1);
   } else if (enc_ == CardEncoding::Totalizer) {
     Totalizer tot(sink, lits_);
     outputs_ = tot.outputs();

@@ -34,11 +34,11 @@ namespace msu {
 /// The totalizer and the sorter are built unscoped: their clauses only
 /// define fresh variables. New literals are counted (or sorted) on
 /// their own and merged into the existing outputs instead of
-/// re-encoding the whole set. The sorter joins each sorted batch by a
-/// direct merge cut at the bound (joinSorted in cardinality.h): in
-/// assert mode the bound only tightens, so outputs above it are never
-/// read again; assume mode keeps every output. One object serves one
-/// mode.
+/// re-encoding the whole set. The sorter sorts each batch for the
+/// bound and joins it by the same rule, a merge cut at the bound
+/// (joinSorted in cardinality.h): in assert mode the bound only
+/// tightens, so outputs above it are never read again; assume mode
+/// keeps every output. One object serves one mode.
 class IncrementalAtMost {
  public:
   IncrementalAtMost(CardEncoding enc, bool reuse)

@@ -15,9 +15,10 @@
 /// bounds meeting. The best model's cost is the MaxSAT optimum.
 ///
 /// Variants: v1 = BDD cardinality encoding, v2 = sorting networks —
-/// the paper's two implementations. v2's network grows in place, which
-/// the paper does not do: each batch of new blocking variables is
-/// sorted by Batcher's network and joined to the grown outputs (see
+/// the paper's two implementations. v2's network is built for the
+/// bound it enforces and grows in place, which the paper does not do:
+/// each batch of new blocking variables is sorted for the bound and
+/// joined to the grown outputs by the same merge rule (see
 /// core/incremental_atmost.h).
 
 #pragma once

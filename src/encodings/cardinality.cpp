@@ -56,7 +56,7 @@ void encodeAtMost(ClauseSink& sink, std::span<const Lit> lits, int k,
       return;
     }
     case CardEncoding::Sorter: {
-      const std::vector<Lit> out = buildSortingNetwork(sink, lits);
+      const std::vector<Lit> out = buildSortingNetwork(sink, lits, k);
       addGuarded(sink, {~out[static_cast<std::size_t>(k)]}, activator);
       return;
     }

@@ -88,31 +88,18 @@ std::int64_t directMergeClauses(int p, int q, int k) {
   return clauses;
 }
 
-/// Batcher's odd-even mergesort over a power-of-two sized input. The
-/// upper half is sorted first, so the emitted clauses do not depend on
-/// the compiler's order of evaluating function arguments.
-std::vector<Lit> oddEvenSort(ClauseSink& sink, std::span<const Lit> v,
-                             Lit tru) {
-  if (v.size() <= 1) return {v.begin(), v.end()};
-  const std::size_t half = v.size() / 2;
-  const std::vector<Lit> hi = oddEvenSort(sink, v.subspan(half), tru);
-  const std::vector<Lit> lo = oddEvenSort(sink, v.subspan(0, half), tru);
-  return oddEvenMerge(sink, lo, hi, tru);
-}
-
 }  // namespace
 
 std::vector<Lit> buildSortingNetwork(ClauseSink& sink,
-                                     std::span<const Lit> lits) {
-  if (lits.empty()) return {};
-  std::size_t padded = 1;
-  while (padded < lits.size()) padded *= 2;
-  const Lit tru = sink.trueLit();
-  std::vector<Lit> in(lits.begin(), lits.end());
-  in.resize(padded, ~tru);
-  std::vector<Lit> out = oddEvenSort(sink, in, tru);
-  out.resize(lits.size());  // tail positions are constant false padding
-  return out;
+                                     std::span<const Lit> lits, int k) {
+  if (lits.size() <= 1) return {lits.begin(), lits.end()};
+  // The upper half is sorted first, so the emitted clauses do not
+  // depend on the compiler's order of evaluating function arguments.
+  const std::size_t half = lits.size() / 2;
+  const std::vector<Lit> hi = buildSortingNetwork(sink, lits.subspan(half), k);
+  const std::vector<Lit> lo =
+      buildSortingNetwork(sink, lits.subspan(0, half), k);
+  return joinSorted(sink, lo, hi, k);
 }
 
 std::vector<Lit> mergeSorted(ClauseSink& sink, std::span<const Lit> a,

@@ -1,8 +1,8 @@
 /// \file totalizer.h
 /// \brief Bailleux–Boufkhad totalizer with incremental input extension —
 ///        the cardinality substrate of msu3, OLL, the MCS enumerator and
-///        msu4-tot — and its merge, which also joins msu4 v2's sorted
-///        batches.
+///        msu4-tot — and its merge, which msu4 v2's sorter also merges
+///        with.
 
 #pragma once
 
@@ -21,12 +21,12 @@ namespace msu {
 /// 1 <= i + j <= k + 1 (a zero index drops its literal), in that
 /// i-major order. With `a[i-1]` and `b[j-1]` true, `out[i+j-1]`
 /// follows in one propagation step. Outputs above `k` are not emitted:
-/// `~out[k']` enforces `sum <= k'` for every k' <= k. msu4 v2's grown
-/// sorter joins each sorted batch this way (joinSorted in
-/// cardinality.h), with `upwardOutputs`: the outputs are then upward
-/// variables (ClauseSink::newUpwardVar), which holds only while no
-/// other clause names them positively. The totalizer's reverse clauses
-/// do, so it merges with ordinary outputs.
+/// `~out[k']` enforces `sum <= k'` for every k' <= k. msu4 v2's sorter
+/// merges this way inside and between batches wherever it is the
+/// smaller merge (joinSorted in cardinality.h), with `upwardOutputs`:
+/// the outputs are then upward variables (ClauseSink::newUpwardVar),
+/// which holds only while no other clause names them positively. The
+/// totalizer's reverse clauses do, so it merges with ordinary outputs.
 [[nodiscard]] std::vector<Lit> directMerge(ClauseSink& sink,
                                            std::span<const Lit> a,
                                            std::span<const Lit> b, int k,

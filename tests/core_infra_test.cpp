@@ -118,6 +118,7 @@ TEST(IncrementalAtMost, GrowingSetWithTighteningBounds) {
 class CountingSink final : public ClauseSink {
  public:
   Var newVar() override { return num_vars_++; }
+  [[nodiscard]] Var numVars() const { return num_vars_; }
   [[nodiscard]] std::int64_t clauses() const { return clauses_; }
 
  protected:
@@ -132,8 +133,8 @@ class CountingSink final : public ClauseSink {
 enum class Build { Sorter, OddEven, Direct, Join };
 
 /// Clauses that `build` emits over fresh vectors `a` and `b` of sizes
-/// `p` and `q` (merges cut at `k`), once the sink's constant exists.
-/// The sorter sorts `b`.
+/// `p` and `q` (the sorter and the merges cut at `k`), once the sink's
+/// constant exists. The sorter sorts `b`.
 std::int64_t clausesOf(Build build, int p, int q, int k = 0) {
   CountingSink sink;
   static_cast<void>(sink.trueLit());
@@ -144,7 +145,7 @@ std::int64_t clausesOf(Build build, int p, int q, int k = 0) {
   const std::int64_t before = sink.clauses();
   switch (build) {
     case Build::Sorter:
-      static_cast<void>(buildSortingNetwork(sink, b));
+      static_cast<void>(buildSortingNetwork(sink, b, k));
       break;
     case Build::OddEven:
       static_cast<void>(mergeSorted(sink, a, b));
@@ -290,36 +291,51 @@ TEST(IncrementalAtMost, LooserBoundIsANoOp) {
   }
 }
 
+/// Outputs of buildSortingNetwork over `n` fresh literals for bounds
+/// of `k` or less.
+int sortedSize(int n, int k) {
+  CountingSink sink;
+  std::vector<Lit> lits;
+  for (int i = 0; i < n; ++i) lits.push_back(posLit(sink.newVar()));
+  return static_cast<int>(buildSortingNetwork(sink, lits, k).size());
+}
+
 TEST(IncrementalAtMost, GrowthStepTakesTheSmallerMerge) {
   // One sorter growth step on each side of the size rule: a tight
   // bound keeps the direct merge small, while a bound as large as the
-  // outputs makes it quadratic and the odd-even merge takes over.
+  // outputs makes it quadratic and the odd-even merge takes over. Both
+  // the covered literals and the batch are sorted for the bound, so a
+  // tight one leaves only k + 1 outputs on each side of the join.
   struct Side {
-    int outputs;
+    int covered;
     int batch;
     int k;
+    int outputs;  // of each side's sorter
     bool direct;
   };
-  const Side sides[] = {{8, 8, 2, true}, {32, 32, 31, false}};
+  const Side sides[] = {{8, 8, 2, 3, true}, {32, 32, 31, 32, false}};
   for (const Side& side : sides) {
-    SCOPED_TRACE(testing::Message() << "outputs " << side.outputs);
+    SCOPED_TRACE(testing::Message() << "covered " << side.covered);
+    ASSERT_EQ(sortedSize(side.covered, side.k), side.outputs);
+    ASSERT_EQ(sortedSize(side.batch, side.k), side.outputs);
     CountingSink sink;
     std::vector<Lit> lits;
-    for (int i = 0; i < side.outputs + side.batch; ++i) {
+    for (int i = 0; i < side.covered + side.batch; ++i) {
       lits.push_back(posLit(sink.newVar()));
     }
     IncrementalAtMost inc(CardEncoding::Sorter, /*reuse=*/true);
-    const std::vector<Lit> first(lits.begin(), lits.begin() + side.outputs);
+    const std::vector<Lit> first(lits.begin(), lits.begin() + side.covered);
     inc.assertAtMost(sink, first, side.k);
     const std::int64_t before = sink.clauses();
     inc.assertAtMost(sink, lits, side.k);
     // The step emits the batch's sorter, the join and one bound unit.
-    const std::int64_t sorter = clausesOf(Build::Sorter, 0, side.batch);
+    const std::int64_t sorter =
+        clausesOf(Build::Sorter, 0, side.batch, side.k);
     const std::int64_t join = sink.clauses() - before - sorter - 1;
     const std::int64_t direct =
-        clausesOf(Build::Direct, side.outputs, side.batch, side.k);
+        clausesOf(Build::Direct, side.outputs, side.outputs, side.k);
     const std::int64_t oddEven =
-        clausesOf(Build::OddEven, side.outputs, side.batch);
+        clausesOf(Build::OddEven, side.outputs, side.outputs);
     EXPECT_EQ(direct <= oddEven, side.direct);
     EXPECT_LE(join, oddEven);
     EXPECT_EQ(join, side.direct ? direct : oddEven);
@@ -334,6 +350,34 @@ TEST(IncrementalAtMost, GrowthStepTakesTheSmallerMerge) {
             << "p=" << p << " q=" << q << " k=" << k;
       }
     }
+  }
+}
+
+TEST(SortingNetwork, SizesForTheBoundArePinned) {
+  // What the builder adds for bounds of k or less, the sink's constant
+  // included when a Batcher merge creates it. msu4-v2's first cores on
+  // the Table 1 suite relax 53-1,284 softs under bounds of 1-17; the
+  // full network over 1,238 inputs took 68,409 variables and 102,613
+  // clauses. The third case has a bound high enough for Batcher merges
+  // near the top.
+  struct Pin {
+    int n;
+    int k;
+    Var vars;
+    std::int64_t clauses;
+    std::size_t outputs;
+  };
+  const Pin pins[] = {{1238, 6, 4689, 13327, 7},
+                      {971, 1, 1940, 3879, 2},
+                      {104, 67, 1895, 3270, 104}};
+  for (const Pin& pin : pins) {
+    CountingSink sink;
+    std::vector<Lit> lits;
+    for (int i = 0; i < pin.n; ++i) lits.push_back(posLit(sink.newVar()));
+    const std::vector<Lit> out = buildSortingNetwork(sink, lits, pin.k);
+    EXPECT_EQ(sink.numVars() - pin.n, pin.vars) << "n=" << pin.n;
+    EXPECT_EQ(sink.clauses(), pin.clauses) << "n=" << pin.n;
+    EXPECT_EQ(out.size(), pin.outputs) << "n=" << pin.n;
   }
 }
 

@@ -45,18 +45,32 @@ struct Fixture {
 };
 
 /// Checks exhaustively what callers use of the sorted outputs `out`
-/// over all of `f.inputs`: with the inputs fixed, assuming `~out[i]` is
-/// satisfiable iff popcount <= i, so popcount >= i+1 forces `out[i]`
-/// true.
+/// over all of `f.inputs`, for bounds of `k` or less: with the inputs
+/// fixed, assuming `~out[i]` for i <= k is satisfiable iff popcount
+/// <= i, and when popcount >= i+1 the true inputs alone refute it by
+/// unit propagation, without a decision.
 void expectOutputsBoundPopcount(Fixture& f, const std::vector<Lit>& out,
-                                const std::string& label) {
+                                int k, const std::string& label) {
   const int n = static_cast<int>(f.inputs.size());
-  ASSERT_EQ(out.size(), f.inputs.size()) << label;
+  ASSERT_GT(out.size(), static_cast<std::size_t>(k)) << label;
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     const int pop = std::popcount(mask);
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i <= k; ++i) {
       const Lit o = out[static_cast<std::size_t>(i)];
-      EXPECT_EQ(f.solveMask(mask, ~o) == lbool::True, pop <= i)
+      if (pop <= i) {
+        EXPECT_EQ(f.solveMask(mask, ~o), lbool::True)
+            << label << " mask=" << mask << " ~out[" << i << "]";
+        continue;
+      }
+      std::vector<Lit> trueOnly;
+      for (int j = 0; j < n; ++j) {
+        if (((mask >> j) & 1u) != 0) trueOnly.push_back(f.inputs[j]);
+      }
+      trueOnly.push_back(~o);
+      const std::int64_t decisions = f.solver.stats().decisions;
+      EXPECT_EQ(f.solver.solve(trueOnly), lbool::False)
+          << label << " mask=" << mask << " ~out[" << i << "]";
+      EXPECT_EQ(f.solver.stats().decisions, decisions)
           << label << " mask=" << mask << " ~out[" << i << "]";
     }
   }
@@ -169,12 +183,16 @@ TEST(Encodings, ExactlyOne) {
 }
 
 TEST(SortingNetwork, NegatedOutputsBoundPopcount) {
-  // The comparators emit only their input->output clauses, so the
-  // outputs give `sum <= k` through `~out[k]` but not `sum >= k`.
-  for (int n = 1; n <= 8; ++n) {
-    Fixture f(n);
-    const std::vector<Lit> out = buildSortingNetwork(f.sink, f.inputs);
-    expectOutputsBoundPopcount(f, out, "n=" + std::to_string(n));
+  // The merges emit only input->output clauses, so a network built for
+  // bounds of k or less gives `sum <= k'` through `~out[k']` for every
+  // k' <= k, but not `sum >= k`.
+  for (int n = 1; n <= 10; ++n) {
+    for (int k = 0; k < n; ++k) {
+      Fixture f(n);
+      const std::vector<Lit> out = buildSortingNetwork(f.sink, f.inputs, k);
+      expectOutputsBoundPopcount(
+          f, out, k, "n=" + std::to_string(n) + " k=" + std::to_string(k));
+    }
   }
 }
 
@@ -186,41 +204,37 @@ TEST(SortingNetwork, MergeExtensionMatchesMonolithic) {
       Fixture f(n);
       const std::span<const Lit> all(f.inputs);
       const std::vector<Lit> first =
-          buildSortingNetwork(f.sink, all.subspan(0, split));
+          buildSortingNetwork(f.sink, all.subspan(0, split), n - 1);
       const std::vector<Lit> second =
-          buildSortingNetwork(f.sink, all.subspan(split));
+          buildSortingNetwork(f.sink, all.subspan(split), n - 1);
       const std::vector<Lit> out = mergeSorted(f.sink, first, second);
+      ASSERT_EQ(out.size(), f.inputs.size());
       expectOutputsBoundPopcount(
-          f, out, "n=" + std::to_string(n) + " split=" + std::to_string(split));
+          f, out, n - 1,
+          "n=" + std::to_string(n) + " split=" + std::to_string(split));
     }
   }
 }
 
 TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
-  // Joining a sorted batch for bounds of k or less keeps the outputs'
-  // contract at every position up to k. At these sizes the direct
-  // merge is always the smaller one; core_infra_test checks a join
-  // that takes the odd-even merge.
+  // Joining two batches sorted for bounds of k or less keeps the
+  // outputs' contract at every position up to k. At these sizes the
+  // direct merge is always the smaller one; core_infra_test checks a
+  // join that takes the odd-even merge.
   for (int n = 2; n <= 8; ++n) {
     for (int split = 1; split < n; ++split) {
       for (int k : {0, n / 2, n - 1}) {
         Fixture f(n);
         const std::span<const Lit> all(f.inputs);
         const std::vector<Lit> first =
-            buildSortingNetwork(f.sink, all.subspan(0, split));
+            buildSortingNetwork(f.sink, all.subspan(0, split), k);
         const std::vector<Lit> second =
-            buildSortingNetwork(f.sink, all.subspan(split));
+            buildSortingNetwork(f.sink, all.subspan(split), k);
         const std::vector<Lit> out = joinSorted(f.sink, first, second, k);
-        ASSERT_GE(out.size(), static_cast<std::size_t>(k + 1));
-        for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-          for (int i = 0; i <= k; ++i) {
-            const Lit o = out[static_cast<std::size_t>(i)];
-            EXPECT_EQ(f.solveMask(mask, ~o) == lbool::True,
-                      std::popcount(mask) <= i)
-                << "n=" << n << " split=" << split << " k=" << k
-                << " mask=" << mask << " ~out[" << i << "]";
-          }
-        }
+        expectOutputsBoundPopcount(f, out, k,
+                                   "n=" + std::to_string(n) +
+                                       " split=" + std::to_string(split) +
+                                       " k=" + std::to_string(k));
       }
     }
   }
@@ -230,10 +244,10 @@ TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
 enum class SorterCall { Build, Merge, Join };
 
 /// Runs `call` into a formula over fresh literals, `p` and `q` of them
-/// (Build sorts all p + q; Join cuts at `k`), and checks what model
-/// completion rests on ("Non-decision variables" in solver.h): every
-/// clause emitted has at most one positive literal, over a variable
-/// the call created, never an input or the constant.
+/// (Build sorts all p + q; Build and Join cut at `k`), and checks what
+/// model completion rests on ("Non-decision variables" in solver.h):
+/// every clause emitted has at most one positive literal, over a
+/// variable the call created, never an input or the constant.
 void expectUpwardClauses(SorterCall call, int p, int q, int k) {
   CnfFormula cnf;
   FormulaSink sink(cnf);
@@ -248,7 +262,7 @@ void expectUpwardClauses(SorterCall call, int p, int q, int k) {
     case SorterCall::Build: {
       std::vector<Lit> all = a;
       all.insert(all.end(), b.begin(), b.end());
-      static_cast<void>(buildSortingNetwork(sink, all));
+      static_cast<void>(buildSortingNetwork(sink, all, k));
       break;
     }
     case SorterCall::Merge:
@@ -281,7 +295,9 @@ void expectUpwardClauses(SorterCall call, int p, int q, int k) {
 }
 
 TEST(SortingNetwork, EveryClauseLiftsInputsToOneCreatedOutput) {
-  for (int n = 1; n <= 48; ++n) expectUpwardClauses(SorterCall::Build, n, 0, 0);
+  for (int n = 1; n <= 48; ++n) {
+    for (int k = 0; k < n; ++k) expectUpwardClauses(SorterCall::Build, n, 0, k);
+  }
   for (int p = 1; p <= 24; ++p) {
     for (int q = 1; q <= 24; ++q) {
       expectUpwardClauses(SorterCall::Merge, p, q, 0);

@@ -114,8 +114,10 @@ TEST(SatSolver, ModelCompletesUndecidedSorterWires) {
   }
   const std::span<const Lit> all(inputs);
   const auto grow = [&](ClauseSink& to) {
-    const std::vector<Lit> low = buildSortingNetwork(to, all.subspan(0, 8));
-    return joinSorted(to, low, buildSortingNetwork(to, all.subspan(8)), kBound);
+    const std::vector<Lit> low =
+        buildSortingNetwork(to, all.subspan(0, 8), kBound);
+    return joinSorted(to, low, buildSortingNetwork(to, all.subspan(8), kBound),
+                      kBound);
   };
   const std::vector<Lit> out = grow(sink);
   ASSERT_EQ(grow(recorder), out);
