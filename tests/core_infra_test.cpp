@@ -367,9 +367,11 @@ TEST(SortingNetwork, SizesForTheBoundArePinned) {
     std::int64_t clauses;
     std::size_t outputs;
   };
-  const Pin pins[] = {{1238, 6, 4689, 13327, 7},
-                      {971, 1, 1940, 3879, 2},
-                      {104, 67, 1895, 3270, 104}};
+  const Pin pins[] = {
+      {1238, 6, 4689, 13327, 7},
+      {971, 1, 1940, 3879, 2},
+      {104, 67, 1895, 3270, 104},
+  };
   for (const Pin& pin : pins) {
     CountingSink sink;
     std::vector<Lit> lits;

@@ -50,16 +50,16 @@ struct Fixture {
 /// <= i, and when popcount >= i+1 the true inputs alone refute it by
 /// unit propagation, without a decision.
 void expectOutputsBoundPopcount(Fixture& f, const std::vector<Lit>& out,
-                                int k, const std::string& label) {
+                                int k) {
   const int n = static_cast<int>(f.inputs.size());
-  ASSERT_GT(out.size(), static_cast<std::size_t>(k)) << label;
+  ASSERT_GT(out.size(), static_cast<std::size_t>(k));
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     const int pop = std::popcount(mask);
     for (int i = 0; i <= k; ++i) {
       const Lit o = out[static_cast<std::size_t>(i)];
       if (pop <= i) {
         EXPECT_EQ(f.solveMask(mask, ~o), lbool::True)
-            << label << " mask=" << mask << " ~out[" << i << "]";
+            << "mask=" << mask << " ~out[" << i << "]";
         continue;
       }
       std::vector<Lit> trueOnly;
@@ -69,9 +69,9 @@ void expectOutputsBoundPopcount(Fixture& f, const std::vector<Lit>& out,
       trueOnly.push_back(~o);
       const std::int64_t decisions = f.solver.stats().decisions;
       EXPECT_EQ(f.solver.solve(trueOnly), lbool::False)
-          << label << " mask=" << mask << " ~out[" << i << "]";
+          << "mask=" << mask << " ~out[" << i << "]";
       EXPECT_EQ(f.solver.stats().decisions, decisions)
-          << label << " mask=" << mask << " ~out[" << i << "]";
+          << "mask=" << mask << " ~out[" << i << "]";
     }
   }
 }
@@ -188,10 +188,10 @@ TEST(SortingNetwork, NegatedOutputsBoundPopcount) {
   // k' <= k, but not `sum >= k`.
   for (int n = 1; n <= 10; ++n) {
     for (int k = 0; k < n; ++k) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k);
       Fixture f(n);
       const std::vector<Lit> out = buildSortingNetwork(f.sink, f.inputs, k);
-      expectOutputsBoundPopcount(
-          f, out, k, "n=" + std::to_string(n) + " k=" + std::to_string(k));
+      expectOutputsBoundPopcount(f, out, k);
     }
   }
 }
@@ -201,6 +201,7 @@ TEST(SortingNetwork, MergeExtensionMatchesMonolithic) {
   // as one network over all inputs, at every split point.
   for (int n = 2; n <= 8; ++n) {
     for (int split = 1; split < n; ++split) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " split=" << split);
       Fixture f(n);
       const std::span<const Lit> all(f.inputs);
       const std::vector<Lit> first =
@@ -209,9 +210,7 @@ TEST(SortingNetwork, MergeExtensionMatchesMonolithic) {
           buildSortingNetwork(f.sink, all.subspan(split), n - 1);
       const std::vector<Lit> out = mergeSorted(f.sink, first, second);
       ASSERT_EQ(out.size(), f.inputs.size());
-      expectOutputsBoundPopcount(
-          f, out, n - 1,
-          "n=" + std::to_string(n) + " split=" + std::to_string(split));
+      expectOutputsBoundPopcount(f, out, n - 1);
     }
   }
 }
@@ -223,7 +222,9 @@ TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
   // join that takes the odd-even merge.
   for (int n = 2; n <= 8; ++n) {
     for (int split = 1; split < n; ++split) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " split=" << split);
       for (int k : {0, n / 2, n - 1}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k);
         Fixture f(n);
         const std::span<const Lit> all(f.inputs);
         const std::vector<Lit> first =
@@ -231,10 +232,7 @@ TEST(SortingNetwork, JoinMatchesMonolithicUpToTheCut) {
         const std::vector<Lit> second =
             buildSortingNetwork(f.sink, all.subspan(split), k);
         const std::vector<Lit> out = joinSorted(f.sink, first, second, k);
-        expectOutputsBoundPopcount(f, out, k,
-                                   "n=" + std::to_string(n) +
-                                       " split=" + std::to_string(split) +
-                                       " k=" + std::to_string(k));
+        expectOutputsBoundPopcount(f, out, k);
       }
     }
   }

@@ -116,8 +116,9 @@ TEST(SatSolver, ModelCompletesUndecidedSorterWires) {
   const auto grow = [&](ClauseSink& to) {
     const std::vector<Lit> low =
         buildSortingNetwork(to, all.subspan(0, 8), kBound);
-    return joinSorted(to, low, buildSortingNetwork(to, all.subspan(8), kBound),
-                      kBound);
+    const std::vector<Lit> high =
+        buildSortingNetwork(to, all.subspan(8), kBound);
+    return joinSorted(to, low, high, kBound);
   };
   const std::vector<Lit> out = grow(sink);
   ASSERT_EQ(grow(recorder), out);
