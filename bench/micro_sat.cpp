@@ -5,15 +5,12 @@
 ///        extraction latency.
 ///
 /// Usage: micro_sat [--reps N] [--json [path]] [--baseline path]
-///                  [--inprocess] [--reuse-trail] [--restart luby|ema]
+///                  [--reuse-trail] [--restart luby|ema]
 ///
 ///   --json      write BENCH_micro_sat.json (per-benchmark wall time and
 ///               propagation counters) for the PR-over-PR perf trajectory
 ///   --baseline  compare against a previously recorded JSON (defaults to
 ///               bench/BASELINE_micro_sat.json when present)
-///   --inprocess force Options::inprocess on regardless of its default
-///               (the A/B lever behind the decision record in
-///               bench/README.md)
 ///   --reuse-trail
 ///               enable warm-started solves (Options::reuse_trail).
 ///               OFF here regardless of the solver default: the up-*
@@ -121,7 +118,6 @@ std::vector<Case> buildCases() {
   return cases;
 }
 
-bool g_force_inprocess = false;
 bool g_reuse_trail = false;  // see the file comment: probes stay cold
 bool g_ema_restarts = false;
 
@@ -129,7 +125,6 @@ bool g_ema_restarts = false;
 double runOnce(const Case& c, SolverStats& statsOut) {
   const auto t0 = std::chrono::steady_clock::now();
   Solver::Options opts;
-  if (g_force_inprocess) opts.inprocess = true;
   opts.reuse_trail = g_reuse_trail;
   opts.ema_restarts = g_ema_restarts;
   Solver s(opts);
@@ -209,8 +204,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--baseline" && i + 1 < argc) {
       baselinePath = argv[++i];
-    } else if (arg == "--inprocess") {
-      g_force_inprocess = true;
     } else if (arg == "--reuse-trail") {
       g_reuse_trail = true;
     } else if (arg == "--restart" && i + 1 < argc) {
@@ -223,7 +216,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::cerr << "usage: micro_sat [--reps N] [--json [path]] "
-                   "[--baseline path] [--inprocess] [--reuse-trail] "
+                   "[--baseline path] [--reuse-trail] "
                    "[--restart luby|ema]\n";
       return 2;
     }

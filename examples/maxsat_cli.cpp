@@ -12,14 +12,13 @@
 ///     --threads N       parallel portfolio of N workers racing the
 ///                       chosen engine plus diversified alternatives
 ///                       (default 1)
-///     --timeout SECONDS wall-clock budget (default: none)
+///     --timeout SECONDS wall-clock budget, a positive number (default:
+///                       none)
 ///     --mem-mb N        cooperative memory cap in MiB: the solver
 ///                       tracks its own clause-storage footprint
 ///                       (SolverStats::mem_bytes) and aborts with a
 ///                       structured "memory" reason instead of letting
 ///                       the process OOM (default: none)
-///     --inprocess       enable in-solver inprocessing between oracle
-///                       calls (Solver::Options::inprocess)
 ///     --reuse-trail / --no-reuse-trail
 ///                       warm-started oracle calls: keep the solver
 ///                       trail across solve calls and re-propagate only
@@ -37,8 +36,6 @@
 ///                       trace_event JSON — open FILE in Perfetto
 ///                       (ui.perfetto.dev) or chrome://tracing; see
 ///                       bench/README.md "Reading a trace"
-///     --preprocess      MaxSAT-safe preprocessing before the solve
-///                       (hard unit propagation, duplicate merging)
 ///     --no-model        suppress the v line
 ///     --list            list available engines
 
@@ -49,7 +46,6 @@
 #include <string>
 
 #include "cnf/dimacs.h"
-#include "core/preprocess.h"
 #include "harness/factory.h"
 #include "harness/tables.h"
 #include "obs/trace.h"
@@ -61,9 +57,9 @@ void usage() {
   std::cout <<
       "usage: maxsat_cli [--algo NAME] [--threads N]\n"
       "                  [--timeout SEC] [--mem-mb N]\n"
-      "                  [--inprocess] [--reuse-trail|--no-reuse-trail]\n"
+      "                  [--reuse-trail|--no-reuse-trail]\n"
       "                  [--restart luby|geom|ema] [--stats]\n"
-      "                  [--trace FILE] [--preprocess] [--no-model]\n"
+      "                  [--trace FILE] [--no-model]\n"
       "                  [--list] [file.wcnf|-]\n"
       "  NAME: msu4-v2 (default), msu4-v1, pbo, maxsatz, msu1, linear,\n"
       "        oll, ... (--list prints every engine)\n";
@@ -78,11 +74,9 @@ int main(int argc, char** argv) {
   int threads = 1;
   double timeout = 0.0;
   double memMb = 0.0;
-  bool inprocess = false;
   bool reuseTrail = Solver::Options{}.reuse_trail;
   std::string restart = "luby";
   bool stats = false;
-  bool preprocess = false;
   bool printModel = true;
   std::string tracePath;
   std::string path;
@@ -98,15 +92,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--timeout" && i + 1 < argc) {
-      timeout = std::atof(argv[++i]);
+      const char* text = argv[++i];
+      char* end = nullptr;
+      timeout = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(timeout > 0.0)) {
+        std::cerr << "c --timeout wants a positive number of seconds\n";
+        return 2;
+      }
     } else if (arg == "--mem-mb" && i + 1 < argc) {
       memMb = std::atof(argv[++i]);
       if (memMb <= 0.0) {
         std::cerr << "c --mem-mb wants a positive cap\n";
         return 2;
       }
-    } else if (arg == "--inprocess") {
-      inprocess = true;
     } else if (arg == "--reuse-trail") {
       reuseTrail = true;
     } else if (arg == "--no-reuse-trail") {
@@ -121,8 +119,6 @@ int main(int argc, char** argv) {
       stats = true;
     } else if (arg == "--trace" && i + 1 < argc) {
       tracePath = argv[++i];
-    } else if (arg == "--preprocess") {
-      preprocess = true;
     } else if (arg == "--no-model") {
       printModel = false;
     } else if (arg == "--list") {
@@ -155,23 +151,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "c " << instance.summary() << "\n";
 
-  // Optional MaxSAT-safe preprocessing (hard UP, dedup, merge).
-  Weight forcedCost = 0;
-  Assignment forced;
-  if (preprocess) {
-    PreprocessResult pre = preprocessWcnf(instance);
-    if (!pre.simplified) {
-      std::cout << "c preprocessing refuted the hard clauses\n";
-      std::cout << "s UNSATISFIABLE\n";
-      return 0;
-    }
-    forcedCost = pre.forcedCost;
-    forced = std::move(pre.forced);
-    instance = std::move(*pre.simplified);
-    std::cout << "c preprocessed: " << instance.summary() << ", fixed "
-              << pre.fixedVars << " vars, forced cost " << forcedCost << "\n";
-  }
-
   MaxSatOptions opts;
   if (timeout > 0.0) opts.budget = Budget::wallClock(timeout);
   if (memMb > 0.0) {
@@ -186,7 +165,6 @@ int main(int argc, char** argv) {
     tracer.setEnabled(true);
     opts.sat.trace = &tracer;
   }
-  opts.sat.inprocess = inprocess;
   opts.sat.reuse_trail = reuseTrail;
   opts.sat.luby_restarts = restart != "geom";
   opts.sat.ema_restarts = restart == "ema";
@@ -225,23 +203,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "c engine: " << solver->name() << "\n";
 
-  MaxSatResult result = solver->solve(instance);
+  const MaxSatResult result = solver->solve(instance);
   if (portfolio != nullptr && portfolio->lastWinner() >= 0) {
     std::cout << "c portfolio winner: worker " << portfolio->lastWinner()
               << " (" << portfolio->lastWinnerEngine() << ")\n";
   }
 
-  // Splice hard-forced values back into the model after preprocessing.
-  if (preprocess && result.status == MaxSatStatus::Optimum) {
-    for (std::size_t v = 0; v < result.model.size() && v < forced.size();
-         ++v) {
-      if (forced[v] != lbool::Undef) result.model[v] = forced[v];
-    }
-  }
-
   switch (result.status) {
     case MaxSatStatus::Optimum:
-      std::cout << "o " << result.cost + forcedCost << "\n";
+      std::cout << "o " << result.cost << "\n";
       std::cout << "s OPTIMUM FOUND\n";
       if (printModel) {
         std::cout << "v";
@@ -271,7 +241,7 @@ int main(int argc, char** argv) {
 
   if (stats) {
     // One aligned block: engine counters, then the CDCL substrate's
-    // search/propagation/lifecycle/inprocessing rows.
+    // search/propagation/lifecycle rows.
     const EngineRunCounters eng{result.iterations, result.coresFound,
                                 result.satCalls};
     printRunStats(std::cout, eng, result.satStats, "run statistics:", "c ");

@@ -22,21 +22,6 @@
 /// `MaxSatResult::satStats` surfaces the lifecycle counters (retired
 /// scopes/clauses, reclaimed bytes, recycled variables) alongside the
 /// propagation-core counters.
-///
-/// ## Reconstruction contract (variable elimination)
-///
-/// With Solver::Options::inprocess, the oracle may eliminate auxiliary
-/// variables mid-search; the solver replays its witness stack over
-/// every satisfying assignment before publishing it, so
-/// `MaxSatResult::model` is always a total assignment over the
-/// original variables and engines never observe removal. Soft-clause
-/// selectors are frozen, so cores keep naming the selectors engines
-/// track. Scoped encoding variables are never removed, so scope
-/// retirement never invalidates a witness; the unscoped wires of a
-/// growing sorter or totalizer may be eliminated, and are restored when
-/// a later merge or bound names them. The full contract — who may be
-/// removed, what restores a variable, what disables removal — lives in
-/// src/sat/solver.h.
 
 #pragma once
 

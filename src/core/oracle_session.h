@@ -35,21 +35,10 @@
 ///
 /// Engines must not reshuffle assumption sets between calls: a
 /// permutation is semantically identical but destroys the common
-/// prefix and with it the reuse. Retirement (retire/retireAll) and
-/// inprocessing passes rewrite the clause database and invalidate the
-/// saved prefix explicitly — the first solve after either starts from
-/// the root, by design.
-///
-/// ## Reconstruction across retirement
-///
-/// Inprocessing may eliminate auxiliary variables, recording witnesses
-/// for model reconstruction (the "reconstruction contract" in
-/// solver.h). The session needs no
-/// special handling: removal is forbidden on frozen selectors, scope
-/// activators and scope-owned variables, so no witness ever references
-/// a variable that retire() recycles — retirement and reconstruction
-/// commute, models stay total over every variable the engine created,
-/// and cores keep naming the selectors the tracker passed.
+/// prefix and with it the reuse. Retirement (retire/retireAll)
+/// rewrites the clause database and invalidates the saved prefix
+/// explicitly — the first solve after it starts from the root, by
+/// design.
 
 #pragma once
 
@@ -148,7 +137,6 @@ class OracleSession {
     sink_.setScopeEnforced(scope, on);
   }
 
-  /// Retirement also schedules an inprocessing pass (Solver::retire).
   void retire(ScopeHandle scope) { sink_.retireScope(scope); }
 
   /// Batch retirement: one database sweep for many scopes.

@@ -16,10 +16,6 @@ SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
   relaxed_.assign(static_cast<std::size_t>(formula.numSoft()), 0);
   for (int i = 0; i < formula.numSoft(); ++i) {
     const Var a = solver.newVar();
-    // The protocol depends on the selector's textual presence in its
-    // soft clause (assuming ~a enforces it, cores name it): freeze it
-    // so inprocessing never strengthens the selector away.
-    solver.setFrozen(a, true);
     var_to_soft_.resize(static_cast<std::size_t>(a) + 1, -1);
     var_to_soft_[static_cast<std::size_t>(a)] = i;
     selectors_.push_back(posLit(a));

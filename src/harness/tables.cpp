@@ -201,14 +201,6 @@ void printSatStatsRows(std::ostream& out, const SolverStats& stats,
   row("retired clauses", stats.retired_clauses);
   row("reclaimed bytes", stats.reclaimed_bytes);
   row("recycled vars", stats.recycled_vars);
-  row("inproc passes", stats.inproc_passes);
-  row("  satisfied removed", stats.inproc_removed_sat);
-  row("  subsumed", stats.inproc_subsumed);
-  row("  strengthened", stats.inproc_strengthened);
-  row("  literals removed", stats.inproc_lits_removed);
-  row("  bve eliminated", stats.inproc_bve_eliminated);
-  row("  bve resolvents", stats.inproc_bve_resolvents);
-  row("  bve restored", stats.inproc_bve_restored);
 }
 
 }  // namespace

@@ -56,10 +56,9 @@ void printScatterSummary(std::ostream& out,
 /// warm-start trail reuse and restart-trajectory rows, the propagation
 /// breakdown from the flat-watch/binary-fast-path core, the learnt
 /// database, the encoding-lifecycle accounting — retired
-/// scopes/clauses, reclaimed bytes, recycled variables — and the
-/// inprocessing accounting) as a labelled two-column table. Every
-/// line starts with `linePrefix` (e.g. "c " to keep DIMACS-style
-/// solver output machine-skippable).
+/// scopes/clauses, reclaimed bytes, recycled variables) as a labelled
+/// two-column table. Every line starts with `linePrefix` (e.g. "c " to
+/// keep DIMACS-style solver output machine-skippable).
 void printSatStats(std::ostream& out, const SolverStats& stats,
                    const std::string& title,
                    const std::string& linePrefix = "");

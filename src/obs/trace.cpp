@@ -31,8 +31,6 @@ const char* traceCatName(TraceCat cat) {
       return "oracle";
     case TraceCat::kCore:
       return "core";
-    case TraceCat::kInproc:
-      return "inproc";
     case TraceCat::kRestart:
       return "restart";
     case TraceCat::kJob:

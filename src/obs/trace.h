@@ -4,9 +4,9 @@
 ///
 /// The tracer answers the question the end-of-run SolverStats tallies
 /// cannot: *when* did the time go? Every instrumented seam (oracle
-/// solve() calls, core trimming, inprocess passes, restart segments,
-/// portfolio workers, service job lifecycle) emits spans or instants
-/// into a fixed-capacity ring buffer owned by the emitting thread.
+/// solve() calls, core trimming, restart segments, portfolio workers,
+/// service job lifecycle) emits spans or instants into a
+/// fixed-capacity ring buffer owned by the emitting thread.
 /// Exported files open directly in Perfetto (https://ui.perfetto.dev)
 /// or chrome://tracing.
 ///
@@ -65,7 +65,6 @@ namespace obs {
 enum class TraceCat : std::uint8_t {
   kOracle,   ///< SAT oracle solve() calls.
   kCore,     ///< Core extraction / trimming / minimization.
-  kInproc,   ///< Inprocessing passes.
   kRestart,  ///< Restart segments inside one solve() call.
   kJob,      ///< Service job lifecycle (submit/queue/run/done).
   kWorker,   ///< Portfolio worker lifetimes.

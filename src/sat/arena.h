@@ -86,26 +86,6 @@ class ClauseRefView {
             static_cast<std::size_t>(size())};
   }
 
-  /// Shrinks the clause to its first `newSize` literals. The trailing
-  /// tag word (if any) moves to the new end; the abandoned words are
-  /// reclaimed at the next GC like any other slack.
-  void shrink(int newSize) {
-    assert(newSize >= 0 && newSize <= size());
-    if (tagged()) litBase()[newSize] = litBase()[size()];
-    base_[0] = (static_cast<std::uint32_t>(newSize) << 4) | (base_[0] & 15u);
-  }
-
-  /// Removes the literal at index `i`, preserving the order of the rest
-  /// (watch positions of the survivors keep their meaning) and the
-  /// trailing activator tag. Used by inprocessing strengthening; the
-  /// caller is responsible for the clause being detached.
-  void removeLiteralAt(int i) {
-    assert(i >= 0 && i < size());
-    std::uint32_t* lits = litBase();
-    for (int k = i; k + 1 < size(); ++k) lits[k] = lits[k + 1];
-    shrink(size() - 1);
-  }
-
   /// Forwarding pointer support for GC relocation.
   void setRelocated(CRef to) {
     base_[0] |= 4u;
@@ -180,12 +160,6 @@ class ClauseArena {
   void markWasted(int clauseSize, bool learnt, bool tagged = false) {
     wasted_ += static_cast<std::uint32_t>(clauseSize) + 1u +
                (learnt ? 1u : 0u) + (tagged ? 1u : 0u);
-  }
-
-  /// Records words abandoned by an in-place clause shrink (inprocessing
-  /// strengthening), so the slack still counts towards the GC trigger.
-  void markWastedWords(int words) {
-    wasted_ += static_cast<std::uint32_t>(words);
   }
 
   /// Words logically wasted by deleted clauses.

@@ -125,12 +125,30 @@ class Budget {
     return b;
   }
 
-  /// Sets/overwrites the wall-clock deadline to `seconds` from now.
+  /// Sets/overwrites the wall-clock deadline to `seconds` from now
+  /// (see deadlineAfter: a non-positive value expires at once, one past
+  /// what the clock can hold clears the deadline).
   /// NOTE: the deadline is a snapshot — copies made before this call do
   /// not see it (see the file comment).
   void setWallClock(double seconds) {
-    deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(seconds));
+    deadline_ = deadlineAfter(Clock::now(), seconds);
+  }
+
+  /// The time point `seconds` after `from`, saturating: nullopt (no
+  /// deadline) when it lies past what Clock can hold, e.g. for 1e10 s
+  /// or infinity, and `from` itself (already due) when `seconds` is not
+  /// positive. The plain conversion would overflow Clock's integer
+  /// ticks and yield a deadline in the past.
+  [[nodiscard]] static std::optional<Clock::time_point> deadlineAfter(
+      Clock::time_point from, double seconds) {
+    if (!(seconds > 0.0)) return from;
+    const std::chrono::duration<double, Clock::period> wait =
+        std::chrono::duration<double>(seconds);
+    const Clock::duration room = Clock::time_point::max() - from;
+    if (wait.count() >= static_cast<double>(room.count())) {
+      return std::nullopt;
+    }
+    return from + Clock::duration(static_cast<Clock::rep>(wait.count()));
   }
 
   /// Sets the cumulative conflict limit.

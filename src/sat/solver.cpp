@@ -12,6 +12,22 @@ namespace {
 /// Activity ceiling before rescaling.
 constexpr double kVarRescaleLimit = 1e100;
 constexpr float kClaRescaleLimit = 1e20f;
+
+/// Geometric restart factor (Options::luby_restarts off).
+constexpr double kRestartInc = 2.0;
+
+// Adaptive restarts (Options::ema_restarts; see RestartEma): a restart
+// fires when the fast LBD average exceeds kEmaMargin times the slow
+// one, once the segment has kEmaMinConflicts conflicts, and is blocked
+// while the trail is deeper than kEmaBlockMargin times its average
+// (smoothed by kEmaTrailAlpha).
+constexpr double kEmaMargin = 1.25;
+constexpr int kEmaMinConflicts = 50;
+constexpr double kEmaBlockMargin = 1.4;
+constexpr double kEmaTrailAlpha = 1.0 / 4096.0;
+/// Luby scale of stable-mode restarts, in multiples of restart_base
+/// (stable phases restart rarely by design).
+constexpr int kStableRestartMult = 8;
 }  // namespace
 
 double lubySequence(double y, int i) {
@@ -30,10 +46,7 @@ double lubySequence(double y, int i) {
   return std::pow(y, seq);
 }
 
-Solver::Solver(const Options& opts) : opts_(opts), order_heap_(activity_) {
-  restart_ema_.fast_alpha = opts_.ema_fast_alpha;
-  restart_ema_.slow_alpha = opts_.ema_slow_alpha;
-}
+Solver::Solver(const Options& opts) : opts_(opts), order_heap_(activity_) {}
 
 Var Solver::newVar(bool decisionVar, bool scoped) {
   Var v;
@@ -49,9 +62,7 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
     best_phase_[v] = 1;
     activity_[v] = 0.0;
     seen_[v] = 0;
-    frozen_[v] = 0;
     var_owner_[v] = kUndefVar;
-    eliminated_[v] = 0;
     decision_[v] = decisionVar ? 1 : 0;
     if (order_heap_.contains(v)) {
       order_heap_.update(v);  // activity changed: restore heap order
@@ -69,8 +80,6 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
     decision_.push_back(decisionVar ? 1 : 0);
     activity_.push_back(0.0);
     seen_.push_back(0);
-    frozen_.push_back(0);
-    eliminated_.push_back(0);
     is_activator_.push_back(0);
     scope_index_.push_back(-1);
     var_owner_.push_back(kUndefVar);
@@ -156,12 +165,6 @@ void Solver::retireAll(std::span<const Lit> activators) {
     scopes_.pop_back();
   }
   if (!any) return;
-  inproc_pending_ = true;
-
-  // Reconstruction contract: BVE never touches scope or activator
-  // variables, so the witness stack cannot dangle across retirement
-  // and variable recycling (see solver.h).
-  assert(!witness_.referencesAny(marked));
 
   // A level-0 assigned scope variable (an activator refuted by the rest
   // of the database) stays assigned and is burned rather than recycled;
@@ -320,9 +323,6 @@ bool Solver::addClause(std::span<const Lit> lits) {
 
   add_tmp_.assign(lits.begin(), lits.end());
   std::vector<Lit>& ps = add_tmp_;
-  // A clause naming eliminated variables is legal: they are
-  // transparently restored (reconstruction contract, solver.h).
-  if (has_removed_vars_ && !restoreEliminated(ps)) return false;
 
   // Sort and simplify against the level-0 assignment. Over a warm
   // reused trail only *root-fixed* literals qualify (rootValue ==
@@ -1056,12 +1056,10 @@ std::int64_t Solver::memBytesEstimate() const {
       sizeof(lbool) + sizeof(VarData) + 4 * sizeof(char) +  // assigns,
       // vardata, polarity/decision/seen/best_phase
       sizeof(double) +                                 // activity
-      3 * sizeof(char) +                               // activator/frozen/…
-      sizeof(char) +                                   // eliminated
+      sizeof(char) +                                   // activator
       sizeof(int) + sizeof(Var) + sizeof(std::uint32_t) +  // scope maps
       2 * sizeof(double);  // order-heap entry + index (amortized)
   b += static_cast<std::int64_t>(numVars()) * kPerVarBytes;
-  b += witness_.bytes();
   // Bookkeeping proportional to the database.
   b += static_cast<std::int64_t>(trail_.capacity()) * sizeof(Lit);
   b += static_cast<std::int64_t>(clauses_.capacity() + learnts_.capacity()) *
@@ -1168,11 +1166,10 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
         // trail heuristic — the solver looks close to a model, let it
         // dig).
         restart_ema_.update(static_cast<double>(lbd));
-        trail_ema_.update(static_cast<double>(confTrail),
-                          opts_.ema_trail_alpha);
-        if (conflictC >= opts_.ema_min_conflicts &&
+        trail_ema_.update(static_cast<double>(confTrail), kEmaTrailAlpha);
+        if (conflictC >= kEmaMinConflicts &&
             static_cast<double>(confTrail) >
-                opts_.ema_block_margin * trail_ema_.value) {
+                kEmaBlockMargin * trail_ema_.value) {
           restart_ema_.block();
           ++stats_.restarts_blocked;
         }
@@ -1187,8 +1184,8 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       const bool restartNow =
           conflictsBeforeRestart >= 0
               ? conflictC >= conflictsBeforeRestart
-              : (conflictC >= opts_.ema_min_conflicts &&
-                 restart_ema_.shouldRestart(opts_.ema_margin));
+              : (conflictC >= kEmaMinConflicts &&
+                 restart_ema_.shouldRestart(kEmaMargin));
       if (restartNow || !withinBudget()) {
         cancelUntil(0);
         return lbool::Undef;
@@ -1249,15 +1246,6 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   }
   if (pollAborted() || !withinBudget()) return lbool::Undef;
 
-  // Assumptions over eliminated variables restore them: they must be
-  // assignable again for the assumption to constrain anything.
-  // Activators are never eliminated, so the automatic scope assumptions
-  // below need no restoring.
-  if (has_removed_vars_ && !restoreEliminated(assumptions_)) {
-    assumptions_.clear();
-    return lbool::False;
-  }
-
   // Every live encoding scope is decided up front: its activator when
   // enforced, the negation when disabled. This is what keeps physical
   // retirement sound — scope clauses can never propagate their own
@@ -1270,20 +1258,17 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   // trail in place, and level i of it corresponds to
   // prev_assumptions_[i-1]. Keep the longest prefix of levels whose
   // assumptions the new sequence repeats verbatim and backtrack only to
-  // the first divergence — unless an inprocessing pass is due, which
-  // rewrites the database and needs (and invalidates down to) the root.
+  // the first divergence.
   if (decisionLevel() > 0) {
     assert(opts_.reuse_trail);
+    const int bound =
+        std::min({static_cast<int>(prev_assumptions_.size()),
+                  static_cast<int>(assumptions_.size()), decisionLevel()});
     int keep = 0;
-    if (!inprocessDue()) {
-      const int bound = std::min(
-          {static_cast<int>(prev_assumptions_.size()),
-           static_cast<int>(assumptions_.size()), decisionLevel()});
-      while (keep < bound && prev_assumptions_[static_cast<std::size_t>(
-                                 keep)] ==
-                                 assumptions_[static_cast<std::size_t>(keep)]) {
-        ++keep;
-      }
+    while (keep < bound &&
+           prev_assumptions_[static_cast<std::size_t>(keep)] ==
+               assumptions_[static_cast<std::size_t>(keep)]) {
+      ++keep;
     }
     cancelUntil(keep);
     if (decisionLevel() > 0) {
@@ -1292,7 +1277,7 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   }
   prev_assumptions_ = assumptions_;
 
-  if (decisionLevel() == 0 && (!simplify() || !maybeInprocess())) {
+  if (decisionLevel() == 0 && !simplify()) {
     assumptions_.clear();
     return lbool::False;
   }
@@ -1311,13 +1296,6 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
   lbool status = lbool::Undef;
   for (int restarts = 0; status == lbool::Undef; ++restarts) {
     if (pollAborted() || !withinBudget()) break;
-    // Restart boundary: give inprocessing its periodic shot at the
-    // database. A warm first segment skips it — it runs at the next
-    // genuine restart.
-    if (decisionLevel() == 0 && !maybeInprocess()) {
-      status = lbool::False;
-      break;
-    }
     std::int64_t pace;
     if (opts_.ema_restarts) {
       maybeSwitchMode();
@@ -1326,13 +1304,13 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
       pace = stable_mode_
                  ? static_cast<std::int64_t>(
                        lubySequence(2.0, stable_luby_idx_++) *
-                       opts_.restart_base * opts_.stable_restart_mult)
+                       opts_.restart_base * kStableRestartMult)
                  : -1;
     } else {
       const double restartBase =
           opts_.luby_restarts
               ? lubySequence(2.0, restarts)
-              : std::pow(opts_.restart_inc, restarts);
+              : std::pow(kRestartInc, restarts);
       pace = static_cast<std::int64_t>(restartBase * opts_.restart_base);
     }
     {
@@ -1348,14 +1326,11 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
 
   if (status == lbool::True) {
     // Search assigned every decision variable; false completes the rest
-    // (non-decision variables, solver.h). Replaying the witness stack
-    // then flips eliminated variables as their removed clauses require,
-    // so callers never observe removal (reconstruction contract).
+    // (non-decision variables, solver.h).
     model_.resize(static_cast<std::size_t>(numVars()));
     for (Var v = 0; v < numVars(); ++v) {
       model_[v] = assigns_[v] == lbool::Undef ? lbool::False : assigns_[v];
     }
-    if (has_removed_vars_) witness_.extend(model_);
     assert(modelSatisfiesDatabase());
   } else if (status == lbool::False && core_.empty()) {
     // Unsatisfiable independently of the assumptions.

@@ -78,76 +78,24 @@
 /// that exchange no clauses: importing them made it no faster
 /// (bench/README.md, "portfolio workers exchange no clauses").
 ///
-/// ## Scope-aware inprocessing
-///
-/// With Options::inprocess, the solver periodically simplifies its own
-/// live clause database between oracle calls (the MaxSAT engines issue
-/// thousands of incremental solves against one solver, so satisfied,
-/// subsumed and over-long clauses otherwise accumulate and tax every
-/// later propagation): top-level-satisfied clause removal and false-
-/// literal stripping, SatELite-style backward subsumption and self-
-/// subsuming strengthening over occurrence lists, and bounded variable
-/// elimination (elimination.cpp), all budgeted by propagations since
-/// the last pass. Every step is scope-aware — activator literals are
-/// never removed, strengthened clauses keep their activator tag, a
-/// tagged clause is never strengthened against a strictly younger
-/// scope's clauses, and frozen variables (soft-clause selectors,
-/// assumption handles; see setFrozen) keep their literals — so physical
-/// retirement stays sound. See inprocess.cpp for the pass structure and
-/// the soundness argument. Elimination removes variables from the
-/// search, which forces a *model-reconstruction stack*
-/// (sat/reconstruct.h).
-///
-/// ## Reconstruction contract
-///
-/// Eliminating a variable pushes witness entries onto an internal
-/// stack; solve() replays the stack over every satisfying assignment
-/// before publishing it, so `model()` is always total and correct over
-/// all variables the caller ever created — callers never see
-/// elimination happen. The rules that keep this sound across the
-/// incremental API:
-///
-///  * **Who may be removed.** Only plain auxiliary variables: never
-///    frozen variables, scope activators, scope-owned variables,
-///    variables currently assumed, or variables occurring in any
-///    scope-tagged clause. A witness clause therefore never references
-///    a scope or activator variable, so `retire()`/`retireAll()` NEVER
-///    invalidate the stack — retirement and reconstruction commute,
-///    and `OracleSession::retire()` needs no special handling.
-///  * **What restores a variable.** Naming an eliminated variable in
-///    `addClause()` or in a solve() assumption transparently restores
-///    it: its witness clauses re-enter the database and the stack
-///    entries are consumed. Restoration rewrites no literal, so
-///    `core()` names the literals the caller passed.
-///  * **What invalidates nothing.** `retire()`/`retireAll()`,
-///    `openScope`/`closeScope`, warm-started solves and GC all
-///    preserve the stack (asserted in debug builds at retirement).
-///  * **What disables removal.** An attached ProofTracer gates BVE off
-///    entirely (clause restoration is not expressible in the
-///    incremental RUP trace); subsumption and strengthening stay on —
-///    a strengthened clause is an ordinary RUP lemma.
-///
 /// ## Non-decision variables
 ///
 /// Search branches only on decision variables. A variable created with
 /// `newVar(false)` is assigned by propagation or as an assumption, or
 /// not at all: when every decision variable is assigned without
 /// conflict, solve() reports SAT and sets each variable still
-/// unassigned to false in `model()`, before reconstruction. So a model
-/// is total, and it satisfies the database as long as no irredundant
-/// clause has two positive literals over non-decision variables: an
-/// unsatisfied clause with two or more unassigned literals then holds
-/// a negative one, which false satisfies. Who keeps to that:
+/// unassigned to false in `model()`. So a model is total, and it
+/// satisfies the database as long as no irredundant clause has two
+/// positive literals over non-decision variables: an unsatisfied
+/// clause with two or more unassigned literals then holds a negative
+/// one, which false satisfies. Who keeps to that:
 ///
-///  * activators are assumed on every solve, and free (recycled) and
-///    eliminated variables occur in no live clause;
+///  * activators are assumed on every solve, and free (recycled)
+///    variables occur in no live clause;
 ///  * the sorter's wires, when a SolverSink leaves them undecided
 ///    (ClauseSink::newUpwardVar in encodings/sink.h): each of its
 ///    clauses has one positive literal, a wire, and the engines name
-///    wires only negatively, as bound units or assumptions;
-///  * inprocessing: strengthening only drops literals, a promoted
-///    learnt subsumes an original, and BVE skips a variable whose
-///    resolvents would break the rule.
+///    wires only negatively, as bound units or assumptions.
 ///
 /// Builds with asserts on check the rule on each clause added and
 /// every SAT model against every irredundant clause.
@@ -176,9 +124,9 @@
 ///    which two are — restoring the two-watched-literal invariant that
 ///    no clause is unit or falsified without being processed. Unit
 ///    clauses always re-enter at level 0.
-///  * Retirement (retire/retireAll) and inprocessing passes rewrite the
-///    clause database wholesale; both invalidate the saved prefix
-///    explicitly by cancelling to level 0 first.
+///  * Retirement (retire/retireAll) rewrites the clause database
+///    wholesale; it invalidates the saved prefix explicitly by
+///    cancelling to level 0 first.
 ///
 /// With reuse_trail off, solve() ends with cancelUntil(0) and the
 /// solver is bit-for-bit the non-reusing engine.
@@ -188,8 +136,8 @@
 /// With Options::ema_restarts, restart pacing switches from the fixed
 /// Luby/geometric schedule to a glucose-style adaptive trigger: fast
 /// and slow exponential moving averages of learnt-clause LBD (see
-/// RestartEma) fire a restart when the recent average exceeds
-/// ema_margin times the long-run average, and a trail-size EMA blocks
+/// RestartEma) fire a restart when the recent average exceeds a fixed
+/// margin times the long-run average, and a trail-size EMA blocks
 /// restarts while the assignment is unusually deep (the solver looks
 /// close to a model). On top, the solver alternates CaDiCaL-style
 /// between a *focused* mode (EMA restarts) and a *stable* mode
@@ -215,7 +163,6 @@
 #include "sat/fault.h"
 #include "sat/heap.h"
 #include "sat/proof_tracer.h"
-#include "sat/reconstruct.h"
 #include "sat/stats.h"
 #include "sat/watches.h"
 
@@ -246,14 +193,14 @@ struct Ema {
 /// is unusually deep (the solver looks close to a model), postponing
 /// restarts until the fast average climbs anew.
 struct RestartEma {
-  double fast_alpha = 1.0 / 32.0;
-  double slow_alpha = 1.0 / 8192.0;
+  static constexpr double kFastAlpha = 1.0 / 32.0;
+  static constexpr double kSlowAlpha = 1.0 / 8192.0;
   Ema fast;
   Ema slow;
 
   void update(double lbd) {
-    fast.update(lbd, fast_alpha);
-    slow.update(lbd, slow_alpha);
+    fast.update(lbd, kFastAlpha);
+    slow.update(lbd, kSlowAlpha);
   }
 
   [[nodiscard]] bool shouldRestart(double margin) const {
@@ -272,8 +219,7 @@ class Solver {
   struct Options {
     double var_decay = 0.95;       ///< VSIDS activity decay
     int restart_base = 100;        ///< conflicts per Luby unit
-    bool luby_restarts = true;     ///< Luby vs. geometric restarts
-    double restart_inc = 2.0;      ///< geometric restart factor
+    bool luby_restarts = true;     ///< Luby vs. geometric (x2) restarts
     bool phase_saving = true;      ///< reuse last assigned polarity
     int ccmin_mode = 2;            ///< 0=off, 1=basic, 2=recursive
     double learntsize_factor = 1.0 / 3.0;  ///< initial learnt DB size
@@ -295,18 +241,9 @@ class Solver {
     /// bench/README.md); the portfolio diversifies workers across both
     /// modes.
     bool ema_restarts = false;
-    double ema_fast_alpha = 1.0 / 32.0;    ///< fast LBD EMA smoothing
-    double ema_slow_alpha = 1.0 / 8192.0;  ///< slow LBD EMA smoothing
-    double ema_margin = 1.25;    ///< restart when fast > margin * slow
-    int ema_min_conflicts = 50;  ///< conflicts per segment before firing
-    double ema_block_margin = 1.4;  ///< block when trail > margin * avg
-    double ema_trail_alpha = 1.0 / 4096.0;  ///< trail-size EMA smoothing
     /// Conflicts until the first stable/focused mode switch; the
     /// interval doubles at every switch, so late phases are long.
     std::int64_t mode_switch_conflicts = 1000;
-    /// Luby scale of stable-mode restarts, in multiples of
-    /// restart_base (stable phases restart rarely by design).
-    int stable_restart_mult = 8;
 
     /// Optional proof receiver (non-owning; must outlive the solver).
     /// Attach before adding clauses so the axiom trace is complete.
@@ -322,40 +259,13 @@ class Solver {
     FaultInjector* fault = nullptr;
 
     /// Optional execution tracer (non-owning; must outlive the solver).
-    /// When set and enabled, the solver emits spans for solve() calls,
-    /// restart segments and inprocess passes into the per-thread rings
+    /// When set and enabled, the solver emits spans for solve() calls
+    /// and restart segments into the per-thread rings
     /// (obs/trace.h). Off (nullptr) by default — every instrumented
     /// seam then costs one pointer test and search behaviour is
     /// bit-for-bit identical (tracing is purely observational; see
     /// tests/obs_test.cpp gating test).
     obs::Tracer* trace = nullptr;
-
-    /// Scope-aware inprocessing: at solve/restart boundaries (budgeted
-    /// by propagations since the last pass), remove top-level-satisfied
-    /// clauses, strip level-0-false literals, run backward subsumption
-    /// and self-subsuming strengthening over the arena via occurrence
-    /// lists, and eliminate cheap variables (BVE, with model
-    /// reconstruction; see the contract in the file comment). All steps
-    /// respect encoding scopes (activator literals are never removed,
-    /// strengthened clauses keep their tag, a tagged clause is never
-    /// resolved against a younger scope's clauses) and frozen variables
-    /// (see setFrozen). Off = bit-for-bit the non-inprocessing solver.
-    /// Off by default: on the recorded suites the database reduction
-    /// has not yet bought back its pass cost (decision record in
-    /// bench/README.md, numbers in bench/ablation_inprocess.cpp).
-    bool inprocess = false;
-    /// Propagations between two inprocessing passes. Retiring a scope
-    /// forces a pass at the next boundary regardless of this budget.
-    std::int64_t inprocess_interval = 400'000;
-    /// Skip a clause's subsumption attempt when the occurrence list it
-    /// would scan exceeds this many candidates (cost ceiling per
-    /// clause); <= 0 disables the subsumption stage entirely.
-    int inprocess_occ_limit = 128;
-    /// Max occurrences per polarity for a BVE candidate: a variable is
-    /// only considered when both its positive and negative occurrence
-    /// lists (long + binary) are at most this long. <= 0 disables the
-    /// elimination stage.
-    int inprocess_bve_occ_limit = 16;
 
     /// Bytes of caller-owned storage charged to this solver's memory
     /// footprint (the parsed formula, parse buffers): counted into
@@ -523,31 +433,11 @@ class Solver {
   /// called outside search with the scope closed; a warm reused trail
   /// (Options::reuse_trail) is explicitly invalidated — retirement
   /// cancels to level 0 before sweeping. The freed arena words are
-  /// reclaimed at the next GC. Retiring a live scope also schedules an
-  /// inprocessing pass at the next solve/restart boundary, whatever the
-  /// propagation budget (no-op unless Options::inprocess): the database
-  /// just shed a structure, so satisfied and subsumed leftovers are
-  /// likely. The pass never runs here; the boundary is the safe point.
+  /// reclaimed at the next GC.
   void retire(Lit activator) { retireAll({&activator, 1}); }
 
   /// Batch retirement: one database sweep for many scopes.
   void retireAll(std::span<const Lit> activators);
-
-  // ---- Inprocessing (see inprocess.cpp) --------------------------------
-
-  /// Marks a variable frozen: inprocessing never removes its literals
-  /// from any clause. Callers whose protocol depends on a literal's
-  /// textual presence (soft-clause selectors, assumption handles) freeze
-  /// it; scope activators are implicitly frozen.
-  void setFrozen(Var v, bool frozen) {
-    frozen_[v] = frozen ? 1 : 0;
-  }
-
-  /// Runs one inprocessing pass immediately. Must be called outside
-  /// search (decision level 0). Returns okay(); ignores the interval
-  /// budget but still honours Options::inprocess == false. Exposed for
-  /// tests and maintenance tooling; solve() triggers passes itself.
-  bool inprocessNow();
 
   // ---- Solving ---------------------------------------------------------
 
@@ -704,38 +594,6 @@ class Solver {
   void recycleVar(Var v);
   void checkCrossScopeRefs(std::span<const Lit> lits) const;
 
-  // Inprocessing internals (inprocess.cpp). All run at decision level 0.
-  /// True iff the next solve/restart boundary should run a pass: the
-  /// one trigger condition shared by maybeInprocess() and solve()'s
-  /// warm-start path (which must invalidate the reusable prefix before
-  /// a pass can run).
-  [[nodiscard]] bool inprocessDue() const {
-    return opts_.inprocess && ok_ &&
-           (inproc_pending_ || stats_.propagations - inproc_last_props_ >=
-                                   opts_.inprocess_interval);
-  }
-  [[nodiscard]] bool maybeInprocess();
-  [[nodiscard]] bool inprocessPass();
-  [[nodiscard]] bool inprocPropagateAndStrip();
-  void inprocStripList(std::vector<CRef>& refs);
-  [[nodiscard]] bool inprocSubsume();
-  [[nodiscard]] bool inprocEliminate();  // elimination.cpp
-  void detachLong(CRef ref);
-  [[nodiscard]] bool applyStrengthened(CRef ref, std::span<const Lit> newLits);
-  [[nodiscard]] std::uint64_t scopeBirthOf(Var tag) const;
-
-  // Eliminated-variable machinery (elimination.cpp): witness
-  // restoration and model reconstruction. See the reconstruction
-  // contract above.
-  /// Restores every eliminated variable `ps` references. Returns
-  /// okay().
-  bool restoreEliminated(std::span<const Lit> ps);
-  /// Un-eliminates `v`: re-adds its witness clauses to the database
-  /// and makes it assignable again. Returns okay().
-  bool restoreVar(Var v);
-  /// addClause body shared with restoration and BVE resolvents: no
-  /// cross-scope check, no axiom trace, explicit scope tag.
-  bool addClauseInternal(std::vector<Lit> ps, Var tag);
   /// True iff model_ satisfies every irredundant clause (the asserted
   /// check on each SAT answer; see "Non-decision variables").
   [[nodiscard]] bool modelSatisfiesDatabase() const;
@@ -825,7 +683,6 @@ class Solver {
   // enforcement flips and retirement are O(1) per scope even when
   // thousands of scopes are live (msu1 keeps one per soft clause).
   std::vector<char> is_activator_;     // per var: 1 = live scope guard
-  std::vector<char> frozen_;           // per var: 1 = inprocessing keep-out
   std::vector<int> scope_index_;       // per var: slot in scopes_ or -1
   std::vector<Var> var_owner_;         // per var: owning activator or undef
   std::vector<Var> scope_stack_;       // open scopes, innermost last
@@ -897,21 +754,6 @@ class Solver {
   bool load_failed_ = false;
   int load_mem_countdown_ = 0;  // adds until the next cap check
   static constexpr int kLoadMemCheckPeriod = 1024;
-
-  // Inprocessing state.
-  std::int64_t inproc_last_props_ = 0;  // stats_.propagations at last pass
-  int inproc_db_assigns_ = -1;          // trail size at last strip sweep
-  bool inproc_pending_ = false;         // pass forced by a retirement
-
-  // Eliminated-variable state (BVE; elimination.cpp). eliminated_[v]:
-  // 0 = live, 1 = eliminated and was a decision var, 2 = eliminated
-  // non-decision. has_removed_vars_ guards every hot-path hook
-  // (addClause and assumption restoration, model reconstruction) so a
-  // solver that never eliminated anything is bit-for-bit the
-  // non-inprocessing engine.
-  std::vector<char> eliminated_;
-  WitnessStack witness_;
-  bool has_removed_vars_ = false;
 
   Budget budget_;
   SolverStats stats_;

@@ -30,14 +30,6 @@ namespace msu {
   X(retired_clauses)               \
   X(reclaimed_bytes)               \
   X(recycled_vars)                 \
-  X(inproc_passes)                 \
-  X(inproc_removed_sat)            \
-  X(inproc_subsumed)               \
-  X(inproc_strengthened)           \
-  X(inproc_lits_removed)           \
-  X(inproc_bve_eliminated)         \
-  X(inproc_bve_resolvents)         \
-  X(inproc_bve_restored)           \
   X(reused_trail_lits)             \
   X(restarts_blocked)              \
   X(mode_switches)                 \
@@ -72,19 +64,6 @@ struct SolverStats {
   std::int64_t retired_clauses = 0;  ///< clauses deleted by retirement
   std::int64_t reclaimed_bytes = 0;  ///< clause-storage bytes freed by retire
   std::int64_t recycled_vars = 0;    ///< variables returned to the free list
-
-  // In-solver inprocessing (Solver::Options::inprocess).
-  std::int64_t inproc_passes = 0;       ///< inprocessing passes executed
-  std::int64_t inproc_removed_sat = 0;  ///< top-level-satisfied clauses removed
-  std::int64_t inproc_subsumed = 0;     ///< clauses deleted by subsumption
-  std::int64_t inproc_strengthened = 0;  ///< clauses shortened by strengthening
-  std::int64_t inproc_lits_removed = 0;  ///< literals removed by inprocessing
-
-  // Bounded variable elimination (see elimination.cpp and the
-  // reconstruction contract in solver.h).
-  std::int64_t inproc_bve_eliminated = 0;  ///< variables eliminated by BVE
-  std::int64_t inproc_bve_resolvents = 0;  ///< resolvent clauses added by BVE
-  std::int64_t inproc_bve_restored = 0;   ///< eliminated vars restored on reuse
 
   // Warm-started oracle calls + adaptive restarts (Options::reuse_trail
   // / Options::ema_restarts). restart_mode is a gauge: 0 = Luby,

@@ -331,24 +331,6 @@ class WatchTable {
     h.long_size = newSize;
   }
 
-  /// Removes the watcher of clause `ref` from `p`'s long list (swap with
-  /// the back; order is not significant). Returns true iff it was found.
-  /// Used by inprocessing to detach a clause eagerly before rewriting
-  /// its literals — the lazy-detach path only drops watchers of clauses
-  /// already marked deleted.
-  bool removeLong(Lit p, CRef ref) {
-    Head& h = heads_[idx(p)];
-    Watcher* base = long_pool_.data() + h.long_offset;
-    for (std::uint32_t i = 0; i < h.long_size; ++i) {
-      if (base[i].cref == ref) {
-        base[i] = base[h.long_size - 1];
-        --h.long_size;
-        return true;
-      }
-    }
-    return false;
-  }
-
   // ---- pool maintenance ------------------------------------------------
 
   /// Pool slots abandoned by segment growth since the last compact().

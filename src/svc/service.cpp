@@ -327,9 +327,7 @@ void SolveService::workerLoop() {
       if (job->limits.wall_seconds && opts_.default_max_job_seconds) {
         limit = std::min(limit, *opts_.default_max_job_seconds);
       }
-      job->watchdog_deadline =
-          job->start_time + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(limit));
+      job->watchdog_deadline = Budget::deadlineAfter(job->start_time, limit);
     }
     running_.push_back(job);
     if (metrics_) {

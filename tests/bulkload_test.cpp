@@ -21,12 +21,6 @@
 namespace msu {
 namespace {
 
-Solver::Options plainOpts() {
-  Solver::Options o;
-  o.inprocess = false;  // beginBulkLoad is a pure-load mode
-  return o;
-}
-
 void loadIncremental(Solver& s, const CnfFormula& f) {
   while (s.numVars() < f.numVars()) static_cast<void>(s.newVar());
   for (const Clause& c : f.clauses()) {
@@ -60,9 +54,9 @@ TEST(BulkLoad, BitForBitEquivalentToIncrementalOnFuzzCorpus) {
     p.seed = seed;
     const CnfFormula f = randomKSat(p);
 
-    Solver inc(plainOpts());
+    Solver inc;
     loadIncremental(inc, f);
-    Solver bulk(plainOpts());
+    Solver bulk;
     loadBulk(bulk, f);
 
     ASSERT_EQ(inc.okay(), bulk.okay()) << "seed " << seed;
@@ -81,7 +75,7 @@ TEST(BulkLoad, BitForBitEquivalentToIncrementalOnFuzzCorpus) {
 }
 
 TEST(BulkLoad, UnitsPropagateOnceAtEndOfLoad) {
-  Solver s(plainOpts());
+  Solver s;
   for (int i = 0; i < 4; ++i) static_cast<void>(s.newVar());
   {
     const Solver::BulkLoadGuard bulk(s);
@@ -101,7 +95,7 @@ TEST(BulkLoad, UnitsPropagateOnceAtEndOfLoad) {
 }
 
 TEST(BulkLoad, RootConflictSurfacesAtEndOfLoad) {
-  Solver s(plainOpts());
+  Solver s;
   for (int i = 0; i < 2; ++i) static_cast<void>(s.newVar());
   bool addOk = true;
   {
@@ -118,7 +112,7 @@ TEST(BulkLoad, RootConflictSurfacesAtEndOfLoad) {
 }
 
 TEST(BulkLoad, GuardNests) {
-  Solver s(plainOpts());
+  Solver s;
   static_cast<void>(s.newVar());
   static_cast<void>(s.newVar());
   {
@@ -135,7 +129,7 @@ TEST(BulkLoad, GuardNests) {
 }
 
 TEST(BulkLoad, MemoryCapAbortsLoadWithStructuredReason) {
-  Solver s(plainOpts());
+  Solver s;
   std::atomic<int> abort_sink{static_cast<int>(AbortReason::kNone)};
   Budget b;
   b.setMaxMemory(1);  // everything exceeds this
@@ -164,7 +158,7 @@ TEST(BulkLoad, FastLoadReportsMemStats) {
   p.numClauses = 400;
   const CnfFormula f = randomKSat(p);
   const std::string text = toDimacsString(f);
-  Solver s(plainOpts());
+  Solver s;
   static_cast<void>(fastLoadDimacsCnfInto(
       InputBuffer::borrow(text.data(), text.size()), s));
   EXPECT_EQ(s.numClauses(), f.numClauses());

@@ -1,6 +1,6 @@
 /// Tests for the extension modules beyond the paper's core algorithm:
-/// core trimming, Fu-Malik with weight splitting (msu1), MaxSAT-safe
-/// preprocessing, and the test-pattern-generation instance family.
+/// core trimming, Fu-Malik with weight splitting (msu1), and the
+/// test-pattern-generation instance family.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/core_trim.h"
 #include "core/msu1.h"
 #include "core/msu4.h"
-#include "core/preprocess.h"
 #include "gen/random_cnf.h"
 #include "gen/tpg.h"
 #include "sat/solver.h"
@@ -133,83 +132,6 @@ TEST(Msu1Weighted, HardUnsat) {
   w.addSoft({posLit(0)}, 4);
   Msu1Solver solver;
   EXPECT_EQ(solver.solve(w).status, MaxSatStatus::UnsatisfiableHard);
-}
-
-// ---- preprocessing --------------------------------------------------------
-
-TEST(Preprocess, HardUnitsPropagateIntoSofts) {
-  WcnfFormula w(3);
-  w.addHard({posLit(0)});                 // x0 = 1
-  w.addHard({negLit(0), posLit(1)});      // -> x1 = 1
-  w.addSoft({negLit(1)}, 5);              // falsified: forced cost 5
-  w.addSoft({posLit(1), posLit(2)}, 2);   // satisfied: dropped
-  w.addSoft({negLit(0), posLit(2)}, 3);   // shrinks to (x2)
-  const PreprocessResult r = preprocessWcnf(w);
-  ASSERT_TRUE(r.simplified.has_value());
-  EXPECT_EQ(r.forcedCost, 5);
-  EXPECT_EQ(r.fixedVars, 2);
-  EXPECT_EQ(r.simplified->numHard(), 0);
-  ASSERT_EQ(r.simplified->numSoft(), 1);
-  EXPECT_EQ(r.simplified->soft()[0].lits, (Clause{posLit(2)}));
-  EXPECT_EQ(r.forced[0], lbool::True);
-  EXPECT_EQ(r.forced[1], lbool::True);
-  EXPECT_EQ(r.forced[2], lbool::Undef);
-}
-
-TEST(Preprocess, RefutedHardsReported) {
-  WcnfFormula w(1);
-  w.addHard({posLit(0)});
-  w.addHard({negLit(0)});
-  const PreprocessResult r = preprocessWcnf(w);
-  EXPECT_FALSE(r.simplified.has_value());
-}
-
-TEST(Preprocess, DuplicateSoftsMergeWeights) {
-  WcnfFormula w(2);
-  w.addSoft({posLit(0), posLit(1)}, 2);
-  w.addSoft({posLit(1), posLit(0)}, 3);  // same clause, reordered
-  const PreprocessResult r = preprocessWcnf(w);
-  ASSERT_TRUE(r.simplified.has_value());
-  ASSERT_EQ(r.simplified->numSoft(), 1);
-  EXPECT_EQ(r.simplified->soft()[0].weight, 5);
-  EXPECT_EQ(r.mergedSoft, 1);
-}
-
-TEST(Preprocess, TautologiesDropped) {
-  WcnfFormula w(2);
-  w.addHard({posLit(0), negLit(0)});
-  w.addSoft({posLit(1), negLit(1)}, 9);
-  const PreprocessResult r = preprocessWcnf(w);
-  ASSERT_TRUE(r.simplified.has_value());
-  EXPECT_EQ(r.simplified->numHard(), 0);
-  EXPECT_EQ(r.simplified->numSoft(), 0);
-  EXPECT_EQ(r.forcedCost, 0);
-}
-
-TEST(Preprocess, OptimumIsPreserved) {
-  // opt(original) == forcedCost + opt(simplified), randomized.
-  std::mt19937_64 rng(31);
-  for (int round = 0; round < 12; ++round) {
-    const CnfFormula f = randomKSat(
-        {.numVars = 8, .numClauses = 30, .clauseLen = 2, .seed = rng()});
-    WcnfFormula w(f.numVars());
-    // A couple of hard units to trigger propagation.
-    w.addHard({Lit(static_cast<Var>(rng() % 8), (rng() & 1) != 0)});
-    CnfFormula hardCheck(8);
-    hardCheck.addClause(w.hard()[0]);
-    for (const Clause& c : f.clauses()) {
-      w.addSoft(c, 1 + static_cast<Weight>(rng() % 3));
-    }
-    const OracleResult truth = oracleMaxSat(w);
-    ASSERT_TRUE(truth.optimumCost.has_value());
-    const PreprocessResult r = preprocessWcnf(w);
-    ASSERT_TRUE(r.simplified.has_value());
-    const OracleResult simplifiedTruth = oracleMaxSat(*r.simplified);
-    ASSERT_TRUE(simplifiedTruth.optimumCost.has_value());
-    EXPECT_EQ(*truth.optimumCost,
-              r.forcedCost + *simplifiedTruth.optimumCost)
-        << "round " << round;
-  }
 }
 
 // ---- TPG ------------------------------------------------------------------

@@ -370,8 +370,8 @@ TEST(Tracer, PortfolioRunExportsValidChromeTrace) {
   ASSERT_EQ(events.type, JsonValue::Type::kArray);
   ASSERT_FALSE(events.array.empty());
 
-  const std::set<std::string> knownCats{"oracle", "core", "inproc", "restart",
-                                        "job",    "worker"};
+  const std::set<std::string> knownCats{"oracle", "core", "restart", "job",
+                                        "worker"};
   std::set<double> tids;
   std::set<std::string> names;
   double lastTs = -1.0;

@@ -4,19 +4,22 @@
 ///  * tampered proofs are rejected with the right failing line;
 ///  * DRUP text round-trips through writer and parser;
 ///  * proofs survive clause-database reduction (deletions interleaved);
-///  * a core-guided MaxSAT run (msu4) leaves a fully RUP-valid trace
-///    through its incremental clause additions, with inprocessing too.
+///  * every sequential SAT-based MaxSAT engine leaves a fully RUP-valid
+///    trace through its incremental clause additions and retirements.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cnf/oracle.h"
-#include "core/msu4.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
+#include "harness/factory.h"
 #include "proof/checker.h"
 #include "proof/drup.h"
+#include "random_weighted.h"
 #include "sat/solver.h"
 
 namespace msu {
@@ -192,50 +195,45 @@ TEST(ProofTest, DrupWriterStreamsWhileSolving) {
   EXPECT_TRUE(r.refutationVerified);
 }
 
-TEST(ProofTest, Msu4RunLeavesRupValidTrace) {
-  // The tracer rides along msu4's single incremental solver, including
-  // its mid-run cardinality-constraint additions. The trace cannot end
-  // in a refutation (the working formula is satisfiable once enough
-  // blocking variables are free) but every lemma must check.
-  const auto runTraced = [](const CnfFormula& base, Solver::Options sat,
-                            std::uint64_t seed) {
-    InMemoryProof proof;
-    MaxSatOptions opts;
-    opts.sat = sat;
-    opts.sat.tracer = &proof;
-    Msu4Solver solver(opts);
-    const MaxSatResult res = solver.solve(WcnfFormula::allSoft(base));
-    EXPECT_EQ(res.status, MaxSatStatus::Optimum) << "seed " << seed;
-    const ProofCheckResult r = checkProof(proof.lines());
-    EXPECT_TRUE(r.ok) << "seed " << seed << " line " << r.firstBadLine;
-    return res;
-  };
+TEST(ProofTest, EveryEngineLeavesRupValidTrace) {
+  // The tracer rides along each sequential SAT-based engine's whole
+  // search: incremental clause additions, bound re-encodes and the
+  // deletions that scope retirement records. A trace need not end in a
+  // refutation (the working formula is satisfiable once enough
+  // blocking variables are free), but every lemma must check and the
+  // cost must be the oracle's.
+  std::vector<WcnfFormula> instances;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const CnfFormula base = randomUnsat3Sat(12, 6.0, seed);
-    const MaxSatResult res = runTraced(base, {}, seed);
-    const OracleResult oracle = oracleMaxSat(WcnfFormula::allSoft(base));
-    ASSERT_TRUE(oracle.optimumCost.has_value());
-    EXPECT_EQ(res.cost, *oracle.optimumCost) << "seed " << seed;
+    instances.push_back(WcnfFormula::allSoft(randomUnsat3Sat(12, 6.0, seed)));
   }
-
-  // Inprocessing under the tracer, with a pass at every oracle call.
-  // BVE switches itself off (restoration is not expressible in the
-  // trace); stripping, subsumption and strengthening run, and their
-  // lemmas must check. Each cost must equal the same seed's run
-  // without inprocessing.
-  Solver::Options inproc;
-  inproc.inprocess = true;
-  inproc.inprocess_interval = 1;
-  std::int64_t shrunk = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const CnfFormula base = randomUnsat3Sat(20, 5.0, seed);
-    const MaxSatResult plain = runTraced(base, {}, seed);
-    const MaxSatResult res = runTraced(base, inproc, seed);
-    EXPECT_EQ(res.cost, plain.cost) << "seed " << seed;
-    EXPECT_EQ(res.satStats.inproc_bve_eliminated, 0) << "seed " << seed;
-    shrunk += res.satStats.inproc_subsumed + res.satStats.inproc_strengthened;
+    instances.push_back(randomWeighted(seed, 20));
   }
-  EXPECT_GT(shrunk, 0);  // the passes did work, so the case is not vacuous
+  std::int64_t deletions = 0;
+  for (const std::string& name : solverNames()) {
+    if (name == "maxsatz" || name.starts_with("portfolio")) continue;
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << name << " on instance " << i);
+      const WcnfFormula& w = instances[i];
+      InMemoryProof proof;
+      MaxSatOptions opts;
+      opts.sat.tracer = &proof;
+      const MaxSatResult res = makeSolver(name, opts)->solve(w);
+      const ProofCheckResult r = checkProof(proof.lines());
+      EXPECT_TRUE(r.ok) << "line " << r.firstBadLine;
+      for (const ProofLine& l : proof.lines()) {
+        deletions += l.kind == ProofLine::Kind::Delete ? 1 : 0;
+      }
+      const OracleResult oracle = oracleMaxSat(w);
+      if (oracle.optimumCost) {
+        ASSERT_EQ(res.status, MaxSatStatus::Optimum);
+        EXPECT_EQ(res.cost, *oracle.optimumCost);
+      } else {
+        EXPECT_EQ(res.status, MaxSatStatus::UnsatisfiableHard);
+      }
+    }
+  }
+  EXPECT_GT(deletions, 0);  // retirement ran under the tracer
 }
 
 TEST(RupCheckerTest, IncrementalApiBasics) {

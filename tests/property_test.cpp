@@ -2,7 +2,6 @@
 ///  * DIMACS round-trips on random WCNF instances;
 ///  * budget semantics across engines (Unknown implies coherent bounds;
 ///    re-solving without budget reaches the optimum within the bounds);
-///  * preprocessing end-to-end through an engine;
 ///  * normalization preserves (Max)SAT semantics;
 ///  * weighted duplication equals native weighted solving.
 
@@ -15,7 +14,6 @@
 #include "cnf/oracle.h"
 #include "core/msu1.h"
 #include "core/msu4.h"
-#include "core/preprocess.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 
@@ -106,30 +104,6 @@ TEST(Property, BudgetUnknownHasCoherentBoundsAndFullRunConfirms) {
     } else {
       EXPECT_EQ(bounded.cost, exact.cost) << seed;
     }
-  }
-}
-
-TEST(Property, PreprocessThenSolveEqualsDirectSolve) {
-  for (std::uint64_t seed = 50; seed <= 62; ++seed) {
-    const WcnfFormula w = randomWcnf(seed, true, true);
-    const OracleResult truth = oracleMaxSat(w);
-    const PreprocessResult pre = preprocessWcnf(w);
-    if (!truth.optimumCost) {
-      // Hard part unsat: preprocessing may or may not already detect it;
-      // if it produced a simplified instance, the engine must refuse it.
-      if (pre.simplified) {
-        Msu1Solver solver;
-        EXPECT_EQ(solver.solve(*pre.simplified).status,
-                  MaxSatStatus::UnsatisfiableHard)
-            << seed;
-      }
-      continue;
-    }
-    ASSERT_TRUE(pre.simplified.has_value()) << seed;
-    Msu1Solver solver;
-    const MaxSatResult r = solver.solve(*pre.simplified);
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum) << seed;
-    EXPECT_EQ(pre.forcedCost + r.cost, *truth.optimumCost) << seed;
   }
 }
 

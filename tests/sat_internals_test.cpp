@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <random>
 
 #include "cnf/oracle.h"
@@ -46,15 +47,13 @@ TEST(Arena, LearntActivity) {
   EXPECT_FLOAT_EQ(c.activity(), 3.5f);
 }
 
-TEST(Arena, LiteralMutationAndShrink) {
+TEST(Arena, LiteralMutation) {
   ClauseArena arena;
   const std::vector<Lit> lits{posLit(0), posLit(1), posLit(2), posLit(3)};
   const CRef ref = arena.alloc(lits, false);
   ClauseRefView c = arena[ref];
   c[0] = negLit(7);
   EXPECT_EQ(c[0], negLit(7));
-  c.shrink(2);
-  EXPECT_EQ(c.size(), 2);
   EXPECT_EQ(c[1], posLit(1));
 }
 
@@ -187,6 +186,20 @@ TEST(Budget, WallClockExpires) {
   EXPECT_TRUE(b.timeExpired());
   Budget c = Budget::wallClock(60.0);
   EXPECT_FALSE(c.timeExpired());
+}
+
+TEST(Budget, DeadlinePastTheClockIsNoDeadline) {
+  // From about 9.2e9 s on, the deadline overflows the clock's integer
+  // ticks: it means no deadline, not one that has already passed.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double s : {1e10, 1e300, kInf}) {
+    const Budget b = Budget::wallClock(s);
+    EXPECT_FALSE(b.timeExpired()) << s;
+    EXPECT_FALSE(b.remaining().has_value()) << s;
+  }
+  EXPECT_FALSE(Budget::wallClock(9e9).timeExpired());
+  EXPECT_TRUE(Budget::wallClock(9e9).remaining().has_value());
+  EXPECT_TRUE(Budget::wallClock(-1.0).timeExpired());
 }
 
 TEST(Budget, NodeLimit) {

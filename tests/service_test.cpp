@@ -416,6 +416,24 @@ TEST(SolveService, DeadlineAbortStillReportsTheIncumbentBound) {
   EXPECT_LE(out.result.upperBound, static_cast<Weight>(w.numSoft()));
 }
 
+TEST(SolveService, DeadlinePastTheClockLetsTheJobFinish) {
+  // 1e10 s overflows the clock's integer ticks. Neither the job's
+  // budget nor the watchdog may read it as a deadline already passed.
+  SolveService service(SolveServiceOptions{});
+  WcnfFormula w(2);
+  w.addHard({posLit(0), posLit(1)});
+  w.addSoft({negLit(0)}, 1);
+  w.addSoft({negLit(1)}, 2);
+  JobLimits limits;
+  limits.wall_seconds = 1e10;
+  const auto sub = service.submit(w, limits);
+  ASSERT_EQ(sub.status, SolveService::SubmitStatus::kAccepted);
+  const JobOutcome out = service.await(sub.id);
+  ASSERT_EQ(out.result.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(out.result.cost, 1);
+  EXPECT_EQ(out.abort, AbortReason::kNone);
+}
+
 TEST(SolveService, WatchdogEnforcesTheServiceWideDeadline) {
   SolveServiceOptions so;
   so.default_max_job_seconds = 0.05;

@@ -2,11 +2,11 @@
 /// and the adaptive restart trajectory (Options::ema_restarts):
 /// assumption-prefix reuse and trimming at the divergence point, warm
 /// clause attachment (no-backtrack and forced-backtrack paths),
-/// explicit prefix invalidation by retirement and inprocessing, the
-/// both-knobs-off bit-for-bit gating contract, RestartEma units,
-/// stable/focused mode switching, the SoftTracker canonical-order
-/// contract, and fuzzed oracle agreement across every engine, weighted
-/// instances and a 4-thread portfolio under both knobs.
+/// explicit prefix invalidation by retirement, the both-knobs-off
+/// bit-for-bit gating contract, RestartEma units, stable/focused mode
+/// switching, the SoftTracker canonical-order contract, and fuzzed
+/// oracle agreement across every engine, weighted instances and a
+/// 4-thread portfolio under both knobs.
 
 #include <gtest/gtest.h>
 
@@ -171,19 +171,6 @@ TEST(WarmStart, RetirementInvalidatesThePrefix) {
   // Retirement cancelled to the root before sweeping.
   EXPECT_EQ(s.value(Var{2}), lbool::Undef);
   EXPECT_EQ(s.solve(assumps), lbool::True);
-}
-
-TEST(WarmStart, InprocessingInvalidatesThePrefix) {
-  Solver::Options o;
-  o.inprocess = true;
-  Solver s(o);
-  addSelectorChains(s, 6);
-  ASSERT_EQ(s.solve(negAssumps(6)), lbool::True);
-  ASSERT_EQ(s.value(Var{0}), lbool::False);  // warm
-
-  ASSERT_TRUE(s.inprocessNow());
-  EXPECT_EQ(s.value(Var{0}), lbool::Undef);  // explicit invalidation
-  EXPECT_EQ(s.solve(negAssumps(6)), lbool::True);
 }
 
 TEST(WarmStart, CoreStillNamesOnlyAssumptionsOnWarmRepeat) {
